@@ -4,10 +4,6 @@ machine verification suites for the coefficient inequalities."""
 
 from .arith import Rational, binomial, parse_rational, rational_str
 from .coeffs import (
-    ALPHA_TABLE,
-    BETA_TABLE,
-    CoeffKind,
-    CoeffTable,
     SeriesPoly,
     alpha,
     alpha_ratio,
@@ -44,14 +40,10 @@ from .report import VerifyReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_TABLE",
     "APPENDIX_T",
     "AppendixExample",
-    "BETA_TABLE",
     "BoundConstants",
     "BrunelResult",
-    "CoeffKind",
-    "CoeffTable",
     "DenseMatrix",
     "Norm",
     "Rational",

@@ -14,9 +14,17 @@ K(n) is refined by the roots of the exact quadratic
 
 the successive differences alpha(n, p) - alpha(n+1, p) are nondecreasing in p
 exactly where f_n(p) <= 0 (outside the roots) and decreasing strictly between
-them.  All claims are checked as full equivalences in exact arithmetic;
-transcendental bounds are evaluated as directed-rounding intervals and the
-comparison must clear the unfavorable endpoint.
+them.
+
+Every claim is decided on the integer mantissas a(n, p) = alpha(n, p) 2^(n+2p)
+by a shifted-integer comparison: I is 4 a(n,p) <= a(n,p+1), J is
+2 a(n,p) >= a(n+1,p), and the difference d(n,p) = 2 a(n,p) - a(n+1,p) is the
+mantissa of alpha(n,p) - alpha(n+1,p) over 2^(n+1+2p).  Each claim has one
+small predicate on mantissas; the public per-cell check_* functions feed it
+closed-form mantissas and the suites feed it rows of the integer kernel
+`mantissa_rows`.  A transcendental bound is an outward-rounded interval, and
+the mantissa is compared exactly against its unfavorable endpoint by
+`arith.certified_le` / `certified_ge`.
 
 The module ends with a registry of named verification suites producing
 deterministic VerifyReports over finite parameter rectangles.
@@ -24,22 +32,31 @@ deterministic VerifyReports over finite parameter rectangles.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .arith import Rational, binomial, iv, iv_float_down, iv_float_up, rational_str
+from .arith import (
+    Rational,
+    binomial,
+    certified_ge,
+    certified_le,
+    iv,
+    iv_float_down,
+    iv_float_up,
+)
 from .coeffs import (
-    alpha,
-    alpha_zero_convention,
+    alpha_mantissa,
     alpha_mantissa_row,
-    alpha_recurrence_check,
-    beta,
-    beta_recurrence_check,
-    oracle_alpha,
-    sum_alpha,
+    beta_mantissa,
+    diff_tail_envelope,
+    mantissa_rows,
+    oracle_mantissa_rows,
+    recurrence_holds,
+    sum_alpha_mantissa,
 )
 from .report import VerifyReport
 
@@ -117,18 +134,55 @@ def roots_exist(n: int) -> bool:
 # threshold equivalences (exact)
 # ---------------------------------------------------------------------------
 
+def _diff_mantissa(n: int, p: int) -> int:
+    """d(n, p) = 2 a(n, p) - a(n+1, p): alpha(n,p) - alpha(n+1,p) over 2^(n+1+2p)."""
+    a = alpha_mantissa(n, p) if n >= 1 else int(p == 0)  # psi^0 = 1
+    return 2 * a - alpha_mantissa(n + 1, p)
+
+
+def _I_claim(n: int, p: int, a: int, a_next: int) -> bool:
+    """alpha(n,p) <= alpha(n,p+1), i.e. 4 a(n,p) <= a(n,p+1), iff p <= I(n)."""
+    return (4 * a <= a_next) == (6 * p <= n * n - 3 * n - 4)
+
+
+def _J_claim(n: int, p: int, a: int, a_up: int) -> bool:
+    """alpha(n,p) >= alpha(n+1,p), i.e. 2 a(n,p) >= a(n+1,p), iff p <= J(n)."""
+    return (2 * a >= a_up) == (2 * p <= n * n + n)
+
+
+def _K_claim(n: int, p: int, d: int, d_next: int) -> bool:
+    """Difference step nondecreasing, 4 d(n,p) <= d(n,p+1), iff the quadratic says so."""
+    return (4 * d <= d_next) == (12 * p * (n * n + n - 1) - 12 * p * p <= _quartic_q(n))
+
+
+def _regions_claim(n: int, p: int, d: int, d_next: int) -> Optional[bool]:
+    """Difference step nondecreasing iff p lies outside the roots; None near a root."""
+    A, D = _discriminant(n)
+    t = A - 24 * p
+    if t * t == D:
+        return None
+    s = math.sqrt(D)
+    if min(abs(p - (A - s) / 24), abs(p - (A + s) / 24)) < 1e-9:
+        return None
+    return (4 * d <= d_next) == (t * t > D)
+
+
+def _quotient_claim(n: int, p: int, d_prev: int, d: int) -> Optional[bool]:
+    """The difference-column ratio d(n,p) / (2 d(n-1,p)) against its closed form."""
+    guard = n * (n - 1) - 2 * p
+    if guard == 0 or d_prev == 0:
+        return None
+    return d * 2 * (n + p + 1) * guard == 2 * d_prev * (n * n + n - 2 * p) * (n + 2 * p - 1)
+
+
 def check_I_equivalence(n: int, p: int) -> bool:
     """[alpha(n,p) <= alpha(n,p+1)] iff [p <= I(n)], both sides exact."""
-    lhs = alpha(n, p) <= alpha(n, p + 1)
-    rhs = 6 * p <= n * n - 3 * n - 4
-    return lhs == rhs
+    return _I_claim(n, p, alpha_mantissa(n, p), alpha_mantissa(n, p + 1))
 
 
 def check_J_equivalence(n: int, p: int) -> bool:
     """[alpha(n,p) >= alpha(n+1,p)] iff [p <= J(n)], both sides exact."""
-    lhs = alpha(n, p) >= alpha(n + 1, p)
-    rhs = 2 * p <= n * n + n
-    return lhs == rhs
+    return _J_claim(n, p, alpha_mantissa(n, p), alpha_mantissa(n + 1, p))
 
 
 def check_K_appendix_equivalence(n: int, p: int) -> bool:
@@ -139,9 +193,7 @@ def check_K_appendix_equivalence(n: int, p: int) -> bool:
     """
     if n < 2:
         raise ValueError("quadratic criterion needs n >= 2")
-    lhs = alpha(n, p) - alpha(n + 1, p) <= alpha(n, p + 1) - alpha(n + 1, p + 1)
-    rhs = 12 * p * (n * n + n - 1) - 12 * p * p <= _quartic_q(n)
-    return lhs == rhs
+    return _K_claim(n, p, _diff_mantissa(n, p), _diff_mantissa(n, p + 1))
 
 
 def check_upper_lower_K(n: int, p: int) -> Optional[bool]:
@@ -155,16 +207,7 @@ def check_upper_lower_K(n: int, p: int) -> Optional[bool]:
     """
     if not roots_exist(n):
         raise ValueError(f"n = {n} does not have two nonnegative roots")
-    A, D = _discriminant(n)
-    t = A - 24 * p
-    if t * t == D:
-        return None
-    s = math.sqrt(D)
-    if min(abs(p - (A - s) / 24), abs(p - (A + s) / 24)) < 1e-9:
-        return None
-    nondecreasing = alpha(n, p) - alpha(n + 1, p) <= alpha(n, p + 1) - alpha(n + 1, p + 1)
-    outside = t * t > D
-    return nondecreasing == outside
+    return _regions_claim(n, p, _diff_mantissa(n, p), _diff_mantissa(n, p + 1))
 
 
 def check_quotient_identity(n: int, p: int) -> Optional[bool]:
@@ -177,68 +220,98 @@ def check_quotient_identity(n: int, p: int) -> Optional[bool]:
             = (n^2 + n - 2p)(n + 2p - 1) / (2 (n+p+1) (n(n-1) - 2p)).
 
     For n = 1 the previous power is psi^0 = 1, whose coefficients are 1 at
-    p = 0 and 0 otherwise; the ratio then reduces to (p-1)/(p+2) for p >= 1.
-    Returns None when the denominator guard n(n-1) - 2p = 0 fails (for n = 1
-    that is exactly p = 0, where the reduced formula does not apply either).
+    p = 0 and 0 otherwise; the ratio then reduces to (p-1)/(p+2) for p >= 1,
+    which is the same formula at n = 1.  Returns None when the denominator
+    guard n(n-1) - 2p = 0 fails (for n = 1 that is exactly p = 0, where the
+    reduced formula does not apply either).
     """
     if n < 1 or p < 0:
         raise ValueError("need n >= 1, p >= 0")
-    if n == 1:
-        if p == 0:
-            return None
-        denom = alpha_zero_convention(p) - alpha(1, p)
-        if denom == 0:
-            return None
-        lhs = (alpha(1, p) - alpha(2, p)) / denom
-        return lhs == Fraction(p - 1, p + 2)
-    if n * (n - 1) - 2 * p == 0:
-        return None
-    denom = alpha(n - 1, p) - alpha(n, p)
-    if denom == 0:
-        return None
-    lhs = (alpha(n, p) - alpha(n + 1, p)) / denom
-    rhs = Fraction(
-        (n * n + n - 2 * p) * (n + 2 * p - 1),
-        2 * (n + p + 1) * (n * (n - 1) - 2 * p),
-    )
-    return lhs == rhs
+    return _quotient_claim(n, p, _diff_mantissa(n - 1, p), _diff_mantissa(n, p))
 
 
 # ---------------------------------------------------------------------------
-# bound checks (exact LHS vs outward-rounded transcendental RHS)
+# bound checks (exact mantissa vs outward-rounded transcendental bound)
 # ---------------------------------------------------------------------------
 
-_eq8_cache: dict[int, Fraction] = {}
-_sean_cache: dict[int, Fraction] = {}
+def _eq8_bound(p: int) -> "iv.mpf":
+    """e^(1/(24p)) / (2(1+p) sqrt(pi p)) as an outward-rounded interval."""
+    return iv.exp(iv.mpf(1) / (24 * p)) / (2 * (1 + p) * iv.sqrt(iv.pi * p))
 
 
-def _eq8_bound_down(p: int) -> Fraction:
-    """Rounded-down e^(1/(24p)) / (2(1+p) sqrt(pi p)): passing it certifies."""
-    got = _eq8_cache.get(p)
-    if got is None:
-        bound = iv.exp(iv.mpf(1) / (24 * p)) / (2 * (1 + p) * iv.sqrt(iv.pi * p))
-        got = _eq8_cache.setdefault(p, Fraction(iv_float_down(bound)))
-    return got
+def _sean_bound(p: int) -> "iv.mpf":
+    """e^(1/12) / sqrt(pi p) as an outward-rounded interval."""
+    return iv.exp(iv.mpf(1) / 12) / iv.sqrt(iv.pi * p)
 
 
-def _sean_bound_down(p: int) -> Fraction:
-    """Rounded-down e^(1/12) / sqrt(pi p)."""
-    got = _sean_cache.get(p)
-    if got is None:
-        bound = iv.exp(iv.mpf(1) / 12) / iv.sqrt(iv.pi * p)
-        got = _sean_cache.setdefault(p, Fraction(iv_float_down(bound)))
-    return got
+def _in_bound_M() -> "iv.mpf":
+    """6 sqrt(2/pi) e^(1/12) as an outward-rounded interval."""
+    return 6 * iv.sqrt(iv.mpf(2) / iv.pi) * iv.exp(iv.mpf(1) / 12)
 
 
-def _in_bound_M_down() -> Fraction:
-    """Rounded-down 6 sqrt(2/pi) e^(1/12)."""
-    return Fraction(iv_float_down(6 * iv.sqrt(iv.mpf(2) / iv.pi) * iv.exp(iv.mpf(1) / 12)))
+def _technical_C() -> "iv.mpf":
+    """6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2)) as an outward-rounded interval."""
+    return 6 * iv.exp(iv.mpf(7) / 12) * iv.sqrt(2 * iv.pi) / (2 - iv.sqrt(iv.mpf(2)))
 
 
-def technical_C_down() -> Fraction:
-    """Rounded-down 6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2))."""
-    c = 6 * iv.exp(iv.mpf(7) / 12) * iv.sqrt(2 * iv.pi) / (2 - iv.sqrt(iv.mpf(2)))
-    return Fraction(iv_float_down(c))
+def technical_C_down() -> float:
+    """A float at or below 6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2))."""
+    return iv_float_down(_technical_C())
+
+
+def _uniform_claim(n: int, p: int, d: int, a1: int, bound: "iv.mpf") -> bool:
+    """|alpha(n+1,p) - alpha(n,p)| = |d|/2^(n+1+2p) under all three bounds.
+
+    The bounds are alpha(1,p) = a1/2^(1+2p), p^(-3/2), and the sharp one,
+    certified against the interval `bound`.
+    """
+    d = abs(d)
+    shift = n + 1 + 2 * p
+    return (d <= a1 << n and d * d * p ** 3 <= 1 << (2 * shift)
+            and certified_le(d, bound, shift))
+
+
+def _stirling_claim(n: int, p: int, c: int, bound: "iv.mpf") -> bool:
+    """C(n+2p, p) / 2^(n+2p) <= bound, with c = C(n+2p, p)."""
+    return certified_le(c, bound, n + 2 * p)
+
+
+def _peak_claim(n: int, i: int, a: int, M: "iv.mpf") -> bool:
+    """alpha(n, i) <= M / i, i.e. i a(n,i) / 2^(n+2i) <= M."""
+    return certified_le(i * a, M, n + 2 * i)
+
+
+def _alpha0_claim(n: int, a: int, a_next: int) -> bool:
+    """|alpha(n+1,0)/(n+1) - alpha(n,0)/n| = 2^-(n+1) (2+n) / (n(1+n)) <= 1.
+
+    Over the common denominator n (n+1) 2^(n+1) the left side has numerator
+    |n a(n+1,0) - 2 (n+1) a(n,0)| and the right side n + 2.
+    """
+    return (abs(n * a_next - 2 * (n + 1) * a) == n + 2
+            and n + 2 <= (n * (n + 1)) << (n + 1))
+
+
+def _sum_bound_claim(n: int, row_lo: list[int], row_hi: list[int], P_tail: int) -> bool:
+    """sum_{p<=P_tail} |d(n,p)| / 2^(n+1+2p) + 2/isqrt(P_tail) <= 33/(2n).
+
+    The differences share the dyadic denominator 2^(n+1+2p), so the partial
+    sum is one big-integer Horner pass over the two mantissa rows.
+    """
+    num = 0
+    for p in range(P_tail + 1):
+        num = (num << 2) + abs(row_hi[p] - 2 * row_lo[p])
+    total = Fraction(num, 1 << (n + 1 + 2 * P_tail)) + diff_tail_envelope(P_tail)
+    return total <= BoundConstants.C_sum / n
+
+
+def _technical_claim(N: int, k: int, r: int, s: int, r_over_C: "iv.mpf") -> bool:
+    """1/N <= (C/r) S(r,k), i.e. N s / 2^(r+2k) >= r/C, with s the mantissa of S."""
+    return certified_ge(N * s, r_over_C, r + 2 * k)
+
+
+def _s_monotone_claim(s: int, s_next: int) -> bool:
+    """S(k+1) <= S(k) on mantissas over 2^(r+2k+2) and 2^(r+2k)."""
+    return s_next <= 4 * s
 
 
 def check_uniform_p_estimate(n: int, p: int) -> bool:
@@ -246,17 +319,12 @@ def check_uniform_p_estimate(n: int, p: int) -> bool:
 
     The sharp one is e^(1/(24p)) / (2(1+p) sqrt(pi p)); the intermediate one
     is alpha(1, p); the weak one is p^(-3/2).  All three must hold; the
-    transcendental bound is rounded down before comparing, so a pass is a
-    certificate.
+    transcendental bound is compared against its interval's lower endpoint,
+    so a pass is a certificate.
     """
     if n < 1 or p < 1:
         raise ValueError("need n >= 1, p >= 1")
-    d = abs(alpha(n + 1, p) - alpha(n, p))
-    if d > _eq8_bound_down(p):
-        return False
-    if d > alpha(1, p):
-        return False
-    return d * d * p ** 3 <= 1
+    return _uniform_claim(n, p, _diff_mantissa(n, p), alpha_mantissa(1, p), _eq8_bound(p))
 
 
 def check_alpha0_difference(n: int) -> bool:
@@ -270,9 +338,7 @@ def check_alpha0_difference(n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = abs(alpha(n + 1, 0) / (n + 1) - alpha(n, 0) / n)
-    rhs = Fraction(2 + n, (1 << (n + 1)) * n * (1 + n))
-    return lhs == rhs and rhs <= 1
+    return _alpha0_claim(n, alpha_mantissa(n, 0), alpha_mantissa(n + 1, 0))
 
 
 def check_majorant_summability(P: int) -> float:
@@ -285,32 +351,22 @@ def check_majorant_summability(P: int) -> float:
 def check_sum_coefficient_bound(n: int, P_tail: int = 10 ** 4) -> bool:
     """sum_p |alpha(n+1,p) - alpha(n,p)| <= 33/(2n), certified.
 
-    The partial sum through P_tail is exact (the differences share the dyadic
-    denominator 2^(n+1+2p), so the sum is one big-integer Horner pass); the
-    discarded tail is covered by the exact envelope 2/isqrt(P_tail) derived
-    from the termwise bound p^(-3/2) and the integral test.
+    The partial sum through P_tail is exact; the discarded tail is covered by
+    the exact envelope 2/isqrt(P_tail) derived from the termwise bound
+    p^(-3/2) and the integral test.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 1 or P_tail < 1:
+        raise ValueError("need n >= 1, P_tail >= 1")
     row_lo = alpha_mantissa_row(n, P_tail)
     row_hi = alpha_mantissa_row(n + 1, P_tail)
-    return _sum_bound_from_rows(n, row_lo, row_hi, P_tail)
-
-
-def _sum_bound_from_rows(n: int, row_lo: list[int], row_hi: list[int], P_tail: int) -> bool:
-    num = 0
-    for p in range(P_tail + 1):
-        num = (num << 2) + abs(row_hi[p] - 2 * row_lo[p])
-    total = Fraction(num, 1 << (n + 1 + 2 * P_tail)) + Fraction(2, math.isqrt(P_tail))
-    return total <= Fraction(33, 2 * n)
+    return _sum_bound_claim(n, row_lo, row_hi, P_tail)
 
 
 def check_sean_lemma(n: int, p: int) -> bool:
-    """2^(-n-2p) C(n+2p, p) <= e^(1/12)/sqrt(pi p), RHS rounded down."""
+    """2^(-n-2p) C(n+2p, p) <= e^(1/12)/sqrt(pi p), certified."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1, p >= 1")
-    lhs = Fraction(binomial(n + 2 * p, p), 1 << (n + 2 * p))
-    return lhs <= _sean_bound_down(p)
+    return _stirling_claim(n, p, binomial(n + 2 * p, p), _sean_bound(p))
 
 
 def check_In_bound(n: int) -> bool:
@@ -318,7 +374,7 @@ def check_In_bound(n: int) -> bool:
     if n < 6:
         raise ValueError("floor(I(n)) may be nonpositive below n = 6")
     i = (n * n - 3 * n - 4) // 6
-    return alpha(n, i) <= _in_bound_M_down() / i
+    return _peak_claim(n, i, alpha_mantissa(n, i), _in_bound_M())
 
 
 def c_np(n: int, p: int) -> float:
@@ -346,18 +402,16 @@ def check_gamma_K(n: int, p: int, K: float) -> Optional[bool]:
 def check_technical_lemma(N: int) -> bool:
     """1/N <= (C/r) sum_{j=1}^{r} alpha(j, k) for every k in [0, N], r = isqrt(N).
 
-    C = 6 e^(7/12) sqrt(2 pi)/(2 - sqrt(2)) is rounded down, so a pass
-    certifies the inequality with the true constant.
+    C = 6 e^(7/12) sqrt(2 pi)/(2 - sqrt(2)) enters as an interval, and the
+    comparison must clear its unfavorable endpoint, so a pass certifies the
+    inequality with the true constant.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     r = math.isqrt(N)
-    C = technical_C_down()
-    lhs = Fraction(1, N)
-    for k in range(N + 1):
-        if lhs > C / r * sum_alpha(r, k):
-            return False
-    return True
+    r_over_C = r / _technical_C()
+    return all(_technical_claim(N, k, r, sum_alpha_mantissa(r, k), r_over_C)
+               for k in range(N + 1))
 
 
 def check_S_monotone(N: int, k: int) -> bool:
@@ -365,129 +419,165 @@ def check_S_monotone(N: int, k: int) -> bool:
     if N < 1 or k < 0:
         raise ValueError("need N >= 1, k >= 0")
     r = math.isqrt(N)
-    return sum_alpha(r, k + 1) <= sum_alpha(r, k)
+    return _s_monotone_claim(sum_alpha_mantissa(r, k), sum_alpha_mantissa(r, k + 1))
 
 
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _suite_oracle(rect: dict) -> VerifyReport:
-    n_max = rect.get("n_max", 30)
-    p_max = rect.get("p_max", 30)
-    shift_n_max = rect.get("shift_n_max", 40)
-    shift_p_max = rect.get("shift_p_max", 100)
+def _record_exact(report: VerifyReport, params: dict, lhs: int, rhs: int,
+                  shift: int) -> None:
+    """Record lhs == rhs on mantissas over 2^shift; a failure shows both values."""
+    if lhs == rhs:
+        report.record(params, True)
+    else:
+        report.record(params, False, Fraction(lhs, 1 << shift), Fraction(rhs, 1 << shift))
+
+
+def _row_pairs(n_max: int, p_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(n, a(n, .), a(n+1, .)) for n = 1..n_max, from consecutive kernel rows."""
+    rows = mantissa_rows(n_max + 1, p_max)
+    _, prev = next(rows, (0, None))
+    for n, row in rows:
+        yield n - 1, prev, row
+        prev = row
+
+
+def _column_sum_rows(N_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
+    """(N, row) with row[p] the mantissa of sum_{n<=N} alpha(n, p) over 2^(N+2p)."""
+    total = [0] * (p_max + 1)
+    for N, row in mantissa_rows(N_max, p_max):
+        total = [2 * t + a for t, a in zip(total, row)]
+        yield N, total
+
+
+def _suite_oracle(n_max=30, p_max=30, shift_n_max=40, shift_p_max=100) -> VerifyReport:
     report = VerifyReport(
         suite="oracle",
         rectangle={"n_max": n_max, "p_max": p_max,
                    "shift_n_max": shift_n_max, "shift_p_max": shift_p_max},
     )
-    for n in range(1, n_max + 1):
-        series = oracle_alpha(n, p_max)
+    pairs = zip(mantissa_rows(n_max, p_max), oracle_mantissa_rows(n_max, p_max))
+    for (n, row), (_, want) in pairs:
         for p in range(p_max + 1):
-            expected = series[p]
-            got = alpha(n, p)
-            report.record({"check": "oracle", "n": n, "p": p},
-                          got == expected, got, expected)
-    for n in range(1, shift_n_max + 1):
+            _record_exact(report, {"check": "oracle", "n": n, "p": p},
+                          row[p], want[p], n + 2 * p)
+    for n, row in mantissa_rows(shift_n_max, shift_p_max):
         for p in range(shift_p_max + 1):
-            lhs = beta(n, p + n)
-            rhs = alpha(n, p)
-            report.record({"check": "shift", "n": n, "p": p}, lhs == rhs, lhs, rhs)
+            _record_exact(report, {"check": "shift", "n": n, "p": p},
+                          beta_mantissa(n, p + n), row[p], n + 2 * p)
     return report
 
 
-def _suite_recurrences(rect: dict) -> VerifyReport:
-    n_max = rect.get("n_max", 40)
-    beta_p_max = rect.get("beta_p_max", 120)
-    alpha_p_max = rect.get("alpha_p_max", 200)
+def _suite_recurrences(n_max=40, beta_p_max=120, alpha_p_max=200) -> VerifyReport:
     report = VerifyReport(
         suite="recurrences",
         rectangle={"n_max": n_max, "beta_p_max": beta_p_max,
                    "alpha_p_max": alpha_p_max},
     )
+    # Closed-form mantissas, never rows built by the recurrence under test.
+    width = max(alpha_p_max + 2, beta_p_max + 1)
+    closed = {k: [alpha_mantissa(k, p) for p in range(width)]
+              for k in range(1, n_max + 2)}
+
+    def b(k: int, q: int) -> int:  # beta_mantissa(k, q) read from the table
+        return closed[k][q - k] if q >= k else 0
+
     for n in range(2, n_max + 1):
         for p in range(beta_p_max + 1):
             report.record({"check": "beta", "N": n, "p": p},
-                          beta_recurrence_check(n, p))
+                          recurrence_holds(b(n - 1, p - 1), b(n, p), b(n + 1, p)))
         for p in range(alpha_p_max + 1):
             report.record({"check": "alpha", "n": n, "p": p},
-                          alpha_recurrence_check(n, p))
+                          recurrence_holds(closed[n - 1][p + 1], closed[n][p + 1],
+                                           closed[n + 1][p]))
     return report
 
 
-def _suite_monotonicity(rect: dict) -> VerifyReport:
-    n_max = rect.get("n_max", 40)
-    p_max = rect.get("p_max", 600)
+def _suite_monotonicity(n_max=40, p_max=600) -> VerifyReport:
     report = VerifyReport(suite="monotonicity",
                           rectangle={"n_max": n_max, "p_max": p_max})
-    for n in range(1, n_max + 1):
+    for n, row, up in _row_pairs(n_max, p_max + 1):
         for p in range(p_max + 1):
-            report.record({"check": "I", "n": n, "p": p}, check_I_equivalence(n, p))
-            report.record({"check": "J", "n": n, "p": p}, check_J_equivalence(n, p))
+            report.record({"check": "I", "n": n, "p": p},
+                          _I_claim(n, p, row[p], row[p + 1]))
+            report.record({"check": "J", "n": n, "p": p},
+                          _J_claim(n, p, row[p], up[p]))
     return report
 
 
-def _suite_k_regions(rect: dict) -> VerifyReport:
-    n_max = rect.get("n_max", 40)
-    p_max = rect.get("p_max", 600)
+def _suite_k_regions(n_max=40, p_max=600) -> VerifyReport:
     report = VerifyReport(suite="k_regions",
                           rectangle={"n_max": n_max, "p_max": p_max})
-    for n in range(2, n_max + 1):
+    for n, row, up in _row_pairs(n_max, p_max + 1):
+        if n < 2:
+            continue
+        d = [2 * row[p] - up[p] for p in range(p_max + 2)]
         has_roots = roots_exist(n)
         for p in range(p_max + 1):
             report.record({"check": "quadratic", "n": n, "p": p},
-                          check_K_appendix_equivalence(n, p))
+                          _K_claim(n, p, d[p], d[p + 1]))
             if has_roots:
                 report.record({"check": "regions", "n": n, "p": p},
-                              check_upper_lower_K(n, p))
+                              _regions_claim(n, p, d[p], d[p + 1]))
     return report
 
 
-def _suite_quotient(rect: dict) -> VerifyReport:
-    n_max = rect.get("n_max", 30)
-    p_max = rect.get("p_max", 200)
+def _suite_quotient(n_max=30, p_max=200) -> VerifyReport:
     report = VerifyReport(suite="quotient",
                           rectangle={"n_max": n_max, "p_max": p_max})
-    for n in range(1, n_max + 1):
+    d_prev = None
+    for n, row, up in _row_pairs(n_max, p_max):
+        if n == 1:  # d(0, .) from psi^0 = 1, whose only mantissa is a(0, 0) = 1
+            d_prev = [2 * (p == 0) - row[p] for p in range(p_max + 1)]
+        d = [2 * row[p] - up[p] for p in range(p_max + 1)]
         for p in range(p_max + 1):
-            report.record({"n": n, "p": p}, check_quotient_identity(n, p))
+            report.record({"n": n, "p": p}, _quotient_claim(n, p, d_prev[p], d[p]))
+        d_prev = d
     return report
 
 
-def _suite_bounds(rect: dict) -> VerifyReport:
-    n_max = rect.get("n_max", 60)
-    p_max = rect.get("p_max", 400)
-    sean_n_max = rect.get("sean_n_max", 100)
-    in_n_max = rect.get("in_n_max", 200)
+def _suite_bounds(n_max=60, p_max=400, sean_n_max=100, in_n_max=200) -> VerifyReport:
     report = VerifyReport(
         suite="bounds",
         rectangle={"n_max": n_max, "p_max": p_max,
                    "sean_n_max": sean_n_max, "in_n_max": in_n_max},
     )
-    for n in range(1, n_max + 1):
-        for p in range(1, p_max + 1):
-            report.record({"check": "uniform", "n": n, "p": p},
-                          check_uniform_p_estimate(n, p))
-    for n in range(1, sean_n_max + 1):
-        for p in range(1, p_max + 1):
-            report.record({"check": "stirling", "n": n, "p": p},
-                          check_sean_lemma(n, p))
+    ps = range(1, p_max + 1)
+    eq8 = {p: _eq8_bound(p) for p in ps}
+    sean = {p: _sean_bound(p) for p in ps}
+    # C(n+2p, p) = 2 C(n-1+2p, p) - a(n, p), from the central binomials up
+    central = [binomial(2 * p, p) for p in range(p_max + 1)]
+    a1 = None
+    for n, row, up in _row_pairs(max(n_max, sean_n_max), p_max):
+        if n == 1:
+            a1 = row[: p_max + 1]
+        if n <= n_max:
+            for p in ps:
+                report.record({"check": "uniform", "n": n, "p": p},
+                              _uniform_claim(n, p, 2 * row[p] - up[p], a1[p], eq8[p]))
+        if n <= sean_n_max:
+            for p in ps:
+                central[p] = 2 * central[p] - row[p]
+                report.record({"check": "stirling", "n": n, "p": p},
+                              _stirling_claim(n, p, central[p], sean[p]))
+    M = _in_bound_M()
     for n in range(6, in_n_max + 1):
-        report.record({"check": "peak", "n": n}, check_In_bound(n))
+        i = (n * n - 3 * n - 4) // 6
+        report.record({"check": "peak", "n": n},
+                      _peak_claim(n, i, alpha_mantissa(n, i), M))
     return report
 
 
-def _suite_alpha0(rect: dict) -> VerifyReport:
-    n_max = rect.get("n_max", 60)
+def _suite_alpha0(n_max=60) -> VerifyReport:
     report = VerifyReport(suite="alpha0", rectangle={"n_max": n_max})
     for n in range(1, n_max + 1):
         report.record({"n": n}, check_alpha0_difference(n))
     return report
 
 
-def _suite_majorant(rect: dict) -> VerifyReport:
-    P = rect.get("P", 10 ** 4)
+def _suite_majorant(P=10 ** 4) -> VerifyReport:
     report = VerifyReport(suite="majorant", rectangle={"P": P})
     total = check_majorant_summability(P)
     report.record({"check": "envelope", "P": P}, total <= 3.613, total, 3.613)
@@ -502,25 +592,20 @@ def _suite_majorant(rect: dict) -> VerifyReport:
     return report
 
 
-def _suite_sum_bound(rect: dict) -> VerifyReport:
-    n_max = rect.get("n_max", 40)
-    P_tail = rect.get("P_tail", 10 ** 4)
+def _suite_sum_bound(n_max=40, P_tail=10 ** 4) -> VerifyReport:
+    if P_tail < 1:
+        raise ValueError("P_tail must be >= 1")
     report = VerifyReport(suite="sum_bound",
                           rectangle={"n_max": n_max, "P_tail": P_tail})
-    row_prev = alpha_mantissa_row(1, P_tail)
-    for n in range(1, n_max + 1):
-        row_next = alpha_mantissa_row(n + 1, P_tail)
-        report.record({"n": n}, _sum_bound_from_rows(n, row_prev, row_next, P_tail))
-        row_prev = row_next
+    for n, row, up in _row_pairs(n_max, P_tail):
+        report.record({"n": n}, _sum_bound_claim(n, row, up, P_tail))
     return report
 
 
-def _suite_gamma(rect: dict) -> VerifyReport:
-    n_max = rect.get("n_max", 60)
-    Ks = rect.get("K_values", (1, 2, 4))
+def _suite_gamma(n_max=60, K_values=(1, 2, 4)) -> VerifyReport:
     report = VerifyReport(suite="gamma",
-                          rectangle={"n_max": n_max, "K_values": list(Ks)})
-    for K in Ks:
+                          rectangle={"n_max": n_max, "K_values": list(K_values)})
+    for K in K_values:
         for n in range(1, n_max + 1):
             p_min = max(1, -(-(n * n) // K))
             ps = list(range(p_min, p_min + 40)) + [p_min * 4, p_min * 16]
@@ -529,53 +614,41 @@ def _suite_gamma(rect: dict) -> VerifyReport:
     return report
 
 
-def _suite_technical(rect: dict) -> VerifyReport:
-    N_max = rect.get("N_max", 400)
+def _suite_technical(N_max=400) -> VerifyReport:
     report = VerifyReport(suite="technical", rectangle={"N_max": N_max})
-    C = technical_C_down()
-    rhs_cache: dict[tuple[int, int], Fraction] = {}
+    C = _technical_C()
+    sums = dict(_column_sum_rows(math.isqrt(N_max), N_max))
     for N in range(1, N_max + 1):
         r = math.isqrt(N)
-        lhs = Fraction(1, N)
+        r_over_C = r / C
+        row = sums[r]
         for k in range(N + 1):
-            rhs = rhs_cache.get((r, k))
-            if rhs is None:
-                rhs = rhs_cache.setdefault((r, k), C / r * sum_alpha(r, k))
-            report.record({"N": N, "k": k}, lhs <= rhs)
+            report.record({"N": N, "k": k}, _technical_claim(N, k, r, row[k], r_over_C))
     return report
 
 
-def _suite_s_monotone(rect: dict) -> VerifyReport:
-    N_max = rect.get("N_max", 100)
-    k_max = rect.get("k_max", 120)
+def _suite_s_monotone(N_max=100, k_max=120) -> VerifyReport:
     report = VerifyReport(suite="s_monotone",
                           rectangle={"N_max": N_max, "k_max": k_max})
-    sums: dict[int, list[Fraction]] = {}
+    sums = dict(_column_sum_rows(math.isqrt(N_max), k_max + 1))
     for N in range(1, N_max + 1):
-        r = math.isqrt(N)
-        if r not in sums:
-            sums[r] = [sum_alpha(r, k) for k in range(k_max + 2)]
-        row = sums[r]
+        row = sums[math.isqrt(N)]
         for k in range(k_max + 1):
-            report.record({"N": N, "k": k}, row[k + 1] <= row[k])
+            report.record({"N": N, "k": k}, _s_monotone_claim(row[k], row[k + 1]))
     return report
 
 
-def _suite_sums(rect: dict) -> VerifyReport:
-    N_max = rect.get("N_max", 40)
-    p_max = rect.get("p_max", 100)
+def _suite_sums(N_max=40, p_max=100) -> VerifyReport:
     report = VerifyReport(suite="sums",
                           rectangle={"N_max": N_max, "p_max": p_max})
-    for p in range(p_max + 1):
-        direct = Fraction(0)
-        for N in range(1, N_max + 1):
-            direct += alpha(N, p)
-            closed = sum_alpha(N, p)
-            report.record({"N": N, "p": p}, closed == direct, closed, direct)
+    for N, direct in _column_sum_rows(N_max, p_max):
+        for p in range(p_max + 1):
+            _record_exact(report, {"N": N, "p": p},
+                          sum_alpha_mantissa(N, p), direct[p], N + 2 * p)
     return report
 
 
-SUITES: dict[str, Callable[[dict], VerifyReport]] = {
+SUITES: dict[str, Callable[..., VerifyReport]] = {
     "oracle": _suite_oracle,
     "recurrences": _suite_recurrences,
     "monotonicity": _suite_monotonicity,
@@ -592,24 +665,44 @@ SUITES: dict[str, Callable[[dict], VerifyReport]] = {
 }
 
 
+# Each suite's keyword parameters are its rectangle keys, read once here so
+# that a wrapper installed over a SUITES entry keeps the same schema.
+RECTANGLE_KEYS: dict[str, tuple[str, ...]] = {
+    name: tuple(inspect.signature(fn).parameters) for name, fn in SUITES.items()
+}
+
+
 class UnknownSuiteError(KeyError):
     pass
 
 
 def run_suite(name: str, **rectangle) -> VerifyReport:
-    """Run one registered suite; deterministic for a fixed rectangle."""
+    """Run one registered suite; deterministic for a fixed rectangle.
+
+    Each suite's keyword parameters are its rectangle keys and defaults
+    (RECTANGLE_KEYS); a key the suite does not read raises ValueError naming
+    every such key.  Keys given as None take the default.
+    """
     key = name.replace("-", "_")
     fn = SUITES.get(key)
     if fn is None:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         )
+    rect = {k: v for k, v in rectangle.items() if v is not None}
+    known = RECTANGLE_KEYS[key]
+    unknown = sorted(k for k in rect if k not in known)
+    if unknown:
+        raise ValueError(
+            f"suite {key!r} does not read {', '.join(unknown)}; "
+            f"its rectangle keys are {', '.join(known)}"
+        )
     start = time.perf_counter()
-    report = fn({k: v for k, v in rectangle.items() if v is not None})
+    report = fn(**rect)
     report.elapsed_s = time.perf_counter() - start
     return report
 
 
-def run_all_suites(**rectangle) -> list[VerifyReport]:
+def run_all_suites() -> list[VerifyReport]:
     """Every registered suite with its default rectangle, in sorted name order."""
     return [run_suite(name) for name in sorted(SUITES)]

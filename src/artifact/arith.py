@@ -4,9 +4,11 @@ Every identity check in this package is decided in exact arithmetic.  The value
 type is `Rational` (stdlib `fractions.Fraction`: always reduced, denominator
 positive, exact field operations).  Comparisons of an exact rational against a
 transcendental bound (anything containing pi, e, or a square root) go through
-outward-rounded interval arithmetic: the check passes only if the rational
-clears the unfavorable endpoint of the interval, so a pass is a proof and never
-a float accident.
+outward-rounded interval arithmetic and `certified_le` / `certified_ge`: the
+check passes only if the rational clears the unfavorable endpoint of the
+interval.  That endpoint is an mpf, itself a dyadic man * 2^exp, so the
+comparison is exact integer arithmetic and a pass is a proof, never a float
+accident.
 """
 
 from __future__ import annotations
@@ -83,16 +85,47 @@ def iv_rational(q: Rational) -> "iv.mpf":
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def certified_le(x: Rational, bound: "iv.mpf") -> bool:
-    """True only if x <= bound is certain: x must clear the lower endpoint."""
-    xi = iv_rational(x)
-    return bool(xi.b <= bound.a)
+def _cmp_endpoint(x: Rational, shift: int, endpoint: tuple) -> int:
+    """Sign of x/2^shift - e, exactly, for an mpf endpoint e = (-1)^s man 2^exp.
+
+    The endpoint is itself a dyadic, so the comparison is one integer
+    cross-multiplication with no rounding step in between.
+    """
+    sign, man, exp, _ = endpoint
+    if not man:
+        if endpoint == mpmath.libmp.fzero:
+            man = exp = 0
+        elif endpoint == mpmath.libmp.finf:
+            return -1
+        elif endpoint == mpmath.libmp.fninf:
+            return 1
+        else:
+            raise ValueError("cannot compare against a NaN interval endpoint")
+    if isinstance(x, int):
+        num, den = x, 1
+    else:
+        num, den = x.numerator, x.denominator
+    rhs = -int(man) * den if sign else int(man) * den
+    e = exp + shift
+    if e >= 0:
+        rhs <<= e
+    else:
+        num <<= -e
+    return (num > rhs) - (num < rhs)
 
 
-def certified_ge(x: Rational, bound: "iv.mpf") -> bool:
-    """True only if x >= bound is certain: x must clear the upper endpoint."""
-    xi = iv_rational(x)
-    return bool(xi.a >= bound.b)
+def certified_le(x: Rational, bound: "iv.mpf", shift: int = 0) -> bool:
+    """True only if x/2^shift <= bound is certain: it must clear the lower endpoint.
+
+    x is an int (a dyadic mantissa) or any exact rational; the comparison
+    against the interval's exact endpoint is itself exact.
+    """
+    return _cmp_endpoint(x, shift, bound._mpi_[0]) <= 0
+
+
+def certified_ge(x: Rational, bound: "iv.mpf", shift: int = 0) -> bool:
+    """True only if x/2^shift >= bound is certain: it must clear the upper endpoint."""
+    return _cmp_endpoint(x, shift, bound._mpi_[1]) >= 0
 
 
 def iv_float_down(x: "iv.mpf") -> float:

@@ -9,9 +9,10 @@ Subcommands:
   operator  matrix demos: truncated A^n, Cesaro averages, theorem checks,
             the 2x2 worked example, seeded random stochastic matrices
 
-Exit codes: 0 success/pass, 1 failures or runtime errors, 2 unknown suite
-or bad usage.  All output is deterministic for fixed flags; only the
-elapsed_s field of reports varies between runs.
+Exit codes: 0 success/pass, 1 failures or runtime errors, 2 unknown suite,
+a rectangle flag the suite does not read, or other bad usage.  All output
+is deterministic for fixed flags; only the elapsed_s field of reports
+varies between runs.
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ def cmd_verify(args) -> int:
     rect = {k: v for k, v in rect.items() if v is not None}
     try:
         if args.suite == "all":
+            if rect:
+                raise ValueError(
+                    f"verify all runs every suite at its default rectangle; "
+                    f"drop {', '.join(sorted(rect))} or name one suite"
+                )
             reports = run_all_suites()
             text = _json([r.to_dict() for r in reports])
             failed = any(not r.passed for r in reports)
@@ -143,6 +149,9 @@ def cmd_verify(args) -> int:
             failed = not report.passed
     except UnknownSuiteError as exc:
         sys.stderr.write(f"error: {exc.args[0]}\n")
+        return 2
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(text, args.out)
     return 1 if failed else 0

@@ -1,7 +1,7 @@
 """Taylor coefficients of powers of psi(x) = (1 - sqrt(1-x))/x.
 
 Let xi(x) = 1 - sqrt(1-x), so psi(x) = xi(x)/x.  This module computes, in
-exact rational arithmetic,
+exact arithmetic,
 
     beta(n, p)  = p-th Taylor coefficient of xi(x)^n,
     alpha(n, p) = p-th Taylor coefficient of psi(x)^n,
@@ -11,40 +11,40 @@ related by the index shift beta(n, p+n) = alpha(n, p).  Closed forms:
     beta(n, p)  = 0 for p < n, else (n/2p) * 2^(n+1-2p) * C(2p-n-1, p-1)
     alpha(n, p) = (n/(n+p)) * 2^(-n-2p) * C(n+2p-1, p)
 
-Internally alpha(n, p) is handled as an integer mantissa over a power of two:
+Every coefficient is a dyadic rational, handled as an integer mantissa over
+a power of two:
 
-    alpha(n, p) = (C(n+2p-1, p) - C(n+2p-1, p-1)) / 2^(n+2p)
+    alpha(n, p) = a(n, p) / 2^(n+2p),   a(n, p) = n C(n+2p-1, p) / (n+p).
 
-(the two binomials difference equals n/(n+p) times the first one), which lets
-large verification sweeps run on plain big-integer adds and shifts.
+`alpha` and `beta` are exact accessors on that mantissa.  Sweeps over a
+rectangle use `mantissa_rows`, the integer kernel: two rows seeded by the
+exact ratio recurrence, then every further row by the paper's three-term
+recurrence in mantissa form, a(n+1, p) = a(n, p+1) - a(n-1, p+1), which is
+pure big-integer subtraction.
 
-An independent convolution oracle builds the same coefficients from the
-binomial series of sqrt(1-x) with no shared code path, and float-side helpers
-evaluate psi(x)^n and its truncated series, including accelerated summation of
-the conditionally convergent alternating series that appear at x = -1.
+An independent oracle builds the same mantissas from the binomial series of
+sqrt(1-x) alone: scaled to integers, xi(x) = 2 C(x/4) with C(y) the Catalan
+series sum_k Cat(k-1) y^k, so a(n, p) = [y^(n+p)] C(y)^n, and the powers of C
+come from packed big-integer multiplication (Kronecker substitution).  Float
+helpers evaluate psi(x)^n and its truncated series, including accelerated
+summation of the conditionally convergent alternating series at x = -1.
 """
 
 from __future__ import annotations
 
-import csv
-import enum
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from .arith import Rational, binomial, iv, iv_float_up, pow2, rational_str
+import numpy as np
 
-
-class CoeffKind(enum.Enum):
-    ALPHA = "alpha"
-    BETA = "beta"
+from .arith import Rational, binomial, iv, iv_float_up
 
 
 def alpha_mantissa(n: int, p: int) -> int:
-    """Integer a with alpha(n, p) = a / 2^(n+2p)."""
-    return binomial(n + 2 * p - 1, p) - binomial(n + 2 * p - 1, p - 1)
+    """Integer a with alpha(n, p) = a / 2^(n+2p), from one binomial."""
+    return binomial(n + 2 * p - 1, p) * n // (n + p)
 
 
 def alpha_mantissa_row(n: int, p_max: int) -> list[int]:
@@ -61,88 +61,63 @@ def alpha_mantissa_row(n: int, p_max: int) -> list[int]:
     return row
 
 
-def alpha_float_row(n: int, p_max: int) -> list[float]:
-    """Float alpha(n, 0..p_max) by the same ratio recurrence.
+def mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, row) for n = 1..n_max, with row[p] = a(n, p) for p = 0..p_max.
 
-    Relative error grows like p_max * ulp; fine for plotting and for partial
-    sums whose tolerance is far above 1e-10.
+    Rows 1 and 2 come from the ratio recurrence; row n+1 then overwrites row
+    n-1 in place by a(n+1, p) = a(n, p+1) - a(n-1, p+1), so only two lists
+    are ever alive.  A yielded list is reused two rows later: hold at most
+    the previous row.  Entries past p_max are working space for the later rows.
     """
-    row = [0.0] * (p_max + 1)
-    a = 2.0 ** (-n) if n < 1074 else 0.0
-    row[0] = a
-    for p in range(p_max):
-        a *= (n + 2 * p + 1) * (n + 2 * p) / (4.0 * (p + 1) * (n + p + 1))
-        row[p + 1] = a
-    return row
+    if n_max < 1:
+        return
+    length = p_max + max(n_max - 2, 0)
+    prev = alpha_mantissa_row(1, length)
+    yield 1, prev
+    if n_max == 1:
+        return
+    cur = alpha_mantissa_row(2, length)
+    yield 2, cur
+    for n in range(3, n_max + 1):
+        width = len(cur) - 1
+        for p in range(width):
+            prev[p] = cur[p + 1] - prev[p + 1]
+        del prev[width:]
+        prev, cur = cur, prev
+        yield n, cur
 
 
-class CoeffTable:
-    """Memoized table of exact coefficients, safe for concurrent readers.
-
-    Fills are synchronized with a lock; every entry is a pure function of its
-    index, so the table contents are deterministic under any interleaving.
-    """
-
-    def __init__(self, kind: CoeffKind):
-        self.kind = kind
-        self._entries: dict[tuple[int, int], Rational] = {}
-        self._lock = threading.Lock()
-        self.n_max = 0
-        self.p_max = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, n: int, p: int) -> Rational:
-        key = (n, p)
-        value = self._entries.get(key)
-        if value is None:
-            if self.kind is CoeffKind.ALPHA:
-                value = _alpha_uncached(n, p)
-            else:
-                value = _beta_uncached(n, p)
-            with self._lock:
-                self._entries.setdefault(key, value)
-                self.n_max = max(self.n_max, n)
-                self.p_max = max(self.p_max, p)
-        return value
-
-    def to_csv(self, path) -> None:
-        """Write the filled entries as `n,p,value` with exact rational strings."""
-        rows = sorted(self._entries.items())
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "p", "value"])
-            for (n, p), value in rows:
-                writer.writerow([n, p, rational_str(value)])
+def alpha_float_rows(n_list: Sequence[int], P: int) -> np.ndarray:
+    """Stacked float rows alpha(n, 0..P) via the vectorized ratio recurrence."""
+    p = np.arange(P, dtype=np.float64)
+    out = np.empty((len(n_list), P + 1))
+    for i, n in enumerate(n_list):
+        ratios = (n + 2 * p + 1) * (n + 2 * p) / (4 * (p + 1) * (n + p + 1))
+        out[i, 0] = 2.0 ** (-n)
+        if P:
+            out[i, 1:] = out[i, 0] * np.cumprod(ratios)
+    return out
 
 
-def _alpha_uncached(n: int, p: int) -> Rational:
+def alpha(n: int, p: int) -> Rational:
+    """Exact p-th Taylor coefficient of psi(x)^n."""
     if n < 1 or p < 0:
         raise ValueError(f"alpha requires n >= 1, p >= 0, got ({n}, {p})")
     return Fraction(alpha_mantissa(n, p), 1 << (n + 2 * p))
 
 
-def _beta_uncached(n: int, p: int) -> Rational:
+def beta_mantissa(n: int, p: int) -> int:
+    """Integer b with beta(n, p) = b / 2^(2p-n): a(n, p-n), or 0 for p < n."""
+    return alpha_mantissa(n, p - n) if p >= n else 0
+
+
+def beta(n: int, p: int) -> Rational:
+    """Exact p-th Taylor coefficient of xi(x)^n."""
     if n < 1 or p < 0:
         raise ValueError(f"beta requires n >= 1, p >= 0, got ({n}, {p})")
     if p < n:
         return Fraction(0)
-    return Fraction(n, 2 * p) * pow2(n + 1 - 2 * p) * binomial(2 * p - n - 1, p - 1)
-
-
-ALPHA_TABLE = CoeffTable(CoeffKind.ALPHA)
-BETA_TABLE = CoeffTable(CoeffKind.BETA)
-
-
-def alpha(n: int, p: int) -> Rational:
-    """Exact p-th Taylor coefficient of psi(x)^n (memoized)."""
-    return ALPHA_TABLE.get(n, p)
-
-
-def beta(n: int, p: int) -> Rational:
-    """Exact p-th Taylor coefficient of xi(x)^n (memoized)."""
-    return BETA_TABLE.get(n, p)
+    return Fraction(beta_mantissa(n, p), 1 << (2 * p - n))
 
 
 def alpha_ratio(n: int, p: int) -> Rational:
@@ -156,7 +131,7 @@ def alpha_zero_convention(p: int) -> Rational:
 
 
 # ---------------------------------------------------------------------------
-# independent convolution oracle
+# independent oracle: packed powers of the Catalan series
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -172,18 +147,6 @@ class SeriesPoly:
 
     def __getitem__(self, p: int) -> Rational:
         return self.coeffs[p]
-
-    def multiply(self, other: "SeriesPoly", degree: int) -> "SeriesPoly":
-        """Exact Cauchy product truncated at `degree` (plain O(P^2))."""
-        out = [Fraction(0)] * (degree + 1)
-        for i, a in enumerate(self.coeffs[: degree + 1]):
-            if not a:
-                continue
-            jmax = degree - i
-            for j, b in enumerate(other.coeffs[: jmax + 1]):
-                if b:
-                    out[i + j] += a * b
-        return SeriesPoly(out, degree)
 
 
 def sqrt_one_minus_x_series(degree: int) -> SeriesPoly:
@@ -204,50 +167,121 @@ def xi_series(degree: int) -> SeriesPoly:
     return SeriesPoly(coeffs, degree)
 
 
+def catalan_series(degree: int) -> list[int]:
+    """Integer coefficients Cat(k-1) of C(y) = xi(y/4)/2 for k = 0..degree.
+
+    4^k c_k / 2 for the xi coefficients c_k; a non-integer is an error.
+    """
+    out = []
+    for k, c in enumerate(xi_series(degree).coeffs):
+        scaled = c * (1 << (2 * k)) / 2
+        if scaled.denominator != 1:
+            raise AssertionError(f"4^{k} xi_{k} / 2 = {scaled} is not an integer")
+        out.append(scaled.numerator)
+    return out
+
+
+def catalan_power_rows(n_max: int, degree: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, [y^q] C(y)^n for q = 0..degree) for n = 1..n_max.
+
+    Each series is packed into one integer with a fixed slot per coefficient
+    (Kronecker substitution), so C^n = C^(n-1) * C is one big-int multiply,
+    truncated by a mask.  C(1/4) = 1/2 bounds [C^n]_q < 4^q; the slots hold
+    2*degree + 1 bits and every unpacked coefficient is checked against that
+    bound, so no slot can have carried into the next.
+    """
+    nbytes = (2 * degree + 1 + 7) // 8
+    slots = degree + 1
+    base = int.from_bytes(
+        b"".join(c.to_bytes(nbytes, "little") for c in catalan_series(degree)),
+        "little",
+    )
+    mask = (1 << (8 * nbytes * slots)) - 1
+    packed = 1
+    for n in range(1, n_max + 1):
+        packed = (packed * base) & mask
+        data = packed.to_bytes(nbytes * slots, "little")
+        coeffs = [
+            int.from_bytes(data[q * nbytes : (q + 1) * nbytes], "little")
+            for q in range(slots)
+        ]
+        for q, c in enumerate(coeffs):
+            if c.bit_length() > 2 * q:
+                raise AssertionError(f"[C^{n}]_{q} = {c} is not below 4^{q}")
+        yield n, coeffs
+
+
+def oracle_mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, [a(n, 0..p_max)]) for n = 1..n_max from the packed Catalan powers.
+
+    Shares no code with the closed form or the three-term recurrence.
+    """
+    for n, coeffs in catalan_power_rows(n_max, n_max + p_max):
+        if any(coeffs[:n]):
+            raise AssertionError(f"C^{n} has a nonzero coefficient below y^{n}")
+        yield n, coeffs[n : n + p_max + 1]
+
+
 def oracle_beta(n: int, p_max: int) -> SeriesPoly:
-    """xi(x)^n by repeated exact convolution — no closed forms involved."""
-    base = xi_series(p_max)
-    acc = SeriesPoly([Fraction(1)] + [Fraction(0)] * p_max, p_max)
-    for _ in range(n):
-        acc = acc.multiply(base, p_max)
-    return acc
+    """xi(x)^n = 2^n C(x/4)^n from packed integer powers: no closed forms."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    *_, (_, coeffs) = catalan_power_rows(n, p_max)
+    return SeriesPoly(
+        [Fraction(c << n, 1 << (2 * q)) for q, c in enumerate(coeffs)], p_max
+    )
 
 
 def oracle_alpha(n: int, p_max: int) -> SeriesPoly:
-    """psi(x)^n = xi(x)^n / x^n via the oracle series and an index shift."""
-    shifted = oracle_beta(n, p_max + n)
-    for p in range(n):
-        if shifted[p] != 0:
-            raise AssertionError(f"xi^{n} has a nonzero coefficient below x^{n}")
-    return SeriesPoly(shifted.coeffs[n : n + p_max + 1], p_max)
+    """psi(x)^n = xi(x)^n / x^n: a(n, p) = [y^(n+p)] C(y)^n over 2^(n+2p)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    *_, (_, row) = oracle_mantissa_rows(n, p_max)
+    return SeriesPoly(
+        [Fraction(a, 1 << (n + 2 * p)) for p, a in enumerate(row)], p_max
+    )
 
 
 # ---------------------------------------------------------------------------
 # recurrences and closed-form sums
 # ---------------------------------------------------------------------------
 
+def recurrence_holds(lower: int, upper: int, nxt: int) -> bool:
+    """The three-term recurrence on mantissas: nxt == upper - lower.
+
+    alpha(n+1, p) = 2 alpha(n, p+1) - alpha(n-1, p+1) reads
+    a(n+1, p) = a(n, p+1) - a(n-1, p+1) over the common 2^(n+2p+1); the beta
+    recurrence is the same identity on beta mantissas over 2^(2p-n-1).
+    """
+    return nxt == upper - lower
+
+
 def alpha_recurrence_check(n: int, p: int) -> bool:
     """alpha(n+1, p) == 2*alpha(n, p+1) - alpha(n-1, p+1), exactly (n >= 2)."""
     if n < 2:
         raise ValueError("recurrence anchor needs n >= 2")
-    return alpha(n + 1, p) == 2 * alpha(n, p + 1) - alpha(n - 1, p + 1)
+    return recurrence_holds(alpha_mantissa(n - 1, p + 1), alpha_mantissa(n, p + 1),
+                            alpha_mantissa(n + 1, p))
 
 
 def beta_recurrence_check(n: int, p: int) -> bool:
     """beta(n+1, p) == 2*beta(n, p) - beta(n-1, p-1), exactly (n >= 2)."""
     if n < 2:
         raise ValueError("recurrence anchor needs n >= 2")
-    prev = beta(n - 1, p - 1) if p >= 1 else Fraction(0)
-    return beta(n + 1, p) == 2 * beta(n, p) - prev
+    lower = beta_mantissa(n - 1, p - 1) if p >= 1 else 0
+    return recurrence_holds(lower, beta_mantissa(n, p), beta_mantissa(n + 1, p))
+
+
+def sum_alpha_mantissa(N: int, p: int) -> int:
+    """Integer s with sum_{n=1}^{N} alpha(n, p) = s / 2^(N+2p), closed form."""
+    return (binomial(2 * p, p) << N) - binomial(N + 2 * p, p)
 
 
 def sum_alpha(N: int, p: int) -> Rational:
     """Closed form of sum_{n=1}^{N} alpha(n, p)."""
     if N < 1 or p < 0:
         raise ValueError(f"sum_alpha requires N >= 1, p >= 0, got ({N}, {p})")
-    return Fraction(
-        (1 << N) * binomial(2 * p, p) - binomial(N + 2 * p, p), 1 << (N + 2 * p)
-    )
+    return Fraction(sum_alpha_mantissa(N, p), 1 << (N + 2 * p))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +305,7 @@ def psi_partial_sum(x: float, n: int, P: int) -> float:
     """sum_{p=0}^{P} alpha(n, p) x^p in float."""
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [-1, 1], got {x}")
-    coeffs = alpha_float_row(n, P)
+    coeffs = alpha_float_rows([n], P)[0].tolist()
     total = 0.0
     xp = 1.0
     for p in range(P + 1):

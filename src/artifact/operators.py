@@ -33,6 +33,7 @@ import numpy as np
 from .arith import binomial
 from .coeffs import (
     accelerated_alternating_sum,
+    alpha_float_rows,
     alpha_tail_envelope,
     dpsi_pow_at_minus_one,
     psi_pow_at_minus_one,
@@ -191,18 +192,6 @@ def probe_mean_bound(
 ACCEL_TAIL = 1e-13  # residual allowance for the exact-windowed accelerated sums
 
 
-def _coeff_rows(n_list: Sequence[int], P: int) -> np.ndarray:
-    """Stacked float rows alpha(n, 0..P) via the vectorized ratio recurrence."""
-    p = np.arange(P, dtype=np.float64)
-    out = np.empty((len(n_list), P + 1))
-    for i, n in enumerate(n_list):
-        ratios = (n + 2 * p + 1) * (n + 2 * p) / (4 * (p + 1) * (n + p + 1))
-        out[i, 0] = 2.0 ** (-n)
-        if P:
-            out[i, 1:] = out[i, 0] * np.cumprod(ratios)
-    return out
-
-
 def _pick_P(n: int, M: float, eps: float, cap: int) -> int:
     """Smallest truncation with envelope(n, P) * M <= eps (within the cap)."""
     if M == 0.0:
@@ -237,7 +226,7 @@ def _scalar_series(a: float, n: int, eps: float, cap: int) -> tuple[float, int, 
     P = max(8, math.ceil(math.log(eps * (1 - r)) / math.log(r))) if r > 0 else 1
     if P > cap:
         raise NonConvergenceError(f"geometric tail needs P = {P} > cap {cap}")
-    coeffs = _coeff_rows([n], P)[0]
+    coeffs = alpha_float_rows([n], P)[0]
     value = float(np.polynomial.polynomial.polyval(a, coeffs))
     tail = r ** (P + 1) / (1 - r)
     return value, P, tail
@@ -264,7 +253,7 @@ def _scalar_dseries(a: float, n: int, eps: float, cap: int) -> tuple[float, int,
         P *= 2
         if P > cap:
             raise NonConvergenceError(f"geometric tail needs P > cap {cap}")
-    coeffs = _coeff_rows([n], P)[0]
+    coeffs = alpha_float_rows([n], P)[0]
     dcoeffs = coeffs[1:] * np.arange(1, P + 1)
     value = float(np.polynomial.polynomial.polyval(a, dcoeffs))
     return value, P, tail_at(P)
@@ -344,7 +333,7 @@ def evaluate_powers(
         tails = {n: math.nextafter(alpha_tail_envelope(n, P) * M, math.inf)
                  for n in n_list}
 
-    rows = _coeff_rows(list(n_list), P)
+    rows = alpha_float_rows(list(n_list), P)
     X = np.empty((P + 1, d * d))
     power = np.eye(d)
     for p in range(P + 1):
@@ -468,7 +457,7 @@ def check_cesaro_domination(
     if (T.array < 0).any():
         raise ValueError("domination check requires entrywise nonnegative T")
     probe_mean_bound(T, probe_len)
-    C = float(technical_C_down())
+    C = technical_C_down()
     r_max = math.isqrt(N_max)
     powers, P = evaluate_powers(T, list(range(1, r_max + 1)), eps)
     report = VerifyReport(
@@ -518,7 +507,7 @@ def S_value(n: int, window: int = 64) -> float:
 def S_remainder_at_J(n: int) -> float:
     """Alternating-series remainder bound for truncation at p = J(n)."""
     p = (n * n + n) // 2 + 1
-    return binomial(n + 2 * p - 1, p - 1) / 4.0 ** p
+    return float(Fraction(binomial(n + 2 * p - 1, p - 1), 1 << (2 * p)))
 
 
 @dataclass

@@ -6,6 +6,7 @@ These are intentionally heavier than the unit tests and take a few minutes
 in total.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -46,6 +47,8 @@ from artifact.operators import (
     random_stochastic,
     rotation_matrix,
 )
+
+VERIFY_ALL_SHA256 = "98a0a789c170d1fd9c630f88ef0232252447a88592b30ce9c0c9114440b396d4"
 
 
 def announce(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -236,11 +239,15 @@ class TestAcceptance:
         all_passed = all(
             json.loads(doc)["failures"] == [] for doc in first
         )
+        # sha256 of the `verify all` JSON without elapsed_s: any change to
+        # what a suite checks or reports changes it.
+        text = json.dumps([json.loads(doc) for doc in first], indent=2, sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
         announce(
             11,
             "full verification run deterministic and green",
-            first == second and all_passed,
-            f"{len(first)} suites",
+            first == second and all_passed and digest == VERIFY_ALL_SHA256,
+            f"{len(first)} suites, sha256 {digest[:12]}",
         )
 
 

@@ -457,7 +457,7 @@ class TestSuites:
     def test_small_rectangles_pass(self):
         cases = {
             "oracle": dict(n_max=5, p_max=10),
-            "recurrences": dict(n_max=5, p_max=15),
+            "recurrences": dict(n_max=5, alpha_p_max=15, beta_p_max=15),
             "monotonicity": dict(n_max=8, p_max=30),
             "k_regions": dict(n_max=8, p_max=40),
             "quotient": dict(n_max=6, p_max=25),
@@ -468,13 +468,21 @@ class TestSuites:
             "gamma": dict(n_max=6),
             "technical": dict(N_max=25),
             "s_monotone": dict(N_max=16, k_max=20),
-            "sums": dict(n_max=6, p_max=12),
+            "sums": dict(N_max=6, p_max=12),
         }
         for name, rect in cases.items():
             report = run_suite(name, **rect)
             assert report.passed, (name, report.failures[:2])
             assert report.checks > 0
             assert report.elapsed_s >= 0
+
+    def test_unread_rectangle_keys_fail_loudly(self):
+        with pytest.raises(ValueError, match="bogus, p_max"):
+            run_suite("alpha0", p_max=5, bogus=1)
+        with pytest.raises(ValueError, match="N_max"):
+            run_suite("sums", n_max=6, N_max=None)
+        # None means "use the default" and is not an unread key
+        assert run_suite("alpha0", n_max=3, p_max=None).checks == 3
 
     def test_report_structure_round_trips_json(self):
         report = run_suite("alpha0", n_max=6)

@@ -149,5 +149,35 @@ class TestCertifiedComparisons:
         if certified_ge(a, root2):
             assert a >= 0 and a * a >= 2
 
+    @given(st.integers(min_value=-(2**200), max_value=2**200),
+           st.integers(min_value=-300, max_value=300))
+    @settings(max_examples=300)
+    def test_dyadic_comparisons_are_sound(self, m, shift):
+        """m/2^shift against sqrt(2): an affirmed inequality is true."""
+        root2 = iv.sqrt(2)
+        x = Fraction(m) / Fraction(2) ** shift
+        if certified_le(m, root2, shift):
+            assert x <= 0 or x * x <= 2
+        if certified_ge(m, root2, shift):
+            assert x >= 0 and x * x >= 2
+
+    @given(st.sampled_from([0, 1]), st.integers(min_value=-8, max_value=8))
+    def test_dyadic_equal_to_an_endpoint(self, end, extra):
+        """A dyadic equal to an endpoint compares as equal, exactly."""
+        root2 = iv.sqrt(2)
+        sign, man, exp, _ = root2._mpi_[end]
+        assert sign == 0
+        # man * 2^exp written as (man << extra) / 2^(extra - exp)
+        m, shift = man << max(extra, 0), max(extra, 0) - exp
+        assert Fraction(m, 2 ** shift) == Fraction(man) * Fraction(2) ** exp
+        if end == 0:  # the lower endpoint: le holds with equality, ge fails
+            assert certified_le(m, root2, shift)
+            assert not certified_le(m + 1, root2, shift)
+            assert not certified_ge(m, root2, shift)
+        else:  # the upper endpoint: ge holds with equality, le fails
+            assert certified_ge(m, root2, shift)
+            assert not certified_ge(m - 1, root2, shift)
+            assert not certified_le(m, root2, shift)
+
     def test_rational_alias(self):
         assert Rational is Fraction

@@ -168,6 +168,18 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["rectangle"] == {"N_max": 20}
 
+    def test_unread_rectangle_flag_exit_two(self, capsys):
+        code, out, err = run(capsys, "verify", "alpha0", "--p-max", "5")
+        assert code == 2
+        assert "p_max" in err
+        assert out == ""
+
+    def test_verify_all_rejects_rectangle_flags(self, capsys):
+        code, out, err = run(capsys, "verify", "all", "--n-max", "3")
+        assert code == 2
+        assert "n_max" in err
+        assert out == ""
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, _ = run(

@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.coeffs import (
-    ALPHA_TABLE,
-    BETA_TABLE,
-    CoeffKind,
-    CoeffTable,
     alpha,
-    alpha_float_row,
+    alpha_float_rows,
     alpha_mantissa,
     alpha_mantissa_row,
     alpha_ratio,
@@ -27,6 +23,7 @@ from artifact.coeffs import (
     diff_tail_envelope,
     dpsi_pow_at_minus_one,
     iterated_average,
+    mantissa_rows,
     oracle_alpha,
     oracle_beta,
     psi_eval,
@@ -36,7 +33,6 @@ from artifact.coeffs import (
     sum_alpha,
     xi_series,
 )
-from artifact.arith import parse_rational
 
 ROOT2 = math.sqrt(2.0)
 
@@ -94,9 +90,26 @@ class TestMantissa:
         for n in range(1, 30):
             assert all(a > 0 for a in alpha_mantissa_row(n, 50))
 
+    @given(st.integers(min_value=1, max_value=80), st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=12, deadline=None)
+    def test_kernel_rows_match_closed_form(self, n_max, p_max):
+        """Rows built by subtraction equal the closed form and stay positive."""
+        for n, row in mantissa_rows(n_max, p_max):
+            assert all(a > 0 for a in row[: p_max + 1]), n
+        assert n == n_max
+        assert row[: p_max + 1] == alpha_mantissa_row(n, p_max)
+        for p in {0, p_max // 3, p_max // 2, p_max}:
+            assert row[p] == alpha_mantissa(n, p), (n, p)
+
+    def test_kernel_rows_exhaustive_small(self):
+        rows = {n: list(row[:41]) for n, row in mantissa_rows(25, 40)}
+        assert sorted(rows) == list(range(1, 26))
+        for n, row in rows.items():
+            assert row == [alpha_mantissa(n, p) for p in range(41)], n
+
     def test_float_row_tracks_exact(self):
         for n in (1, 5, 12):
-            frow = alpha_float_row(n, 200)
+            frow = alpha_float_rows([n], 200)[0]
             for p in (0, 1, 50, 200):
                 exact = float(alpha(n, p))
                 assert frow[p] == pytest.approx(exact, rel=1e-11)
@@ -240,7 +253,7 @@ class TestTailEnvelopes:
     def test_alpha_tail_envelope_dominates_true_tail(self):
         for n in (1, 3, 10):
             for P in (10, 100, 1000):
-                row = alpha_float_row(n, P + 4000)
+                row = alpha_float_rows([n], P + 4000)[0]
                 observed = sum(row[P + 1 :])
                 assert observed < alpha_tail_envelope(n, P)
 
@@ -259,8 +272,7 @@ class TestTailEnvelopes:
     def test_diff_tail_envelope_dominates(self):
         P = 400
         for n in (1, 4, 9):
-            row_n = alpha_float_row(n, P + 6000)
-            row_n1 = alpha_float_row(n + 1, P + 6000)
+            row_n, row_n1 = alpha_float_rows([n, n + 1], P + 6000)
             observed = sum(abs(a - b) for a, b in zip(row_n[P + 1 :], row_n1[P + 1 :]))
             assert observed < float(diff_tail_envelope(P))
 
@@ -308,32 +320,7 @@ class TestBoundarySeries:
             )
 
 
-class TestCoeffTable:
-    def test_memoization_and_extent(self):
-        table = CoeffTable(CoeffKind.ALPHA)
-        v1 = table.get(3, 4)
-        v2 = table.get(3, 4)
-        assert v1 == v2 == alpha(3, 4)
-        assert len(table) == 1
-        assert table.n_max == 3 and table.p_max == 4
-
-    def test_csv_round_trip(self, tmp_path):
-        table = CoeffTable(CoeffKind.ALPHA)
-        for n in range(1, 4):
-            for p in range(0, 5):
-                table.get(n, p)
-        path = tmp_path / "coeffs.csv"
-        table.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,p,value"
-        for line in lines[1:]:
-            n_s, p_s, val = line.split(",")
-            assert parse_rational(val) == alpha(int(n_s), int(p_s))
-
-    def test_module_tables_kinds(self):
-        assert ALPHA_TABLE.kind is CoeffKind.ALPHA
-        assert BETA_TABLE.kind is CoeffKind.BETA
-
+class TestZeroPower:
     def test_zero_power_convention(self):
         assert alpha_zero_convention(0) == 1
         assert alpha_zero_convention(5) == 0

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -325,6 +326,18 @@ class TestWorkedExample:
             ex = appendix_example(n)
             assert isinstance(ex, AppendixExample)
             assert ex.max_abs_difference < 1e-8, (n, ex.max_abs_difference)
+
+    def test_appendix_example_past_float_range_of_4_to_the_p(self):
+        """From n = 32 on, 4^(J(n)+1) exceeds the float range; the remainder
+        bound must still come out finite and correctly rounded."""
+        for n in (32, 60):
+            ex = appendix_example(n)
+            assert ex.max_abs_difference < 1e-8, (n, ex.max_abs_difference)
+            p = (n * n + n) // 2 + 1
+            exact = Fraction(math.comb(n + 2 * p - 1, p - 1), 4 ** p)
+            assert math.isfinite(ex.remainder_at_J)
+            assert ex.remainder_at_J == float(exact)
+        assert appendix_example(60).remainder_at_J == pytest.approx(4.57e15, rel=1e-3)
 
     def test_diagonal_value_n1(self):
         ex = appendix_example(1)
