@@ -1,0 +1,7 @@
+"""`python -m artifact ...` runs the command-line front end."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

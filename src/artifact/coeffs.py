@@ -26,8 +26,15 @@ An independent oracle builds the same mantissas from the binomial series of
 sqrt(1-x) alone: scaled to integers, xi(x) = 2 C(x/4) with C(y) the Catalan
 series sum_k Cat(k-1) y^k, so a(n, p) = [y^(n+p)] C(y)^n, and the powers of C
 come from packed big-integer multiplication (Kronecker substitution).  Float
-helpers evaluate psi(x)^n and its truncated series, including accelerated
-summation of the conditionally convergent alternating series at x = -1.
+helpers evaluate psi(x)^n and its truncated series.
+
+At x = -1 the series of psi^n and of its derivative converge only
+conditionally.  `alternating_dyadic_sum` sums such a series of dyadic terms
++-m_p / 2^(shift+2p): an exact partial sum, then iterated averaging of a
+window of partial sums for the tail, all carried as one integer over a power
+of two and rounded once to float.  psi(-1)^n, (psi^n)'(-1) and the worked
+example's S(n) in `operators` all use it, streaming their numerators from the
+ratio recurrence.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from itertools import count, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,18 +55,21 @@ def alpha_mantissa(n: int, p: int) -> int:
     return binomial(n + 2 * p - 1, p) * n // (n + p)
 
 
-def alpha_mantissa_row(n: int, p_max: int) -> list[int]:
-    """Mantissas of alpha(n, 0..p_max) by the exact ratio recurrence.
+def alpha_mantissa_stream(n: int) -> Iterator[int]:
+    """a(n, 0), a(n, 1), ... without end, by the exact ratio recurrence.
 
     a(n, p+1) = a(n, p) * (n+2p+1)(n+2p) / ((p+1)(n+p+1)); the division is
     exact at every step, so each entry costs one big-int multiply and divmod.
     """
-    row = [1] * (p_max + 1)
     a = 1
-    for p in range(p_max):
+    for p in count():
+        yield a
         a = a * ((n + 2 * p + 1) * (n + 2 * p)) // ((p + 1) * (n + p + 1))
-        row[p + 1] = a
-    return row
+
+
+def alpha_mantissa_row(n: int, p_max: int) -> list[int]:
+    """Mantissas of alpha(n, 0..p_max) by the exact ratio recurrence."""
+    return list(islice(alpha_mantissa_stream(n), p_max + 1))
 
 
 def mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
@@ -337,43 +348,50 @@ def boundary_tail_envelope(P: int) -> float:
 def diff_tail_envelope(P: int) -> Rational:
     """Exact bound on sum_{p>P} |alpha(n+1,p) - alpha(n,p)|, any n.
 
-    Each difference is at most p^(-3/2); integral test gives 2/sqrt(P), which
-    is rational whenever P is a perfect square (we keep it exact via isqrt).
+    Each difference is at most p^(-3/2); the integral test gives 2/sqrt(P),
+    and 2/isqrt(P) >= 2/sqrt(P) keeps the bound rational (equal when P is a
+    perfect square).
     """
-    r = math.isqrt(P)
-    if r * r == P:
-        return Fraction(2, r)
-    # 2/sqrt(P) < 2/r is still a valid (slightly looser) exact envelope
-    return Fraction(2, r)
+    if P < 1:
+        raise ValueError("P must be >= 1")
+    return Fraction(2, math.isqrt(P))
 
 
 # ---------------------------------------------------------------------------
 # alternating series at the boundary x = -1
 # ---------------------------------------------------------------------------
 
-def iterated_average(parts: list[Fraction]) -> Fraction:
-    """Repeatedly average neighboring partial sums down to a single value.
+def alternating_dyadic_sum(
+    numerators: Iterable[int], shift: int, start: int, window: int
+) -> float:
+    """sum_p (-1)^p m_p / 2^(shift+2p) over the integers m_0, m_1, ... .
 
-    For an alternating series whose term magnitudes are eventually smooth and
-    decreasing, this is the classical acceleration that converges geometrically
-    in the window size; exact arithmetic keeps the averaging itself error-free.
+    Terms p < start are summed exactly.  The alternating tail from p = start
+    is collapsed by iterated averaging of the window partial sums s_0..s_(w-1)
+    (s_k runs through term start+k), i.e. the classical acceleration for an
+    alternating series with smooth, decreasing term magnitudes.  Averaging
+    neighbours w-1 times is exactly the binomial combination
+    sum_k C(w-1, k) s_k / 2^(w-1), so everything is one integer over
+    2^(shift + 2*last + w - 1), last = start + w - 1, built by Horner-style
+    left shifts, and the only rounding is the final correctly rounded
+    int / int division.
     """
-    row = list(parts)
-    while len(row) > 1:
-        row = [(row[i] + row[i + 1]) / 2 for i in range(len(row) - 1)]
-    return row[0]
-
-
-def accelerated_alternating_sum(
-    term: Callable[[int], Fraction], start: int, window: int = 64
-) -> Fraction:
-    """Sum of sum_{p>=start} term(p) for an alternating, eventually monotone tail."""
-    parts = []
-    acc = Fraction(0)
-    for p in range(start, start + window):
-        acc += term(p)
-        parts.append(acc)
-    return iterated_average(parts)
+    if start < 0 or window < 1:
+        raise ValueError(f"need start >= 0 and window >= 1, got ({start}, {window})")
+    last = start + window - 1
+    acc = 0       # partial sum through term p, times 2^(shift + 2p)
+    weighted = 0  # sum_k C(w-1, k) s_k over the window so far, same scale
+    c = 1         # C(w-1, k) for the next window index k
+    p = -1
+    for p, m in enumerate(islice(numerators, last + 1)):
+        acc = (acc << 2) + (-m if p & 1 else m)
+        if p >= start:
+            k = p - start
+            weighted = (weighted << 2) + c * acc
+            c = c * (window - 1 - k) // (k + 1)
+    if p != last:
+        raise ValueError(f"need {last + 1} numerators, got {p + 1}")
+    return weighted / (1 << (shift + 2 * last + window - 1))
 
 
 def _boundary_start(n: int) -> int:
@@ -385,29 +403,22 @@ def _boundary_start(n: int) -> int:
     return max(320, (n * n + n) // 2 + 16)
 
 
-def psi_pow_at_minus_one(n: int, window: int = 64) -> float:
+BOUNDARY_WINDOW = 64  # partial sums averaged by the x = -1 sums below
+
+
+def boundary_last_index(n: int) -> int:
+    """Last p whose alpha(n, p) the x = -1 sums below read at the default window."""
+    return _boundary_start(n) + BOUNDARY_WINDOW - 1
+
+
+def psi_pow_at_minus_one(n: int, window: int = BOUNDARY_WINDOW) -> float:
     """sum_p alpha(n,p)(-1)^p = psi(-1)^n by direct + accelerated summation."""
-    direct = _boundary_start(n)
-    mant = alpha_mantissa_row(n, direct + window)
-    total = Fraction(0)
-    for p in range(direct):
-        t = Fraction(mant[p], 1 << (n + 2 * p))
-        total += t if p % 2 == 0 else -t
-    def term(p: int) -> Fraction:
-        t = Fraction(mant[p], 1 << (n + 2 * p))
-        return t if p % 2 == 0 else -t
-    return float(total + accelerated_alternating_sum(term, direct, window))
+    return alternating_dyadic_sum(
+        alpha_mantissa_stream(n), n, _boundary_start(n), window
+    )
 
 
-def dpsi_pow_at_minus_one(n: int, window: int = 64) -> float:
+def dpsi_pow_at_minus_one(n: int, window: int = BOUNDARY_WINDOW) -> float:
     """sum_p p*alpha(n,p)(-1)^(p-1) = (psi^n)'(-1) by direct + accelerated summation."""
-    direct = _boundary_start(n)
-    mant = alpha_mantissa_row(n, direct + window)
-    total = Fraction(0)
-    for p in range(direct):
-        t = Fraction(p * mant[p], 1 << (n + 2 * p))
-        total += -t if p % 2 == 0 else t
-    def term(p: int) -> Fraction:
-        t = Fraction(p * mant[p], 1 << (n + 2 * p))
-        return -t if p % 2 == 0 else t
-    return float(total + accelerated_alternating_sum(term, direct, window))
+    weighted = (p * a for p, a in enumerate(alpha_mantissa_stream(n)))
+    return -alternating_dyadic_sum(weighted, n, _boundary_start(n), window)

@@ -9,8 +9,10 @@ Two exact structures get a faster, far more accurate path:
   * scalar matrices a*I with |a| <= 1, where A^n = (psi(a)^n) I;
   * 2x2 Jordan blocks [[a, b], [0, a]] with |a| <= 1, where the diagonal is
     the series of psi(a)^n and the off-diagonal is b times its derivative
-    series.  At a = -1 both series converge only conditionally and are
-    evaluated by exact-arithmetic averaging acceleration.
+    series.  At a = -1 both series converge only conditionally; they are
+    summed on the integer kernel `coeffs.alternating_dyadic_sum` (an exact
+    partial sum plus iterated averaging of the tail, rounded once), and the
+    reported tail is the fixed allowance ACCEL_TAIL, not a proven bound.
 
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination), the worked
@@ -25,16 +27,17 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .arith import binomial
 from .coeffs import (
-    accelerated_alternating_sum,
     alpha_float_rows,
+    alpha_mantissa_stream,
     alpha_tail_envelope,
+    alternating_dyadic_sum,
+    boundary_last_index,
     dpsi_pow_at_minus_one,
     psi_pow_at_minus_one,
 )
@@ -218,7 +221,7 @@ def _scalar_series(a: float, n: int, eps: float, cap: int) -> tuple[float, int, 
             raise NonConvergenceError(
                 f"boundary series certified only to {ACCEL_TAIL:g}, asked {eps:g}"
             )
-        return psi_pow_at_minus_one(n), 0, ACCEL_TAIL
+        return psi_pow_at_minus_one(n), boundary_last_index(n), ACCEL_TAIL
     r = abs(a)
     if r > 0 and eps * (1 - r) == 0.0:
         raise NonConvergenceError("tolerance underflows the geometric tail bound")
@@ -239,7 +242,7 @@ def _scalar_dseries(a: float, n: int, eps: float, cap: int) -> tuple[float, int,
             raise NonConvergenceError(
                 f"boundary series certified only to {ACCEL_TAIL:g}, asked {eps:g}"
             )
-        return dpsi_pow_at_minus_one(n), 0, ACCEL_TAIL
+        return dpsi_pow_at_minus_one(n), boundary_last_index(n), ACCEL_TAIL
     if abs(a) >= 1.0:
         raise NonConvergenceError(
             "derivative series sum_p p alpha(n,p) diverges at a = 1"
@@ -490,24 +493,20 @@ def S_value(n: int, window: int = 64) -> float:
 
     Terms decrease in magnitude exactly for p > J(n) = (n^2+n)/2, so the
     exact partial sum runs just past J(n) and the remaining alternating tail
-    is collapsed by exact iterated averaging.
+    is collapsed by iterated averaging, all on the integer kernel
+    `coeffs.alternating_dyadic_sum` with C(n+2p-1, p-1) = p a(n,p) / n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     start = (n * n + n) // 2 + 8
-
-    def term(p: int) -> Fraction:
-        t = Fraction(binomial(n + 2 * p - 1, p - 1), 4 ** p)
-        return -t if p % 2 else t
-
-    total = sum((term(p) for p in range(1, start)), Fraction(0))
-    return float(total + accelerated_alternating_sum(term, start, window))
+    terms = (p * a // n for p, a in enumerate(alpha_mantissa_stream(n)))
+    return alternating_dyadic_sum(terms, 0, start, window)
 
 
 def S_remainder_at_J(n: int) -> float:
     """Alternating-series remainder bound for truncation at p = J(n)."""
     p = (n * n + n) // 2 + 1
-    return float(Fraction(binomial(n + 2 * p - 1, p - 1), 1 << (2 * p)))
+    return binomial(n + 2 * p - 1, p - 1) / (1 << (2 * p))
 
 
 @dataclass

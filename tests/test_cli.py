@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import artifact
 from artifact.arith import parse_rational
 from artifact.cli import build_parser, main
 from artifact.coeffs import alpha, beta
@@ -320,3 +325,13 @@ class TestParser:
 
     def test_prog_name(self):
         assert build_parser().prog == "artifact"
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(artifact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "artifact", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: artifact")

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import count, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,12 @@ from artifact.coeffs import (
     alpha_recurrence_check,
     alpha_tail_envelope,
     alpha_zero_convention,
-    accelerated_alternating_sum,
+    alternating_dyadic_sum,
     beta,
     beta_recurrence_check,
     boundary_tail_envelope,
     diff_tail_envelope,
     dpsi_pow_at_minus_one,
-    iterated_average,
     mantissa_rows,
     oracle_alpha,
     oracle_beta,
@@ -33,8 +33,44 @@ from artifact.coeffs import (
     sum_alpha,
     xi_series,
 )
+from artifact.operators import S_value
 
 ROOT2 = math.sqrt(2.0)
+
+
+def fraction_alternating_sum(numerator, shift, start, window):
+    """The Fraction algorithm the integer kernel replaced, kept as reference.
+
+    Exact partial sum of (-1)^p numerator(p) / 2^(shift+2p) for p < start,
+    plus the window partial sums averaged pairwise down to one value.
+    """
+    def term(p):
+        t = Fraction(numerator(p), 1 << (shift + 2 * p))
+        return -t if p % 2 else t
+
+    total = sum((term(p) for p in range(start)), Fraction(0))
+    parts = []
+    acc = Fraction(0)
+    for p in range(start, start + window):
+        acc += term(p)
+        parts.append(acc)
+    while len(parts) > 1:
+        parts = [(parts[i] + parts[i + 1]) / 2 for i in range(len(parts) - 1)]
+    return float(total + parts[0])
+
+
+def reference_boundary_values(n, window=64):
+    """(S(n), psi(-1)^n, (psi^n)'(-1)) by the Fraction reference."""
+    J = (n * n + n) // 2
+    S = fraction_alternating_sum(
+        lambda p: math.comb(n + 2 * p - 1, p - 1) if p else 0, 0, J + 8, window
+    )
+    start = max(320, J + 16)
+    psi = fraction_alternating_sum(lambda p: alpha_mantissa(n, p), n, start, window)
+    dpsi = -fraction_alternating_sum(
+        lambda p: p * alpha_mantissa(n, p), n, start, window
+    )
+    return S, psi, dpsi
 
 
 class TestFrozenValues:
@@ -281,26 +317,52 @@ class TestTailEnvelopes:
             alpha_tail_envelope(1, 0)
         with pytest.raises(ValueError):
             boundary_tail_envelope(0)
+        with pytest.raises(ValueError):
+            diff_tail_envelope(0)
 
 
 class TestBoundarySeries:
     """Alternating series at x = -1 against independently derived closed forms."""
 
-    def test_iterated_average_geometric(self):
-        # partial sums of sum (-1/2)^k = 2/3: averaging nails it fast
-        parts = []
-        acc = Fraction(0)
-        for k in range(12):
-            acc += Fraction(-1, 2) ** k
-            parts.append(acc)
-        assert abs(iterated_average(parts) - Fraction(2, 3)) < Fraction(1, 10**6)
-
-    def test_accelerated_sum_of_known_series(self):
-        # sum_{p>=1} (-1)^(p+1)/p = ln 2
-        value = accelerated_alternating_sum(
-            lambda p: Fraction((-1) ** (p + 1), p), 1, window=40
+    def test_kernel_geometric_series(self):
+        # sum_p (-1/4)^p = 4/5
+        assert alternating_dyadic_sum(repeat(1), 0, 0, 40) == pytest.approx(
+            0.8, abs=1e-15
         )
-        assert abs(float(value) - math.log(2.0)) < 1e-12
+
+    def test_kernel_central_binomial_series(self):
+        # sum_p (-1)^p C(2p, p) / 4^p = (1 + 1)^(-1/2), conditionally convergent
+        value = alternating_dyadic_sum(
+            (math.comb(2 * p, p) for p in count()), 0, 8, 40
+        )
+        assert value == pytest.approx(1 / ROOT2, abs=1e-15)
+
+    def test_kernel_domain(self):
+        with pytest.raises(ValueError):
+            alternating_dyadic_sum(repeat(1), 0, 0, 0)
+        with pytest.raises(ValueError):
+            alternating_dyadic_sum(repeat(1), 0, -1, 4)
+        with pytest.raises(ValueError, match="need 8 numerators, got 7"):
+            alternating_dyadic_sum([1] * 7, 0, 4, 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 32, 60])
+    def test_bit_identical_to_fraction_reference(self, n):
+        assert (S_value(n), psi_pow_at_minus_one(n), dpsi_pow_at_minus_one(n)) == (
+            reference_boundary_values(n)
+        )
+
+    def test_bit_identical_with_other_window(self):
+        n, window = 7, 40
+        values = (S_value(n, window), psi_pow_at_minus_one(n, window),
+                  dpsi_pow_at_minus_one(n, window))
+        assert values == reference_boundary_values(n, window)
+
+    def test_S_is_scaled_derivative(self):
+        # (psi^n)'(-1) = -(n / 2^n) S(n) term by term
+        for n in range(1, 21):
+            assert S_value(n) == pytest.approx(
+                -(2.0 ** n / n) * dpsi_pow_at_minus_one(n), rel=1e-12
+            )
 
     def test_psi_pow_at_minus_one(self):
         for n in (1, 2, 3, 8, 20):

@@ -203,6 +203,15 @@ class TestBrunelFastPaths:
         assert r.matrix.array[0, 0] == pytest.approx((ROOT2 - 1.0) ** 4, rel=1e-11)
         assert r.tail_bound == ACCEL_TAIL
 
+    def test_boundary_truncation_P_is_last_index_read(self):
+        # the window of 64 starts at max(320, J(n) + 16), J(n) = (n^2 + n)/2
+        scalar = DenseMatrix(dim=2, array=-np.eye(2))
+        for T, n, P in ((scalar, 4, 383), (APPENDIX_T, 4, 383),
+                        (APPENDIX_T, 40, 899)):
+            assert brunel(T, n, eps=1e-10).truncation_P == P
+        report = check_mean_bound_theorem(APPENDIX_T, n_max=3)
+        assert report.rectangle["P"] == 383
+
     def test_jordan_block_matches_derivative_series(self):
         b = 0.7
         T = DenseMatrix.from_rows([[0.5, b], [0.0, 0.5]])
