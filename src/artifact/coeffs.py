@@ -61,6 +61,8 @@ def alpha_mantissa_stream(n: int) -> Iterator[int]:
     a(n, p+1) = a(n, p) * (n+2p+1)(n+2p) / ((p+1)(n+p+1)); the division is
     exact at every step, so each entry costs one big-int multiply and divmod.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     a = 1
     for p in count():
         yield a
@@ -103,6 +105,8 @@ def alpha_float_rows(n_list: Sequence[int], P: int) -> np.ndarray:
     p = np.arange(P, dtype=np.float64)
     out = np.empty((len(n_list), P + 1))
     for i, n in enumerate(n_list):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         ratios = (n + 2 * p + 1) * (n + 2 * p) / (4 * (p + 1) * (n + p + 1))
         out[i, 0] = 2.0 ** (-n)
         if P:

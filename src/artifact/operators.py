@@ -14,10 +14,13 @@ Two exact structures get a faster, far more accurate path:
     partial sum plus iterated averaging of the tail, rounded once), and the
     reported tail is the fixed allowance ACCEL_TAIL, not a proven bound.
 
+Every loop over T^0, T^1, ... consumes the one generator `_powers`, so each
+power is computed once and dropped once used.  The general path reads it in
+fixed blocks of POWER_BLOCK powers, so its memory does not grow with P.
+
 The module also carries the theorem-scale checks (power-bounded and
-mean-bounded difference bounds, Cesaro square-root domination), the worked
-2x2 example with its alternating series S(n), and a Jacobi eigensolver used
-as a spectral oracle for symmetric matrices.
+mean-bounded difference bounds, Cesaro square-root domination) and the worked
+2x2 example with its alternating series S(n).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,14 +123,20 @@ def load_matrix(path) -> DenseMatrix:
 APPENDIX_T = DenseMatrix.from_rows([[-1.0, 2.0], [0.0, -1.0]])
 
 
+def _powers(T: DenseMatrix) -> Iterator[np.ndarray]:
+    """T^0, T^1, ... without end, each power a fresh array computed on demand."""
+    power = np.eye(T.dim)
+    while True:
+        yield power
+        power = power @ T.array
+
+
 def matrix_power(T: DenseMatrix, k: int) -> DenseMatrix:
     """T^k by iterated multiplication; overflow to non-finite entries errs."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    acc = np.eye(T.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k):
-            acc = acc @ T.array
+        for acc in islice(_powers(T), k + 1):
             if not np.isfinite(acc).all():
                 raise ValueError("matrix power overflowed to non-finite entries")
     return DenseMatrix(dim=T.dim, array=acc)
@@ -136,26 +146,26 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
     """(I + T + ... + T^(N-1)) / N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    acc = np.zeros((T.dim, T.dim))
-    power = np.eye(T.dim)
-    for _ in range(N):
-        acc += power
-        power = power @ T.array
-    return DenseMatrix(dim=T.dim, array=acc / N)
+    return DenseMatrix(dim=T.dim, array=sum(islice(_powers(T), N)) / N)
 
 
 # ---------------------------------------------------------------------------
 # probes
 # ---------------------------------------------------------------------------
 
+def _check_probe_len(probe_len: int) -> None:
+    if probe_len < 1:
+        raise ValueError("probe_len must be >= 1")
+
+
 def probe_power_bound(
     T: DenseMatrix, probe_len: int = 2000, cutoff: float = 1e6,
     norm: Norm = Norm.OPINF,
 ) -> list[float]:
     """||T^p|| for p = 1..probe_len; errs if any norm passes the cutoff."""
+    _check_probe_len(probe_len)
     norms = []
-    power = T.array.copy()
-    for p in range(1, probe_len + 1):
+    for p, power in enumerate(islice(_powers(T), 1, probe_len + 1), start=1):
         value = norm.compute(power)
         if not math.isfinite(value) or value > cutoff:
             raise SpectralExplosionError(
@@ -164,7 +174,6 @@ def probe_power_bound(
         norms.append(value)
         if value == 0.0:
             break
-        power = power @ T.array
     return norms
 
 
@@ -173,10 +182,10 @@ def probe_mean_bound(
     norm: Norm = Norm.OPINF,
 ) -> float:
     """sup of ||(I + T + ... + T^(N-1))/N|| over N = 1..probe_len."""
+    _check_probe_len(probe_len)
     best = 0.0
     acc = np.zeros((T.dim, T.dim))
-    power = np.eye(T.dim)
-    for N in range(1, probe_len + 1):
+    for N, power in enumerate(islice(_powers(T), probe_len), start=1):
         acc += power
         value = norm.compute(acc) / N
         if not math.isfinite(value) or value > cutoff:
@@ -184,7 +193,6 @@ def probe_mean_bound(
                 f"||M_{N}|| = {value:g} exceeds the probe cutoff {cutoff:g}"
             )
         best = max(best, value)
-        power = power @ T.array
     return best
 
 
@@ -193,6 +201,7 @@ def probe_mean_bound(
 # ---------------------------------------------------------------------------
 
 ACCEL_TAIL = 1e-13  # residual allowance for the exact-windowed accelerated sums
+POWER_BLOCK = 1024  # powers of T held at once by the general path
 
 
 def _pick_P(n: int, M: float, eps: float, cap: int) -> int:
@@ -292,6 +301,7 @@ def evaluate_powers(
         raise ValueError("n_list must contain positive integers")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    _check_probe_len(probe_len)
     d = T.dim
 
     a = _as_scalar(T)
@@ -326,8 +336,8 @@ def evaluate_powers(
         return out, P_max
 
     norms = probe_power_bound(T, probe_len, norm=norm)
-    M = max(norms) if norms else 0.0
-    if norms and norms[-1] == 0.0:
+    M = max(norms)
+    if norms[-1] == 0.0:
         # nilpotent: the series is a polynomial of degree < the zero index
         P = len(norms) - 1
         tails = {n: 0.0 for n in n_list}
@@ -337,15 +347,17 @@ def evaluate_powers(
                  for n in n_list}
 
     rows = alpha_float_rows(list(n_list), P)
-    X = np.empty((P + 1, d * d))
-    power = np.eye(d)
-    for p in range(P + 1):
-        X[p] = power.reshape(-1)
-        if p < P:
-            power = power @ T.array
-            if p % 1024 == 1023 and not np.isfinite(power).all():
-                raise SpectralExplosionError("powers overflowed past the probe")
-    flat = rows @ X
+    flat = np.zeros((len(n_list), d * d))
+    block = np.empty((min(POWER_BLOCK, P + 1), d * d))
+    powers = _powers(T)
+    for s in range(0, P + 1, POWER_BLOCK):
+        w = min(POWER_BLOCK, P + 1 - s)
+        for i, power in enumerate(islice(powers, w)):
+            block[i] = power.reshape(-1)
+        flat += rows[:, s:s + w] @ block[:w]
+        # rows are positive, so a non-finite power anywhere in the block shows here
+        if not np.isfinite(flat).all():
+            raise SpectralExplosionError("powers overflowed past the probe")
     out = {
         n: (flat[i].reshape(d, d), tails[n]) for i, n in enumerate(n_list)
     }
@@ -382,23 +394,19 @@ def brunel(
 MEAN_NORM_FACTOR = 4 * math.sqrt(6 / math.pi) + 2
 
 
-def check_power_bound_theorem(
-    T: DenseMatrix, n_max: int = 40, eps: float = 0.1,
-    norm: Norm = Norm.OPINF, probe_len: int = 2000,
+def _difference_theorem(
+    T: DenseMatrix, suite: str, M: float, norm_bound: float, diff_bound: float,
+    n_max: int, eps: float, norm: Norm, probe_len: int,
 ) -> VerifyReport:
-    """n ||A^n - A^(n+1)|| <= 33M/2 and ||A^n|| <= 33M/2, M the probed power sup.
+    """||A^n|| <= norm_bound and n ||A^n - A^(n+1)|| <= diff_bound, n <= n_max.
 
     Truncation slack is carried explicitly: each comparison allows the
     certified tail bounds plus 1e-9, so a pass is sound for the truncated
     quantities standing in for the true ones.
     """
-    start = time.perf_counter()
-    norms = probe_power_bound(T, probe_len, norm=norm)
-    M = max([1.0] + norms)
-    bound = 33.0 * M / 2.0
     powers, P = evaluate_powers(T, list(range(1, n_max + 2)), eps, norm, probe_len)
     report = VerifyReport(
-        suite="power_bound",
+        suite=suite,
         rectangle={"n_max": n_max, "eps": eps, "norm": norm.value,
                    "M": M, "P": P},
     )
@@ -407,11 +415,23 @@ def check_power_bound_theorem(
         A_next, tail_next = powers[n + 1]
         lhs = norm.compute(A_n)
         report.record({"check": "norm", "n": n},
-                      lhs <= bound + tail_n + 1e-9, lhs, bound)
+                      lhs <= norm_bound + tail_n + 1e-9, lhs, norm_bound)
         lhs = n * norm.compute(A_n - A_next)
         slack = n * (tail_n + tail_next) + 1e-9
         report.record({"check": "difference", "n": n},
-                      lhs <= bound + slack, lhs, bound)
+                      lhs <= diff_bound + slack, lhs, diff_bound)
+    return report
+
+
+def check_power_bound_theorem(
+    T: DenseMatrix, n_max: int = 40, eps: float = 0.1,
+    norm: Norm = Norm.OPINF, probe_len: int = 2000,
+) -> VerifyReport:
+    """n ||A^n - A^(n+1)|| <= 33M/2 and ||A^n|| <= 33M/2, M the probed power sup."""
+    start = time.perf_counter()
+    M = max([1.0] + probe_power_bound(T, probe_len, norm=norm))
+    report = _difference_theorem(T, "power_bound", M, 33.0 * M / 2.0,
+                                 33.0 * M / 2.0, n_max, eps, norm, probe_len)
     report.elapsed_s = time.perf_counter() - start
     return report
 
@@ -422,26 +442,9 @@ def check_mean_bound_theorem(
 ) -> VerifyReport:
     """Mean-bounded variant: ||A^n|| <= M(4 sqrt(6/pi) + 2), n||A^(n+1)-A^n|| <= 99M/2."""
     start = time.perf_counter()
-    M = probe_mean_bound(T, probe_len, norm=norm)
-    M = max(M, 1.0)
-    norm_bound = MEAN_NORM_FACTOR * M
-    diff_bound = 99.0 * M / 2.0
-    powers, P = evaluate_powers(T, list(range(1, n_max + 2)), eps, norm, probe_len)
-    report = VerifyReport(
-        suite="mean_bound",
-        rectangle={"n_max": n_max, "eps": eps, "norm": norm.value,
-                   "M": M, "P": P},
-    )
-    for n in range(1, n_max + 1):
-        A_n, tail_n = powers[n]
-        A_next, tail_next = powers[n + 1]
-        lhs = norm.compute(A_n)
-        report.record({"check": "norm", "n": n},
-                      lhs <= norm_bound + tail_n + 1e-9, lhs, norm_bound)
-        lhs = n * norm.compute(A_next - A_n)
-        slack = n * (tail_n + tail_next) + 1e-9
-        report.record({"check": "difference", "n": n},
-                      lhs <= diff_bound + slack, lhs, diff_bound)
+    M = max(probe_mean_bound(T, probe_len, norm=norm), 1.0)
+    report = _difference_theorem(T, "mean_bound", M, MEAN_NORM_FACTOR * M,
+                                 99.0 * M / 2.0, n_max, eps, norm, probe_len)
     report.elapsed_s = time.perf_counter() - start
     return report
 
@@ -473,9 +476,7 @@ def check_cesaro_domination(
         rhs_partial = rhs_partial + powers[ell][0]
         rhs_by_r[ell] = rhs_partial.copy()
     lhs_sum = np.zeros((T.dim, T.dim))
-    power = np.eye(T.dim)
-    for N in range(1, N_max + 1):
-        power = power @ T.array
+    for N, power in enumerate(islice(_powers(T), 1, N_max + 1), start=1):
         lhs_sum += power
         r = math.isqrt(N)
         gap = float((lhs_sum / N - (C / r) * rhs_by_r[r]).max())
@@ -541,33 +542,8 @@ def appendix_example(n: int, eps: float = 1e-10) -> AppendixExample:
 
 
 # ---------------------------------------------------------------------------
-# spectral oracle and test-matrix helpers
+# test-matrix helpers
 # ---------------------------------------------------------------------------
-
-def symmetric_eigenvalues(S: DenseMatrix, tol: float = 1e-12) -> list[float]:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted."""
-    arr = S.array
-    if not np.allclose(arr, arr.T, atol=1e-12):
-        raise ValueError("Jacobi oracle requires a symmetric matrix")
-    A = arr.copy()
-    d = S.dim
-    for _ in range(100):
-        off = math.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
-        if off <= tol:
-            break
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                if abs(A[i, j]) <= tol / (d * d):
-                    continue
-                theta = 0.5 * math.atan2(2 * A[i, j], A[j, j] - A[i, i])
-                c, s = math.cos(theta), math.sin(theta)
-                rot = np.eye(d)
-                rot[i, i] = rot[j, j] = c
-                rot[i, j] = s
-                rot[j, i] = -s
-                A = rot.T @ A @ rot
-    return sorted(float(x) for x in np.diag(A))
-
 
 def random_stochastic(
     dim: int, seed: int, doubly: bool = False, sinkhorn_iters: int = 200

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,23 @@ import artifact
 from artifact.arith import parse_rational
 from artifact.cli import build_parser, main
 from artifact.coeffs import alpha, beta
+from artifact.operators import random_stochastic, rotation_matrix
+
+# sha256 of operator theorem-check reports without elapsed_s, computed before
+# the power loops were merged into one stream; any change to what a check
+# visits, decides or reports (M, P, counts, failures) changes them.
+REPORT_PINS = [
+    ("check-power-bound", random_stochastic(5, 0, doubly=True), ["--n-max", "8"],
+     "c26e9c875d2dc953f9d932e1c2bece1224c2dd36df24708eae178e503810c1ba"),
+    ("check-power-bound", rotation_matrix(1.0), ["--n-max", "6", "--norm", "fro"],
+     "8eeb08b575a3a647e51e6f31d6a7d6f9d4edc183c91acec6a81564cef5cab347"),
+    ("check-mean-bound", None, ["--n-max", "5"],
+     "0f825e07994d77de5b62ba4ab01372d6a973df96ac2cf03b65db3eac7b87e615"),
+    ("check-mean-bound", random_stochastic(4, 1), ["--n-max", "6"],
+     "c92356b3c35ef10b249613038ae2df1c4e614373701e17ab34d235e8db1d92b0"),
+    ("check-domination", random_stochastic(3, 0), ["--N-max", "50"],
+     "e542590aef27431da45e8cf0bad8169d37bcabd6116adadcc97feee89e59472b"),
+]
 
 
 def run(capsys, *argv):
@@ -262,6 +280,19 @@ class TestOperatorCommand:
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("action, T, flags, digest", REPORT_PINS,
+                             ids=[f"{pin[0]}-{i}" for i, pin in enumerate(REPORT_PINS)])
+    def test_report_pinned(self, capsys, tmp_path, action, T, flags, digest):
+        argv = ["operator", action, *flags]
+        if T is not None:
+            argv += ["--matrix", self.write(tmp_path, T.array.tolist())]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        del doc["elapsed_s"]
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
     def test_matrix_required(self, capsys):
         code, _, err = run(capsys, "operator", "brunel-power", "--n", "1")

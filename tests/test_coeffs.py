@@ -13,6 +13,7 @@ from artifact.coeffs import (
     alpha_float_rows,
     alpha_mantissa,
     alpha_mantissa_row,
+    alpha_mantissa_stream,
     alpha_ratio,
     alpha_recurrence_check,
     alpha_tail_envelope,
@@ -142,6 +143,20 @@ class TestMantissa:
         assert sorted(rows) == list(range(1, 26))
         for n, row in rows.items():
             assert row == [alpha_mantissa(n, p) for p in range(41)], n
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rows_reject_n_below_one(self, n):
+        """n = 0 once gave 1.0 / -0.0 and n = -1 a ZeroDivisionError or NaNs."""
+        for evaluate in (
+            lambda: alpha_mantissa_row(n, 5),
+            lambda: next(alpha_mantissa_stream(n)),
+            lambda: alpha_float_rows([1, n], 5),
+            lambda: psi_partial_sum(0.5, n, 5),
+            lambda: psi_pow_at_minus_one(n),
+            lambda: dpsi_pow_at_minus_one(n),
+        ):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                evaluate()
 
     def test_float_row_tracks_exact(self):
         for n in (1, 5, 12):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from artifact.operators import (
     MeanBoundProbeError,
     NonConvergenceError,
     Norm,
+    POWER_BLOCK,
     S_remainder_at_J,
     S_value,
     SpectralExplosionError,
@@ -34,7 +36,6 @@ from artifact.operators import (
     probe_power_bound,
     random_stochastic,
     rotation_matrix,
-    symmetric_eigenvalues,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -44,6 +45,17 @@ def sym3() -> DenseMatrix:
     return DenseMatrix.from_rows(
         [[0.4, 0.2, 0.0], [0.2, -0.1, 0.3], [0.0, 0.3, 0.2]]
     )
+
+
+def eig_oracle(T: DenseMatrix, n: int) -> np.ndarray:
+    """psi(T)^n = V diag(psi(lambda)^n) V^-1 for diagonalizable T.
+
+    psi(z) = 1/(1 + sqrt(1 - z)) on the principal branch, which is the sum
+    of the series sum_p alpha(n, p) z^p for |z| <= 1.
+    """
+    lam, V = np.linalg.eig(T.array)
+    psi = 1.0 / (1.0 + np.sqrt(1.0 - lam.astype(complex)))
+    return (V @ np.diag(psi ** n) @ np.linalg.inv(V)).real
 
 
 class TestDenseMatrix:
@@ -161,6 +173,19 @@ class TestProbes:
     def test_mean_probe_appendix_is_one(self):
         assert probe_mean_bound(APPENDIX_T, probe_len=500) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("probe_len", [0, -1])
+    def test_probe_len_must_be_positive(self, probe_len):
+        """probe_len = 0 once gave a mean bound of 0.0 and a misleading P error."""
+        T = random_stochastic(3, 0)
+        for evaluate in (
+            lambda: probe_power_bound(T, probe_len),
+            lambda: probe_mean_bound(T, probe_len),
+            lambda: evaluate_powers(T, [1], 0.1, probe_len=probe_len),
+            lambda: evaluate_powers(DenseMatrix.identity(2), [1], 0.1, probe_len=probe_len),
+        ):
+            with pytest.raises(ValueError, match="probe_len must be >= 1"):
+                evaluate()
+
     def test_mean_probe_explodes_on_expansion(self):
         with pytest.raises(MeanBoundProbeError):
             probe_mean_bound(DenseMatrix.from_rows([[2.0]]), probe_len=200)
@@ -247,6 +272,14 @@ class TestBrunelGeneralPath:
         with pytest.raises(SpectralExplosionError):
             brunel(DenseMatrix.from_rows([[2.0, 0.0], [0.0, 0.5]]), 1, eps=0.1)
 
+    def test_overflow_past_short_probe_signalled(self):
+        """A probe too short to see the growth still cannot yield non-finite
+        entries: the overflow inside a block of powers is caught."""
+        T = DenseMatrix.from_rows([[1.5, 0.0], [0.0, 0.2]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpectralExplosionError, match="overflowed"):
+                evaluate_powers(T, [1], 0.1, probe_len=5)
+
     def test_non_convergence_at_tiny_eps(self):
         with pytest.raises(NonConvergenceError):
             brunel(rotation_matrix(1.0), 1, eps=1e-10)
@@ -268,13 +301,47 @@ class TestBrunelGeneralPath:
 
     def test_spectral_mapping_on_symmetric_matrix(self):
         T = sym3()
-        lams = symmetric_eigenvalues(T)
+        lams = np.linalg.eigvalsh(T.array)
         assert all(-1 < l < 1 for l in lams)
         for n in (1, 2):
-            A = brunel(T, n, eps=0.01).matrix
-            got = symmetric_eigenvalues(A)
+            A = brunel(T, n, eps=0.01).matrix.array
+            assert np.allclose(A, A.T, rtol=0, atol=1e-15)
+            got = np.linalg.eigvalsh(A)
             expected = sorted(psi_eval(l, n) for l in lams)
             assert got == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("eps, one_block", [(0.1, True), (0.04, False)])
+    @pytest.mark.parametrize("T", [
+        rotation_matrix(1.0),
+        random_stochastic(3, 0, doubly=True),
+        random_stochastic(16, 0),
+    ], ids=["rotation", "doubly3", "row16"])
+    def test_series_within_tail_of_eig_oracle(self, T, eps, one_block):
+        """The truncated series is within its certified tail of psi(T)^n,
+        whether P falls inside the first block of powers or past a block
+        boundary at no multiple of the block length."""
+        powers, P = evaluate_powers(T, [1, 2, 3], eps)
+        if one_block:
+            assert P < POWER_BLOCK
+        else:
+            assert P > POWER_BLOCK and P % POWER_BLOCK != 0
+        for n in (1, 2, 3):
+            mat, tail = powers[n]
+            assert 0 < tail <= eps
+            assert Norm.OPINF.compute(mat - eig_oracle(T, n)) <= tail, n
+
+    def test_general_path_memory_is_bounded(self):
+        """Powers stream in blocks: a (P+1) x d^2 buffer of all powers would
+        take 265 MB here, while the traced peak must stay under 32 MB."""
+        T = random_stochastic(32, 0)
+        tracemalloc.start()
+        try:
+            _, P = evaluate_powers(T, [1, 2, 3], 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P == 33844
+        assert peak < 32 * 2 ** 20, peak
 
     def test_semigroup_consistency_scalar(self):
         a = DenseMatrix.from_rows([[0.5]])
@@ -420,20 +487,27 @@ class TestTheoremChecks:
             check_cesaro_domination(APPENDIX_T, N_max=10)
 
 
-class TestSpectralOracle:
-    def test_matches_numpy_on_symmetric(self):
-        T = sym3()
-        ours = symmetric_eigenvalues(T)
-        ref = sorted(np.linalg.eigvalsh(T.array))
-        assert ours == pytest.approx(ref, abs=1e-10)
+class TestEigOracle:
+    """The numpy oracle the series is held to, checked on known spectra."""
 
     def test_diagonal_matrix(self):
         D = DenseMatrix.from_rows([[0.3, 0.0], [0.0, -0.8]])
-        assert symmetric_eigenvalues(D) == pytest.approx([-0.8, 0.3], abs=1e-14)
+        for n in (1, 3):
+            expected = np.diag([psi_eval(0.3, n), psi_eval(-0.8, n)])
+            assert np.allclose(eig_oracle(D, n), expected, rtol=1e-14, atol=0)
 
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eigenvalues(APPENDIX_T)
+    def test_matches_eigh_on_symmetric(self):
+        T = sym3()
+        lams, Q = np.linalg.eigh(T.array)
+        for n in (1, 2):
+            expected = Q @ np.diag([psi_eval(l, n) for l in lams]) @ Q.T
+            assert np.allclose(eig_oracle(T, n), expected, rtol=0, atol=1e-14)
+
+    def test_scalar_fast_path(self):
+        T = DenseMatrix(dim=3, array=0.5 * np.eye(3))
+        for n in (1, 2):
+            r = brunel(T, n, eps=1e-12)
+            assert np.allclose(r.matrix.array, eig_oracle(T, n), rtol=1e-12, atol=0)
 
 
 class TestMatrixGenerators:
