@@ -1,8 +1,9 @@
 """Exact Taylor coefficients of powers of psi(x) = (1 - sqrt(1-x))/x as
 integer mantissas over powers of two, finite-matrix evaluation of
-A(T) = sum_p alpha(1,p) T^p with a reported tail bound (at the boundary
-x = -1 the alternating series is summed as one integer and rounded once),
-and machine verification suites for the coefficient inequalities."""
+A(T) = sum_p alpha(1,p) T^p with a reported tail bound (scalar and 2x2
+Jordan inputs take interval enclosures of the closed forms of psi(a)^n and
+(psi^n)'(a) instead), and machine verification suites for the coefficient
+inequalities."""
 
 from .arith import Rational, binomial, parse_rational, rational_str
 from .coeffs import (

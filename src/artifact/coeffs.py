@@ -28,13 +28,13 @@ series sum_k Cat(k-1) y^k, so a(n, p) = [y^(n+p)] C(y)^n, and the powers of C
 come from packed big-integer multiplication (Kronecker substitution).  Float
 helpers evaluate psi(x)^n and its truncated series.
 
-At x = -1 the series of psi^n and of its derivative converge only
-conditionally.  `alternating_dyadic_sum` sums such a series of dyadic terms
-+-m_p / 2^(shift+2p): an exact partial sum, then iterated averaging of a
-window of partial sums for the tail, all carried as one integer over a power
-of two and rounded once to float.  psi(-1)^n, (psi^n)'(-1) and the worked
-example's S(n) in `operators` all use it, streaming their numerators from the
-ratio recurrence.
+`alternating_dyadic_sum` sums a conditionally convergent alternating series
+of dyadic terms +-m_p / 2^(shift+2p): an exact partial sum, then iterated
+averaging of a window of partial sums for the tail, all carried as one
+integer over a power of two and rounded once to float.  Only the worked
+example's S(n) in `operators` uses it, streaming its numerators from the
+ratio recurrence; psi(a)^n and (psi^n)'(a) on scalar and Jordan matrices are
+evaluated by `operators` from their closed forms instead.
 """
 
 from __future__ import annotations
@@ -341,14 +341,6 @@ def alpha_tail_envelope(n: int, P: int) -> float:
     return iv_float_up(bound)
 
 
-def boundary_tail_envelope(P: int) -> float:
-    """The documented n=1 boundary envelope (e^(1/12)/sqrt(pi)) * 2/sqrt(P)."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    bound = iv.exp(iv.mpf(1) / 12) / iv.sqrt(iv.pi) * 2 / iv.sqrt(iv.mpf(P))
-    return iv_float_up(bound)
-
-
 def diff_tail_envelope(P: int) -> Rational:
     """Exact bound on sum_{p>P} |alpha(n+1,p) - alpha(n,p)|, any n.
 
@@ -396,33 +388,3 @@ def alternating_dyadic_sum(
     if p != last:
         raise ValueError(f"need {last + 1} numerators, got {p + 1}")
     return weighted / (1 << (shift + 2 * last + window - 1))
-
-
-def _boundary_start(n: int) -> int:
-    """First index where p*alpha(n,p) is decreasing: just past J(n) = (n^2+n)/2.
-
-    (p+1) alpha(n,p+1) / (p alpha(n,p)) = (n+2p+1)(n+2p) / (4p(n+p+1)) < 1
-    exactly when p > (n^2+n)/2, so acceleration windows must start there.
-    """
-    return max(320, (n * n + n) // 2 + 16)
-
-
-BOUNDARY_WINDOW = 64  # partial sums averaged by the x = -1 sums below
-
-
-def boundary_last_index(n: int) -> int:
-    """Last p whose alpha(n, p) the x = -1 sums below read at the default window."""
-    return _boundary_start(n) + BOUNDARY_WINDOW - 1
-
-
-def psi_pow_at_minus_one(n: int, window: int = BOUNDARY_WINDOW) -> float:
-    """sum_p alpha(n,p)(-1)^p = psi(-1)^n by direct + accelerated summation."""
-    return alternating_dyadic_sum(
-        alpha_mantissa_stream(n), n, _boundary_start(n), window
-    )
-
-
-def dpsi_pow_at_minus_one(n: int, window: int = BOUNDARY_WINDOW) -> float:
-    """sum_p p*alpha(n,p)(-1)^(p-1) = (psi^n)'(-1) by direct + accelerated summation."""
-    weighted = (p * a for p, a in enumerate(alpha_mantissa_stream(n)))
-    return -alternating_dyadic_sum(weighted, n, _boundary_start(n), window)

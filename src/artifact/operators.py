@@ -5,14 +5,14 @@ discarded tail: sum_{p>P} alpha(n,p) <= e^(1/12) n / sqrt(pi P), multiplied by
 the measured sup of ||T^p|| over a probe window (the power-boundedness of T is
 a hypothesis probed empirically, not proved).
 
-Two exact structures get a faster, far more accurate path:
-  * scalar matrices a*I with |a| <= 1, where A^n = (psi(a)^n) I;
-  * 2x2 Jordan blocks [[a, b], [0, a]] with |a| <= 1, where the diagonal is
-    the series of psi(a)^n and the off-diagonal is b times its derivative
-    series.  At a = -1 both series converge only conditionally; they are
-    summed on the integer kernel `coeffs.alternating_dyadic_sum` (an exact
-    partial sum plus iterated averaging of the tail, rounded once), and the
-    reported tail is the fixed allowance ACCEL_TAIL, not a proven bound.
+Scalar matrices a*I and 2x2 Jordan blocks [[a, b], [0, a]] with |a| <= 1
+(a scalar matrix is the case b = 0) read no series at all: A^n has
+psi(a)^n = (1 + sqrt(1-a))^(-n) on the diagonal and b (psi^n)'(a) =
+b n psi(a)^(n+1) / (2 sqrt(1-a)) above it.  Both closed forms are enclosed
+in 128-bit `arith.iv` intervals; each entry is the float nearest its
+interval's midpoint, and the reported tail is the float rounding bound,
+rounded up, so it is a proof (0 when the values are exact, as for a in
+{0, 1}).  The derivative diverges at a = 1, which is signalled.
 
 Every loop over T^0, T^1, ... consumes the one generator `_powers`, so each
 power is computed once and dropped once used.  The general path reads it in
@@ -20,7 +20,8 @@ fixed blocks of POWER_BLOCK powers, so its memory does not grow with P.
 
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination) and the worked
-2x2 example with its alternating series S(n).
+2x2 example with its alternating series S(n), the one sum still taken on the
+integer kernel `coeffs.alternating_dyadic_sum`.
 """
 
 from __future__ import annotations
@@ -33,17 +34,15 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
+import mpmath
 import numpy as np
 
-from .arith import binomial
+from .arith import binomial, iv, iv_float_up
 from .coeffs import (
     alpha_float_rows,
     alpha_mantissa_stream,
     alpha_tail_envelope,
     alternating_dyadic_sum,
-    boundary_last_index,
-    dpsi_pow_at_minus_one,
-    psi_pow_at_minus_one,
 )
 from .analysis import technical_C_down
 from .report import VerifyReport
@@ -200,7 +199,6 @@ def probe_mean_bound(
 # series evaluation
 # ---------------------------------------------------------------------------
 
-ACCEL_TAIL = 1e-13  # residual allowance for the exact-windowed accelerated sums
 POWER_BLOCK = 1024  # powers of T held at once by the general path
 
 
@@ -218,70 +216,35 @@ def _pick_P(n: int, M: float, eps: float, cap: int) -> int:
     return P
 
 
-def _scalar_series(a: float, n: int, eps: float, cap: int) -> tuple[float, int, float]:
-    """(value, P, tail) for sum_p alpha(n,p) a^p, |a| <= 1."""
-    if a == 1.0:
-        # psi(1)^n = 1; the series of positive terms converges up to it.
-        if eps < 1e-15:
-            raise NonConvergenceError(f"cannot certify below 1e-15, asked {eps:g}")
-        return 1.0, 0, 1e-15
-    if a == -1.0:
-        if eps < ACCEL_TAIL:
-            raise NonConvergenceError(
-                f"boundary series certified only to {ACCEL_TAIL:g}, asked {eps:g}"
-            )
-        return psi_pow_at_minus_one(n), boundary_last_index(n), ACCEL_TAIL
-    r = abs(a)
-    if r > 0 and eps * (1 - r) == 0.0:
-        raise NonConvergenceError("tolerance underflows the geometric tail bound")
-    # alpha(n,p) <= 1, so the tail is below the geometric tail r^(P+1)/(1-r)
-    P = max(8, math.ceil(math.log(eps * (1 - r)) / math.log(r))) if r > 0 else 1
-    if P > cap:
-        raise NonConvergenceError(f"geometric tail needs P = {P} > cap {cap}")
-    coeffs = alpha_float_rows([n], P)[0]
-    value = float(np.polynomial.polynomial.polyval(a, coeffs))
-    tail = r ** (P + 1) / (1 - r)
-    return value, P, tail
+def _enclose(x: "iv.mpf") -> tuple[float, float]:
+    """The float nearest the middle of x and its distance to x's far end, rounded up."""
+    value = mpmath.libmp.to_float(x.mid._mpi_[0], rnd="n")
+    return value, iv_float_up(abs(x - value))
 
 
-def _scalar_dseries(a: float, n: int, eps: float, cap: int) -> tuple[float, int, float]:
-    """(value, P, tail) for sum_p p alpha(n,p) a^(p-1), |a| < 1 or a = -1."""
-    if a == -1.0:
-        if eps < ACCEL_TAIL:
-            raise NonConvergenceError(
-                f"boundary series certified only to {ACCEL_TAIL:g}, asked {eps:g}"
-            )
-        return dpsi_pow_at_minus_one(n), boundary_last_index(n), ACCEL_TAIL
-    if abs(a) >= 1.0:
-        raise NonConvergenceError(
-            "derivative series sum_p p alpha(n,p) diverges at a = 1"
-        )
-    r = abs(a)
-    P = 64
-    def tail_at(P: int) -> float:
-        # sum_{p>P} p r^(p-1) = r^P ((P+1)(1-r) + r) / (1-r)^2, coeffs <= 1
-        return r ** P * ((P + 1) * (1 - r) + r) / (1 - r) ** 2 if r > 0 else 0.0
-    while tail_at(P) > eps:
-        P *= 2
-        if P > cap:
-            raise NonConvergenceError(f"geometric tail needs P > cap {cap}")
-    coeffs = alpha_float_rows([n], P)[0]
-    dcoeffs = coeffs[1:] * np.arange(1, P + 1)
-    value = float(np.polynomial.polynomial.polyval(a, dcoeffs))
-    return value, P, tail_at(P)
+def _jordan_values(
+    a: float, b: float, n: int
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """psi(a)^n and b (psi^n)'(a) from their closed forms, each with its bound.
+
+    With s = sqrt(1-a), psi(a)^n = (1+s)^(-n) and
+    (psi^n)'(a) = n psi(a)^(n+1) / (2s), enclosed in 128-bit intervals; the
+    derivative is only formed for b != 0, and needs a < 1.
+    """
+    s = iv.sqrt(1 - iv.mpf(a))
+    diag = _enclose((1 + s) ** -n)
+    if not b:
+        return diag, (0.0, 0.0)
+    return diag, _enclose(iv.mpf(b) * n * (1 + s) ** -(n + 1) / (2 * s))
 
 
-def _as_scalar(T: DenseMatrix) -> Optional[float]:
-    a = T.array[0, 0]
-    return a if np.array_equal(T.array, a * np.eye(T.dim)) else None
-
-
-def _as_jordan2(T: DenseMatrix) -> Optional[tuple[float, float]]:
-    if T.dim != 2:
-        return None
+def _as_jordan(T: DenseMatrix) -> Optional[tuple[float, float]]:
+    """(a, b) if T is a*I (b = 0) or the 2x2 Jordan block [[a, b], [0, a]]."""
     arr = T.array
-    if arr[1, 0] == 0.0 and arr[0, 0] == arr[1, 1] and arr[0, 1] != 0.0:
-        return float(arr[0, 0]), float(arr[0, 1])
+    a = float(arr[0, 0])
+    b = float(arr[0, 1]) if T.dim == 2 else 0.0
+    if np.array_equal(arr - b * np.eye(T.dim, k=1), a * np.eye(T.dim)):
+        return a, b
     return None
 
 
@@ -295,7 +258,8 @@ def evaluate_powers(
 ) -> tuple[dict[int, tuple[np.ndarray, float]], int]:
     """Truncated A^n(T) for every n in n_list, sharing one pass over T^p.
 
-    Returns ({n: (matrix, tail_bound)}, P).  tail_bound is measured in `norm`.
+    Returns ({n: (matrix, tail_bound)}, P).  tail_bound is measured in `norm`;
+    P is 0 on scalar and Jordan inputs, whose closed forms read no term.
     """
     if not n_list or min(n_list) < 1:
         raise ValueError("n_list must contain positive integers")
@@ -304,36 +268,29 @@ def evaluate_powers(
     _check_probe_len(probe_len)
     d = T.dim
 
-    a = _as_scalar(T)
-    if a is not None and abs(a) <= 1.0:
-        out = {}
-        P_max = 0
-        for n in n_list:
-            value, P, tail = _scalar_series(a, n, eps, cap)
-            scale = math.sqrt(d) if norm is Norm.FROBENIUS else 1.0
-            out[n] = (value * np.eye(d), tail * scale)
-            P_max = max(P_max, P)
-        return out, P_max
-
-    jordan = _as_jordan2(T)
+    jordan = _as_jordan(T)
     if jordan is not None and abs(jordan[0]) <= 1.0:
         a, b = jordan
+        if a == 1.0 and b:
+            raise NonConvergenceError("(psi^n)'(a) diverges at a = 1")
         out = {}
-        P_max = 0
         for n in n_list:
-            dval, P1, dtail = _scalar_series(a, n, eps / 2, cap)
-            oval, P2, otail = _scalar_dseries(a, n, eps / (2 * abs(b)), cap)
-            mat = np.array([[dval, b * oval], [0.0, dval]])
-            e1, e2 = dtail, abs(b) * otail
+            (diag, e1), (off, e2) = _jordan_values(a, b, n)
+            mat = diag * np.eye(d)
+            if b:
+                mat[0, 1] = off
             if norm is Norm.MAX:
                 tail = max(e1, e2)
             elif norm is Norm.FROBENIUS:
-                tail = math.sqrt(2 * e1 * e1 + e2 * e2)
+                tail = iv_float_up(iv.sqrt(d * iv.mpf(e1) ** 2 + iv.mpf(e2) ** 2))
             else:
-                tail = e1 + e2
+                tail = iv_float_up(iv.mpf(e1) + e2)
+            if tail > eps:
+                raise NonConvergenceError(
+                    f"rounding bound {tail:g} of the closed form exceeds {eps:g}"
+                )
             out[n] = (mat, tail)
-            P_max = max(P_max, P1, P2)
-        return out, P_max
+        return out, 0
 
     norms = probe_power_bound(T, probe_len, norm=norm)
     M = max(norms)
@@ -465,7 +422,8 @@ def check_cesaro_domination(
     probe_mean_bound(T, probe_len)
     C = technical_C_down()
     r_max = math.isqrt(N_max)
-    powers, P = evaluate_powers(T, list(range(1, r_max + 1)), eps)
+    powers, P = evaluate_powers(T, list(range(1, r_max + 1)), eps,
+                                probe_len=probe_len)
     report = VerifyReport(
         suite="cesaro_domination",
         rectangle={"N_max": N_max, "eps": eps, "slack": slack, "P": P},
@@ -512,7 +470,13 @@ def S_remainder_at_J(n: int) -> float:
 
 @dataclass
 class AppendixExample:
-    """Closed form vs series evaluation of A^n for T = [[-1, 2], [0, -1]]."""
+    """Two independent evaluations of A^n for T = [[-1, 2], [0, -1]].
+
+    `closed_form` is built from the alternating series S(n); `series_matrix`
+    is `brunel`, which on this Jordan block evaluates the closed forms of
+    psi(-1)^n and (psi^n)'(-1).  The field names predate that swap and are
+    kept so that reports keep their keys.
+    """
 
     n: int
     S_n: float
@@ -526,7 +490,8 @@ class AppendixExample:
 
 
 def appendix_example(n: int, eps: float = 1e-10) -> AppendixExample:
-    """Both computations of A^n(T): diag (sqrt(2)-1)^n, off-diag -2^(1-n) n S(n)."""
+    """A^n(T) twice: from the series S(n) (diag (sqrt(2)-1)^n, off-diag
+    -2^(1-n) n S(n)) and from `brunel`'s interval closed form."""
     S_n = S_value(n)
     diag = (math.sqrt(2.0) - 1.0) ** n
     off = -(2.0 ** (1 - n)) * n * S_n

@@ -19,14 +19,16 @@ from artifact.operators import random_stochastic, rotation_matrix
 
 # sha256 of operator theorem-check reports without elapsed_s, computed before
 # the power loops were merged into one stream; any change to what a check
-# visits, decides or reports (M, P, counts, failures) changes them.
+# visits, decides or reports (M, P, counts, failures) changes them.  The
+# APPENDIX_T mean-bound pin is that report with rectangle.P = 0, the closed
+# form's truncation index on a Jordan block.
 REPORT_PINS = [
     ("check-power-bound", random_stochastic(5, 0, doubly=True), ["--n-max", "8"],
      "c26e9c875d2dc953f9d932e1c2bece1224c2dd36df24708eae178e503810c1ba"),
     ("check-power-bound", rotation_matrix(1.0), ["--n-max", "6", "--norm", "fro"],
      "8eeb08b575a3a647e51e6f31d6a7d6f9d4edc183c91acec6a81564cef5cab347"),
     ("check-mean-bound", None, ["--n-max", "5"],
-     "0f825e07994d77de5b62ba4ab01372d6a973df96ac2cf03b65db3eac7b87e615"),
+     "dca2fc1e3a54dac3c0a6f0cd0b2eeaccbdd298759056111875d9622ec606b037"),
     ("check-mean-bound", random_stochastic(4, 1), ["--n-max", "6"],
      "c92356b3c35ef10b249613038ae2df1c4e614373701e17ab34d235e8db1d92b0"),
     ("check-domination", random_stochastic(3, 0), ["--N-max", "50"],

@@ -21,15 +21,12 @@ from artifact.coeffs import (
     alternating_dyadic_sum,
     beta,
     beta_recurrence_check,
-    boundary_tail_envelope,
     diff_tail_envelope,
-    dpsi_pow_at_minus_one,
     mantissa_rows,
     oracle_alpha,
     oracle_beta,
     psi_eval,
     psi_partial_sum,
-    psi_pow_at_minus_one,
     sqrt_one_minus_x_series,
     sum_alpha,
     xi_series,
@@ -60,18 +57,12 @@ def fraction_alternating_sum(numerator, shift, start, window):
     return float(total + parts[0])
 
 
-def reference_boundary_values(n, window=64):
-    """(S(n), psi(-1)^n, (psi^n)'(-1)) by the Fraction reference."""
+def reference_S_value(n, window=64):
+    """S(n) by the Fraction reference."""
     J = (n * n + n) // 2
-    S = fraction_alternating_sum(
+    return fraction_alternating_sum(
         lambda p: math.comb(n + 2 * p - 1, p - 1) if p else 0, 0, J + 8, window
     )
-    start = max(320, J + 16)
-    psi = fraction_alternating_sum(lambda p: alpha_mantissa(n, p), n, start, window)
-    dpsi = -fraction_alternating_sum(
-        lambda p: p * alpha_mantissa(n, p), n, start, window
-    )
-    return S, psi, dpsi
 
 
 class TestFrozenValues:
@@ -152,8 +143,6 @@ class TestMantissa:
             lambda: next(alpha_mantissa_stream(n)),
             lambda: alpha_float_rows([1, n], 5),
             lambda: psi_partial_sum(0.5, n, 5),
-            lambda: psi_pow_at_minus_one(n),
-            lambda: dpsi_pow_at_minus_one(n),
         ):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 evaluate()
@@ -311,11 +300,6 @@ class TestTailEnvelopes:
     def test_envelope_monotone_in_P(self):
         assert alpha_tail_envelope(2, 400) < alpha_tail_envelope(2, 100)
 
-    def test_boundary_envelope_is_n1_shape(self):
-        assert boundary_tail_envelope(100) == pytest.approx(
-            alpha_tail_envelope(2, 100), rel=1e-12
-        )
-
     def test_diff_tail_envelope_exact_perfect_square(self):
         assert diff_tail_envelope(10000) == Fraction(1, 50)
         assert diff_tail_envelope(100) == Fraction(1, 5)
@@ -331,13 +315,11 @@ class TestTailEnvelopes:
         with pytest.raises(ValueError):
             alpha_tail_envelope(1, 0)
         with pytest.raises(ValueError):
-            boundary_tail_envelope(0)
-        with pytest.raises(ValueError):
             diff_tail_envelope(0)
 
 
 class TestBoundarySeries:
-    """Alternating series at x = -1 against independently derived closed forms."""
+    """The alternating-series kernel at x = -1 and S(n) on it."""
 
     def test_kernel_geometric_series(self):
         # sum_p (-1/4)^p = 4/5
@@ -362,39 +344,11 @@ class TestBoundarySeries:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 32, 60])
     def test_bit_identical_to_fraction_reference(self, n):
-        assert (S_value(n), psi_pow_at_minus_one(n), dpsi_pow_at_minus_one(n)) == (
-            reference_boundary_values(n)
-        )
+        assert S_value(n) == reference_S_value(n)
 
     def test_bit_identical_with_other_window(self):
         n, window = 7, 40
-        values = (S_value(n, window), psi_pow_at_minus_one(n, window),
-                  dpsi_pow_at_minus_one(n, window))
-        assert values == reference_boundary_values(n, window)
-
-    def test_S_is_scaled_derivative(self):
-        # (psi^n)'(-1) = -(n / 2^n) S(n) term by term
-        for n in range(1, 21):
-            assert S_value(n) == pytest.approx(
-                -(2.0 ** n / n) * dpsi_pow_at_minus_one(n), rel=1e-12
-            )
-
-    def test_psi_pow_at_minus_one(self):
-        for n in (1, 2, 3, 8, 20):
-            closed = (ROOT2 - 1.0) ** n
-            assert psi_pow_at_minus_one(n) == pytest.approx(closed, rel=1e-12)
-
-    def test_dpsi_pow_at_minus_one(self):
-        dpsi1 = ROOT2 - 1.0 - 1.0 / (2.0 * ROOT2)
-        for n in (1, 2, 3, 8, 20):
-            closed = n * (ROOT2 - 1.0) ** (n - 1) * dpsi1
-            assert dpsi_pow_at_minus_one(n) == pytest.approx(closed, rel=1e-11)
-
-    def test_boundary_series_equals_psi_eval(self):
-        for n in (1, 4):
-            assert psi_pow_at_minus_one(n) == pytest.approx(
-                psi_eval(-1.0, n), rel=1e-12
-            )
+        assert S_value(n, window) == reference_S_value(n, window)
 
 
 class TestZeroPower:

@@ -5,12 +5,12 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from artifact.coeffs import alpha, psi_eval
 from artifact.operators import (
-    ACCEL_TAIL,
     APPENDIX_T,
     AppendixExample,
     BrunelResult,
@@ -225,17 +225,18 @@ class TestBrunelFastPaths:
 
     def test_scalar_minus_one_accelerated(self):
         r = brunel(DenseMatrix(dim=2, array=-np.eye(2)), 4, eps=1e-10)
-        assert r.matrix.array[0, 0] == pytest.approx((ROOT2 - 1.0) ** 4, rel=1e-11)
-        assert r.tail_bound == ACCEL_TAIL
+        with mpmath.workprec(200):
+            exact = float((mpmath.sqrt(2) - 1) ** 4)
+        assert r.matrix.array[0, 0] == exact
+        assert r.tail_bound <= 1e-16
 
     def test_boundary_truncation_P_is_last_index_read(self):
-        # the window of 64 starts at max(320, J(n) + 16), J(n) = (n^2 + n)/2
+        # the closed forms read no series term, so nothing is truncated
         scalar = DenseMatrix(dim=2, array=-np.eye(2))
-        for T, n, P in ((scalar, 4, 383), (APPENDIX_T, 4, 383),
-                        (APPENDIX_T, 40, 899)):
-            assert brunel(T, n, eps=1e-10).truncation_P == P
+        for T, n in ((scalar, 4), (APPENDIX_T, 4), (APPENDIX_T, 40)):
+            assert brunel(T, n, eps=1e-10).truncation_P == 0
         report = check_mean_bound_theorem(APPENDIX_T, n_max=3)
-        assert report.rectangle["P"] == 383
+        assert report.rectangle["P"] == 0
 
     def test_jordan_block_matches_derivative_series(self):
         b = 0.7
@@ -265,6 +266,64 @@ class TestBrunelFastPaths:
         assert np.allclose(r.matrix.array, expected, atol=1e-16)
         assert r.tail_bound == 0.0
         assert r.truncation_P == 2
+
+
+def reference_jordan(a: float, b: float, d: int, n: int) -> list[list]:
+    """A^n of a*I + b*E_01 at 200 bits.
+
+    psi(a)^n on the diagonal and b n psi(a)^(n+1) / (2 sqrt(1-a)) at (0, 1).
+    """
+    with mpmath.workprec(200):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        psi = 1 / (1 + mpmath.sqrt(1 - a))
+        R = [[psi ** n if i == j else mpmath.mpf(0) for j in range(d)]
+             for i in range(d)]
+        if b:
+            R[0][1] = b * n * psi ** (n + 1) / (2 * mpmath.sqrt(1 - a))
+    return R
+
+
+def reference_norm(E: list[list], norm: Norm):
+    """`norm` of a matrix of mpf entries, in the working precision."""
+    if norm is Norm.OPINF:
+        return max(sum(abs(x) for x in row) for row in E)
+    if norm is Norm.MAX:
+        return max(abs(x) for row in E for x in row)
+    return mpmath.sqrt(sum(x * x for row in E for x in row))
+
+
+STRUCTURED = (
+    [(a, 0.0, d) for a in (-1.0, -0.99, -0.5, 0.0, 0.5, 0.99, 1.0) for d in (1, 3)]
+    + [(a, b, 2) for a in (-1.0, -0.5, 0.0, 0.9) for b in (2.0, -0.5, 3.7, 1e3)]
+)
+
+
+class TestClosedFormEnclosure:
+    """Scalar and Jordan inputs: every entry within tail_bound of 200 bits."""
+
+    @pytest.mark.parametrize("a, b, d", STRUCTURED,
+                             ids=[f"a{a}-b{b}-d{d}" for a, b, d in STRUCTURED])
+    def test_within_tail_of_reference(self, a, b, d):
+        T = DenseMatrix(dim=d, array=a * np.eye(d) + b * np.eye(d, k=1))
+        eps = 1e-10
+        for norm in Norm:
+            powers, P = evaluate_powers(T, [1, 7, 40], eps, norm)
+            assert P == 0
+            for n, (mat, tail) in powers.items():
+                R = reference_jordan(a, b, d, n)
+                with mpmath.workprec(200):
+                    E = [[mpmath.mpf(float(x)) - y for x, y in zip(row, ref)]
+                         for row, ref in zip(mat, R)]
+                    assert reference_norm(E, norm) <= tail, (norm, n)
+                assert tail <= eps
+                if b == 0.0 and a in (0.0, 1.0):
+                    assert tail == 0.0
+
+    def test_eps_below_rounding_bound_raises(self):
+        with pytest.raises(NonConvergenceError, match="rounding bound"):
+            brunel(DenseMatrix.from_rows([[0.5]]), 1, eps=1e-30)
+        with pytest.raises(NonConvergenceError, match="rounding bound"):
+            brunel(APPENDIX_T, 7, eps=1e-30, norm=Norm.FROBENIUS)
 
 
 class TestBrunelGeneralPath:
@@ -481,6 +540,18 @@ class TestTheoremChecks:
     def test_domination_stochastic(self):
         report = check_cesaro_domination(random_stochastic(3, 0), N_max=50)
         assert report.passed, report.failures[:2]
+
+    def test_domination_probe_len_reaches_power_probe(self):
+        """The right side's power probe reads probe_len powers, not 2000:
+        the norms of this T peak near p = 9, past a probe of 3."""
+        T = DenseMatrix.from_rows(
+            [[0.9, 1.0, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 0.5]]
+        )
+        ells = [1, 2, 3, 4]
+        report = check_cesaro_domination(T, N_max=16, eps=0.2, probe_len=3)
+        short = evaluate_powers(T, ells, 0.2, probe_len=3)[1]
+        assert report.rectangle["P"] == short
+        assert short < evaluate_powers(T, ells, 0.2)[1]
 
     def test_domination_rejects_negative_entries(self):
         with pytest.raises(ValueError):
