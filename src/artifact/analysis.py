@@ -26,6 +26,10 @@ closed-form mantissas and the suites feed it rows of the integer kernel
 the mantissa is compared exactly against its unfavorable endpoint by
 `arith.certified_le` / `certified_ge`.
 
+The J threshold holds for every p and sum_p alpha(n, p) = psi(1)^n = 1, so
+sum_p |d(n,p)| / 2^(n+1+2p) = 2 sum_{p<=J(n)} d(n,p) / 2^(n+1+2p): the
+difference sum is J(n)+1 exact terms, with no tail.
+
 The module ends with a registry of named verification suites producing
 deterministic VerifyReports over finite parameter rectangles.
 """
@@ -52,7 +56,6 @@ from .coeffs import (
     alpha_mantissa,
     alpha_mantissa_row,
     beta_mantissa,
-    diff_tail_envelope,
     mantissa_rows,
     oracle_mantissa_rows,
     recurrence_holds,
@@ -291,17 +294,27 @@ def _alpha0_claim(n: int, a: int, a_next: int) -> bool:
             and n + 2 <= (n * (n + 1)) << (n + 1))
 
 
-def _sum_bound_claim(n: int, row_lo: list[int], row_hi: list[int], P_tail: int) -> bool:
-    """sum_{p<=P_tail} |d(n,p)| / 2^(n+1+2p) + 2/isqrt(P_tail) <= 33/(2n).
+def _sum_bound_claim(n: int, row_lo: list[int], row_hi: list[int]) -> bool:
+    """sum_p |d(n,p)| / 2^(n+1+2p) <= 33/(2n), exactly, from the rows through J(n).
 
-    The differences share the dyadic denominator 2^(n+1+2p), so the partial
-    sum is one big-integer Horner pass over the two mantissa rows.
+    Sign change: a(n+1,p)/a(n,p) = (n+1)(n+2p)/(n(n+p+1)), so d(n,p) =
+    2 a(n,p) - a(n+1,p) >= 0 iff 2p <= n^2 + n, i.e. p <= J(n), for every p.
+    Zero sum: alpha(n,p) >= 0 and psi(1) = 1, so by Abel sum_p alpha(n,p) =
+    lim_{x->1-} psi(x)^n = 1 for every n, and sum_p d(n,p) / 2^(n+1+2p) = 0.
+    So the terms p > J(n) cancel those p <= J(n): the sum of |d| is twice the
+    finite one.  With num = sum_{p<=J} d(n,p) 4^(J-p), one Horner pass, the
+    claim reads 2 n num den(C) <= num(C) 2^(n+1+2J) for C = 33/2; a negative
+    d read contradicts the sign fact and fails.
     """
+    J = n * (n + 1) // 2
     num = 0
-    for p in range(P_tail + 1):
-        num = (num << 2) + abs(row_hi[p] - 2 * row_lo[p])
-    total = Fraction(num, 1 << (n + 1 + 2 * P_tail)) + diff_tail_envelope(P_tail)
-    return total <= BoundConstants.C_sum / n
+    for p in range(J + 1):
+        d = 2 * row_lo[p] - row_hi[p]
+        if d < 0:
+            return False
+        num = (num << 2) + d
+    C = BoundConstants.C_sum
+    return 2 * n * num * C.denominator <= C.numerator << (n + 1 + 2 * J)
 
 
 def _technical_claim(N: int, k: int, r: int, s: int, r_over_C: "iv.mpf") -> bool:
@@ -348,18 +361,16 @@ def check_majorant_summability(P: int) -> float:
     return sum(BoundConstants.majorant(p) for p in range(P + 1))
 
 
-def check_sum_coefficient_bound(n: int, P_tail: int = 10 ** 4) -> bool:
-    """sum_p |alpha(n+1,p) - alpha(n,p)| <= 33/(2n), certified.
+def check_sum_coefficient_bound(n: int) -> bool:
+    """sum_p |alpha(n+1,p) - alpha(n,p)| <= 33/(2n), exactly.
 
-    The partial sum through P_tail is exact; the discarded tail is covered by
-    the exact envelope 2/isqrt(P_tail) derived from the termwise bound
-    p^(-3/2) and the integral test.
+    The differences change sign once, at p = J(n), and sum to zero, so the
+    infinite sum is twice the finite sum over p <= J(n) (see _sum_bound_claim).
     """
-    if n < 1 or P_tail < 1:
-        raise ValueError("need n >= 1, P_tail >= 1")
-    row_lo = alpha_mantissa_row(n, P_tail)
-    row_hi = alpha_mantissa_row(n + 1, P_tail)
-    return _sum_bound_claim(n, row_lo, row_hi, P_tail)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    J = n * (n + 1) // 2
+    return _sum_bound_claim(n, alpha_mantissa_row(n, J), alpha_mantissa_row(n + 1, J))
 
 
 def check_sean_lemma(n: int, p: int) -> bool:
@@ -592,13 +603,10 @@ def _suite_majorant(P=10 ** 4) -> VerifyReport:
     return report
 
 
-def _suite_sum_bound(n_max=40, P_tail=10 ** 4) -> VerifyReport:
-    if P_tail < 1:
-        raise ValueError("P_tail must be >= 1")
-    report = VerifyReport(suite="sum_bound",
-                          rectangle={"n_max": n_max, "P_tail": P_tail})
-    for n, row, up in _row_pairs(n_max, P_tail):
-        report.record({"n": n}, _sum_bound_claim(n, row, up, P_tail))
+def _suite_sum_bound(n_max=40) -> VerifyReport:
+    report = VerifyReport(suite="sum_bound", rectangle={"n_max": n_max})
+    for n, row, up in _row_pairs(n_max, n_max * (n_max + 1) // 2):
+        report.record({"n": n}, _sum_bound_claim(n, row, up))
     return report
 
 
@@ -681,7 +689,8 @@ def run_suite(name: str, **rectangle) -> VerifyReport:
 
     Each suite's keyword parameters are its rectangle keys and defaults
     (RECTANGLE_KEYS); a key the suite does not read raises ValueError naming
-    every such key.  Keys given as None take the default.
+    every such key.  Keys given as None take the default.  A degenerate
+    rectangle raises ValueError too: a negative integer value, or no check.
     """
     key = name.replace("-", "_")
     fn = SUITES.get(key)
@@ -697,8 +706,13 @@ def run_suite(name: str, **rectangle) -> VerifyReport:
             f"suite {key!r} does not read {', '.join(unknown)}; "
             f"its rectangle keys are {', '.join(known)}"
         )
+    negative = sorted(k for k, v in rect.items() if isinstance(v, int) and v < 0)
+    if negative:
+        raise ValueError(f"suite {key!r} needs {', '.join(negative)} >= 0")
     start = time.perf_counter()
     report = fn(**rect)
+    if report.checks == 0:
+        raise ValueError(f"suite {key!r} records no checks on {report.rectangle}")
     report.elapsed_s = time.perf_counter() - start
     return report
 

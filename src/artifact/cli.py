@@ -10,9 +10,9 @@ Subcommands:
             the 2x2 worked example, seeded random stochastic matrices
 
 Exit codes: 0 success/pass, 1 failures or runtime errors, 2 unknown suite,
-a rectangle flag the suite does not read, or other bad usage.  All output
-is deterministic for fixed flags; only the elapsed_s field of reports
-varies between runs.
+a rectangle flag the suite does not read, a negative or empty rectangle, or
+other bad usage.  All output is deterministic for fixed flags; only the
+elapsed_s field of reports varies between runs.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ def cmd_verify(args) -> int:
         "p_max": args.p_max,
         "N_max": args.N_max,
         "k_max": args.k_max,
-        "P_tail": args.P_tail,
         "P": args.P,
     }
     rect = {k: v for k, v in rect.items() if v is not None}
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=int, default=None)
     p.add_argument("--N-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--P-tail", type=int, default=None)
     p.add_argument("--P", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 

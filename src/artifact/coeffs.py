@@ -341,18 +341,6 @@ def alpha_tail_envelope(n: int, P: int) -> float:
     return iv_float_up(bound)
 
 
-def diff_tail_envelope(P: int) -> Rational:
-    """Exact bound on sum_{p>P} |alpha(n+1,p) - alpha(n,p)|, any n.
-
-    Each difference is at most p^(-3/2); the integral test gives 2/sqrt(P),
-    and 2/isqrt(P) >= 2/sqrt(P) keeps the bound rational (equal when P is a
-    perfect square).
-    """
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    return Fraction(2, math.isqrt(P))
-
-
 # ---------------------------------------------------------------------------
 # alternating series at the boundary x = -1
 # ---------------------------------------------------------------------------

@@ -35,7 +35,13 @@ from artifact.analysis import (
     _discriminant,
     _quartic_q,
 )
-from artifact.coeffs import alpha, alpha_tail_envelope, psi_eval, psi_partial_sum
+from artifact.coeffs import (
+    alpha,
+    alpha_mantissa_row,
+    alpha_tail_envelope,
+    psi_eval,
+    psi_partial_sum,
+)
 from artifact.report import VerifyReport
 
 
@@ -265,15 +271,54 @@ class TestMajorant:
         assert BoundConstants.stirling_slack() >= math.exp(1 / 12)
 
 
+def exact_difference_sum(n):
+    """sum_p |alpha(n,p) - alpha(n+1,p)| as 2 sum_{p<=J(n)} of the differences."""
+    J = n * (n + 1) // 2
+    return 2 * sum((alpha(n, p) - alpha(n + 1, p) for p in range(J + 1)), Fraction(0))
+
+
+def horner_partial_difference_sum(n, P):
+    """The P-term partial sum the sign-change identity replaced, kept as reference.
+
+    sum_{p<=P} |d(n,p)| / 2^(n+1+2p) by one Horner pass over the mantissa
+    rows; the discarded tail is at most 2/isqrt(P).
+    """
+    row_lo = alpha_mantissa_row(n, P)
+    row_hi = alpha_mantissa_row(n + 1, P)
+    num = 0
+    for p in range(P + 1):
+        num = (num << 2) + abs(row_hi[p] - 2 * row_lo[p])
+    return Fraction(num, 1 << (n + 1 + 2 * P))
+
+
 class TestSumCoefficientBound:
     def test_small_n(self):
-        assert check_sum_coefficient_bound(1, P_tail=400)
-        assert check_sum_coefficient_bound(10, P_tail=400)
+        assert check_sum_coefficient_bound(1)
+        assert check_sum_coefficient_bound(10)
 
-    def test_partial_sums_far_below_constant(self):
-        """The n = 1 difference sum is ~0.17, so 33/2 has huge headroom."""
-        total = sum(abs(float(alpha(2, p) - alpha(1, p))) for p in range(400))
-        assert total < 0.5
+    def test_exact_sums_at_one_and_two(self):
+        """The full sums are 1/2 and 21/64, far below 33/2 and 33/4."""
+        assert exact_difference_sum(1) == Fraction(1, 2)
+        assert exact_difference_sum(2) == Fraction(21, 64)
+
+    def test_exact_sum_inside_old_tail_bracket(self):
+        P = 10 ** 4
+        scaled = {1: 0.5, 2: 0.656, 5: 0.810, 10: 0.881, 20: 0.922, 40: 0.944}
+        for n, want in scaled.items():
+            exact = exact_difference_sum(n)
+            partial = horner_partial_difference_sum(n, P)
+            assert partial <= exact <= partial + Fraction(2, math.isqrt(P)), n
+            assert float(n * exact) == pytest.approx(want, abs=5e-4), n
+
+    def test_coefficients_sum_to_one(self):
+        """Abel at x = 1: sum_p alpha(n,p) = psi(1)^n = 1, tail under its envelope."""
+        P = 2000
+        for n in (1, 7, 40):
+            num = 0
+            for a in alpha_mantissa_row(n, P):
+                num = (num << 2) + a
+            deficit = 1 - Fraction(num, 1 << (n + 2 * P))
+            assert 0 <= deficit <= alpha_tail_envelope(n, P), n
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -464,7 +509,7 @@ class TestSuites:
             "bounds": dict(n_max=7, p_max=25),
             "alpha0": dict(n_max=12),
             "majorant": dict(P=200),
-            "sum_bound": dict(n_max=3, P_tail=900),
+            "sum_bound": dict(n_max=3),
             "gamma": dict(n_max=6),
             "technical": dict(N_max=25),
             "s_monotone": dict(N_max=16, k_max=20),

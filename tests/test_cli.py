@@ -181,10 +181,28 @@ class TestVerifyCommand:
 
     def test_hyphenated_suite_name(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "sum-bound", "--n-max", "2", "--P-tail", "400"
+            capsys, "verify", "sum-bound", "--n-max", "2"
         )
         assert code == 0
         assert json.loads(out)["suite"] == "sum_bound"
+
+    def test_removed_P_tail_flag_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sum-bound", "--P-tail", "400"])
+        assert exc.value.code == 2
+        assert "--P-tail" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["monotonicity", "--n-max", "-5"],
+        ["technical", "--N-max", "0"],
+        ["sum-bound", "--n-max", "0"],
+        ["bounds", "--p-max", "-3"],
+    ])
+    def test_degenerate_rectangle_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
 
     def test_rectangle_flags_forwarded(self, capsys):
         code, out, _ = run(

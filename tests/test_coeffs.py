@@ -21,7 +21,6 @@ from artifact.coeffs import (
     alternating_dyadic_sum,
     beta,
     beta_recurrence_check,
-    diff_tail_envelope,
     mantissa_rows,
     oracle_alpha,
     oracle_beta,
@@ -300,22 +299,9 @@ class TestTailEnvelopes:
     def test_envelope_monotone_in_P(self):
         assert alpha_tail_envelope(2, 400) < alpha_tail_envelope(2, 100)
 
-    def test_diff_tail_envelope_exact_perfect_square(self):
-        assert diff_tail_envelope(10000) == Fraction(1, 50)
-        assert diff_tail_envelope(100) == Fraction(1, 5)
-
-    def test_diff_tail_envelope_dominates(self):
-        P = 400
-        for n in (1, 4, 9):
-            row_n, row_n1 = alpha_float_rows([n, n + 1], P + 6000)
-            observed = sum(abs(a - b) for a, b in zip(row_n[P + 1 :], row_n1[P + 1 :]))
-            assert observed < float(diff_tail_envelope(P))
-
     def test_envelope_domain(self):
         with pytest.raises(ValueError):
             alpha_tail_envelope(1, 0)
-        with pytest.raises(ValueError):
-            diff_tail_envelope(0)
 
 
 class TestBoundarySeries:
