@@ -30,12 +30,15 @@ The J threshold holds for every p and sum_p alpha(n, p) = psi(1)^n = 1, so
 sum_p |d(n,p)| / 2^(n+1+2p) = 2 sum_{p<=J(n)} d(n,p) / 2^(n+1+2p): the
 difference sum is J(n)+1 exact terms, with no tail.
 
-The module ends with a registry of named verification suites producing
-deterministic VerifyReports over finite parameter rectangles.
+The module ends with a registry of named verification suites.  A suite is
+a generator of records over its keyword parameters; the registering
+decorator `_suite` turns it into a runner whose deterministic VerifyReport
+carries the suite's name and the rectangle that ran.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import time
@@ -159,13 +162,10 @@ def _K_claim(n: int, p: int, d: int, d_next: int) -> bool:
 
 
 def _regions_claim(n: int, p: int, d: int, d_next: int) -> Optional[bool]:
-    """Difference step nondecreasing iff p lies outside the roots; None near a root."""
+    """Difference step nondecreasing iff p lies outside the roots; None at a root."""
     A, D = _discriminant(n)
     t = A - 24 * p
     if t * t == D:
-        return None
-    s = math.sqrt(D)
-    if min(abs(p - (A - s) / 24), abs(p - (A + s) / 24)) < 1e-9:
         return None
     return (4 * d <= d_next) == (t * t > D)
 
@@ -205,8 +205,8 @@ def check_upper_lower_K(n: int, p: int) -> Optional[bool]:
     Below the lower root or above the upper one the successive differences
     alpha(n,p) - alpha(n+1,p) are nondecreasing in p; strictly between the
     roots they decrease.  Classification is exact integer arithmetic; p that
-    hits a root exactly, or sits within 1e-9 of one, reports None
-    (indeterminate tie) rather than pass/fail.
+    hits a root exactly, 24p = A -+ sqrt(D), reports None (a tie) rather than
+    pass/fail.
     """
     if not roots_exist(n):
         raise ValueError(f"n = {n} does not have two nonnegative roots")
@@ -437,13 +437,43 @@ def check_S_monotone(N: int, k: int) -> bool:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _record_exact(report: VerifyReport, params: dict, lhs: int, rhs: int,
-                  shift: int) -> None:
-    """Record lhs == rhs on mantissas over 2^shift; a failure shows both values."""
+SUITES: dict[str, Callable[..., VerifyReport]] = {}
+# Each suite's keyword parameters are its rectangle keys, read once at
+# registration so that a wrapper installed over a SUITES entry keeps the schema.
+RECTANGLE_KEYS: dict[str, tuple[str, ...]] = {}
+
+
+def _suite(fn: Callable[..., Iterator[tuple]]) -> Callable[..., VerifyReport]:
+    """Register `_suite_<name>` in SUITES as a report-returning runner.
+
+    The generator's keyword parameters are the suite's rectangle and their
+    defaults its default rectangle; it yields records (params, verdict[, lhs,
+    rhs]) for VerifyReport.record.  The report's name is <name> and its
+    rectangle is the bound keywords, defaults applied, so it states exactly
+    what ran.
+    """
+    name = fn.__name__.removeprefix("_suite_")
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def run(**rectangle) -> VerifyReport:
+        bound = signature.bind(**rectangle)
+        bound.apply_defaults()
+        report = VerifyReport(suite=name, rectangle=dict(bound.arguments))
+        for cell in fn(**bound.arguments):
+            report.record(*cell)
+        return report
+
+    SUITES[name] = run
+    RECTANGLE_KEYS[name] = tuple(signature.parameters)
+    return run
+
+
+def _exact(params: dict, lhs: int, rhs: int, shift: int) -> tuple:
+    """Record of lhs == rhs on mantissas over 2^shift; a failure shows both values."""
     if lhs == rhs:
-        report.record(params, True)
-    else:
-        report.record(params, False, Fraction(lhs, 1 << shift), Fraction(rhs, 1 << shift))
+        return params, True
+    return params, False, Fraction(lhs, 1 << shift), Fraction(rhs, 1 << shift)
 
 
 def _row_pairs(n_max: int, p_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
@@ -463,30 +493,20 @@ def _column_sum_rows(N_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
         yield N, total
 
 
-def _suite_oracle(n_max=30, p_max=30, shift_n_max=40, shift_p_max=100) -> VerifyReport:
-    report = VerifyReport(
-        suite="oracle",
-        rectangle={"n_max": n_max, "p_max": p_max,
-                   "shift_n_max": shift_n_max, "shift_p_max": shift_p_max},
-    )
+@_suite
+def _suite_oracle(n_max=30, p_max=30, shift_n_max=40, shift_p_max=100):
     pairs = zip(mantissa_rows(n_max, p_max), oracle_mantissa_rows(n_max, p_max))
     for (n, row), (_, want) in pairs:
         for p in range(p_max + 1):
-            _record_exact(report, {"check": "oracle", "n": n, "p": p},
-                          row[p], want[p], n + 2 * p)
+            yield _exact({"check": "oracle", "n": n, "p": p}, row[p], want[p], n + 2 * p)
     for n, row in mantissa_rows(shift_n_max, shift_p_max):
         for p in range(shift_p_max + 1):
-            _record_exact(report, {"check": "shift", "n": n, "p": p},
-                          beta_mantissa(n, p + n), row[p], n + 2 * p)
-    return report
+            yield _exact({"check": "shift", "n": n, "p": p},
+                         beta_mantissa(n, p + n), row[p], n + 2 * p)
 
 
-def _suite_recurrences(n_max=40, beta_p_max=120, alpha_p_max=200) -> VerifyReport:
-    report = VerifyReport(
-        suite="recurrences",
-        rectangle={"n_max": n_max, "beta_p_max": beta_p_max,
-                   "alpha_p_max": alpha_p_max},
-    )
+@_suite
+def _suite_recurrences(n_max=40, beta_p_max=120, alpha_p_max=200):
     # Closed-form mantissas, never rows built by the recurrence under test.
     width = max(alpha_p_max + 2, beta_p_max + 1)
     closed = {k: [alpha_mantissa(k, p) for p in range(width)]
@@ -497,64 +517,50 @@ def _suite_recurrences(n_max=40, beta_p_max=120, alpha_p_max=200) -> VerifyRepor
 
     for n in range(2, n_max + 1):
         for p in range(beta_p_max + 1):
-            report.record({"check": "beta", "N": n, "p": p},
-                          recurrence_holds(b(n - 1, p - 1), b(n, p), b(n + 1, p)))
+            yield ({"check": "beta", "N": n, "p": p},
+                   recurrence_holds(b(n - 1, p - 1), b(n, p), b(n + 1, p)))
         for p in range(alpha_p_max + 1):
-            report.record({"check": "alpha", "n": n, "p": p},
-                          recurrence_holds(closed[n - 1][p + 1], closed[n][p + 1],
-                                           closed[n + 1][p]))
-    return report
+            yield ({"check": "alpha", "n": n, "p": p},
+                   recurrence_holds(closed[n - 1][p + 1], closed[n][p + 1],
+                                    closed[n + 1][p]))
 
 
-def _suite_monotonicity(n_max=40, p_max=600) -> VerifyReport:
-    report = VerifyReport(suite="monotonicity",
-                          rectangle={"n_max": n_max, "p_max": p_max})
+@_suite
+def _suite_monotonicity(n_max=40, p_max=600):
     for n, row, up in _row_pairs(n_max, p_max + 1):
         for p in range(p_max + 1):
-            report.record({"check": "I", "n": n, "p": p},
-                          _I_claim(n, p, row[p], row[p + 1]))
-            report.record({"check": "J", "n": n, "p": p},
-                          _J_claim(n, p, row[p], up[p]))
-    return report
+            yield {"check": "I", "n": n, "p": p}, _I_claim(n, p, row[p], row[p + 1])
+            yield {"check": "J", "n": n, "p": p}, _J_claim(n, p, row[p], up[p])
 
 
-def _suite_k_regions(n_max=40, p_max=600) -> VerifyReport:
-    report = VerifyReport(suite="k_regions",
-                          rectangle={"n_max": n_max, "p_max": p_max})
+@_suite
+def _suite_k_regions(n_max=40, p_max=600):
     for n, row, up in _row_pairs(n_max, p_max + 1):
         if n < 2:
             continue
         d = [2 * row[p] - up[p] for p in range(p_max + 2)]
         has_roots = roots_exist(n)
         for p in range(p_max + 1):
-            report.record({"check": "quadratic", "n": n, "p": p},
-                          _K_claim(n, p, d[p], d[p + 1]))
+            yield {"check": "quadratic", "n": n, "p": p}, _K_claim(n, p, d[p], d[p + 1])
             if has_roots:
-                report.record({"check": "regions", "n": n, "p": p},
-                              _regions_claim(n, p, d[p], d[p + 1]))
-    return report
+                yield ({"check": "regions", "n": n, "p": p},
+                       _regions_claim(n, p, d[p], d[p + 1]))
 
 
-def _suite_quotient(n_max=30, p_max=200) -> VerifyReport:
-    report = VerifyReport(suite="quotient",
-                          rectangle={"n_max": n_max, "p_max": p_max})
+@_suite
+def _suite_quotient(n_max=30, p_max=200):
     d_prev = None
     for n, row, up in _row_pairs(n_max, p_max):
         if n == 1:  # d(0, .) from psi^0 = 1, whose only mantissa is a(0, 0) = 1
             d_prev = [2 * (p == 0) - row[p] for p in range(p_max + 1)]
         d = [2 * row[p] - up[p] for p in range(p_max + 1)]
         for p in range(p_max + 1):
-            report.record({"n": n, "p": p}, _quotient_claim(n, p, d_prev[p], d[p]))
+            yield {"n": n, "p": p}, _quotient_claim(n, p, d_prev[p], d[p])
         d_prev = d
-    return report
 
 
-def _suite_bounds(n_max=60, p_max=400, sean_n_max=100, in_n_max=200) -> VerifyReport:
-    report = VerifyReport(
-        suite="bounds",
-        rectangle={"n_max": n_max, "p_max": p_max,
-                   "sean_n_max": sean_n_max, "in_n_max": in_n_max},
-    )
+@_suite
+def _suite_bounds(n_max=60, p_max=400, sean_n_max=100, in_n_max=200):
     ps = range(1, p_max + 1)
     eq8 = {p: _eq8_bound(p) for p in ps}
     sean = {p: _sean_bound(p) for p in ps}
@@ -566,64 +572,59 @@ def _suite_bounds(n_max=60, p_max=400, sean_n_max=100, in_n_max=200) -> VerifyRe
             a1 = row[: p_max + 1]
         if n <= n_max:
             for p in ps:
-                report.record({"check": "uniform", "n": n, "p": p},
-                              _uniform_claim(n, p, 2 * row[p] - up[p], a1[p], eq8[p]))
+                yield ({"check": "uniform", "n": n, "p": p},
+                       _uniform_claim(n, p, 2 * row[p] - up[p], a1[p], eq8[p]))
         if n <= sean_n_max:
             for p in ps:
                 central[p] = 2 * central[p] - row[p]
-                report.record({"check": "stirling", "n": n, "p": p},
-                              _stirling_claim(n, p, central[p], sean[p]))
+                yield ({"check": "stirling", "n": n, "p": p},
+                       _stirling_claim(n, p, central[p], sean[p]))
     M = _in_bound_M()
     for n in range(6, in_n_max + 1):
         i = (n * n - 3 * n - 4) // 6
-        report.record({"check": "peak", "n": n},
-                      _peak_claim(n, i, alpha_mantissa(n, i), M))
-    return report
+        yield {"check": "peak", "n": n}, _peak_claim(n, i, alpha_mantissa(n, i), M)
 
 
-def _suite_alpha0(n_max=60) -> VerifyReport:
-    report = VerifyReport(suite="alpha0", rectangle={"n_max": n_max})
+@_suite
+def _suite_alpha0(n_max=60):
     for n in range(1, n_max + 1):
-        report.record({"n": n}, check_alpha0_difference(n))
-    return report
+        yield {"n": n}, check_alpha0_difference(n)
 
 
-def _suite_majorant(P=10 ** 4) -> VerifyReport:
-    report = VerifyReport(suite="majorant", rectangle={"P": P})
+@_suite
+def _suite_majorant(P=10 ** 4):
     total = check_majorant_summability(P)
-    report.record({"check": "envelope", "P": P}, total <= 3.613, total, 3.613)
-    report.record({"check": "cap", "P": P}, total <= 4.0, total, 4.0)
+    yield {"check": "envelope", "P": P}, total <= 3.613, total, 3.613
+    yield {"check": "cap", "P": P}, total <= 4.0, total, 4.0
     prev = 0.0
     ok = True
     for P_step in sorted({s for s in (1, 10, 100, 1000, P) if s <= P}):
         cur = check_majorant_summability(P_step)
         ok = ok and cur >= prev
         prev = cur
-    report.record({"check": "monotone", "P": P}, ok)
-    return report
+    yield {"check": "monotone", "P": P}, ok
 
 
-def _suite_sum_bound(n_max=40) -> VerifyReport:
-    report = VerifyReport(suite="sum_bound", rectangle={"n_max": n_max})
+@_suite
+def _suite_sum_bound(n_max=40):
     for n, row, up in _row_pairs(n_max, n_max * (n_max + 1) // 2):
-        report.record({"n": n}, _sum_bound_claim(n, row, up))
-    return report
+        yield {"n": n}, _sum_bound_claim(n, row, up)
 
 
-def _suite_gamma(n_max=60, K_values=(1, 2, 4)) -> VerifyReport:
-    report = VerifyReport(suite="gamma",
-                          rectangle={"n_max": n_max, "K_values": list(K_values)})
+@_suite
+def _suite_gamma(n_max=60, K_values=[1, 2, 4]):  # a list prints as "[1, 2, 4]"
+    if any(K < 1 for K in K_values):
+        raise ValueError(f"K_values needs every K >= 1, got {K_values}")
     for K in K_values:
         for n in range(1, n_max + 1):
             p_min = max(1, -(-(n * n) // K))
             ps = list(range(p_min, p_min + 40)) + [p_min * 4, p_min * 16]
             for p in sorted(set(ps)):
-                report.record({"K": K, "n": n, "p": p}, check_gamma_K(n, p, K))
-    return report
+                yield {"K": K, "n": n, "p": p}, check_gamma_K(n, p, K)
 
 
-def _suite_technical(N_max=400) -> VerifyReport:
-    report = VerifyReport(suite="technical", rectangle={"N_max": N_max})
+@_suite
+def _suite_technical(N_max=400):
     C = _technical_C()
     sums = dict(_column_sum_rows(math.isqrt(N_max), N_max))
     for N in range(1, N_max + 1):
@@ -631,53 +632,23 @@ def _suite_technical(N_max=400) -> VerifyReport:
         r_over_C = r / C
         row = sums[r]
         for k in range(N + 1):
-            report.record({"N": N, "k": k}, _technical_claim(N, k, r, row[k], r_over_C))
-    return report
+            yield {"N": N, "k": k}, _technical_claim(N, k, r, row[k], r_over_C)
 
 
-def _suite_s_monotone(N_max=100, k_max=120) -> VerifyReport:
-    report = VerifyReport(suite="s_monotone",
-                          rectangle={"N_max": N_max, "k_max": k_max})
+@_suite
+def _suite_s_monotone(N_max=100, k_max=120):
     sums = dict(_column_sum_rows(math.isqrt(N_max), k_max + 1))
     for N in range(1, N_max + 1):
         row = sums[math.isqrt(N)]
         for k in range(k_max + 1):
-            report.record({"N": N, "k": k}, _s_monotone_claim(row[k], row[k + 1]))
-    return report
+            yield {"N": N, "k": k}, _s_monotone_claim(row[k], row[k + 1])
 
 
-def _suite_sums(N_max=40, p_max=100) -> VerifyReport:
-    report = VerifyReport(suite="sums",
-                          rectangle={"N_max": N_max, "p_max": p_max})
+@_suite
+def _suite_sums(N_max=40, p_max=100):
     for N, direct in _column_sum_rows(N_max, p_max):
         for p in range(p_max + 1):
-            _record_exact(report, {"N": N, "p": p},
-                          sum_alpha_mantissa(N, p), direct[p], N + 2 * p)
-    return report
-
-
-SUITES: dict[str, Callable[..., VerifyReport]] = {
-    "oracle": _suite_oracle,
-    "recurrences": _suite_recurrences,
-    "monotonicity": _suite_monotonicity,
-    "k_regions": _suite_k_regions,
-    "quotient": _suite_quotient,
-    "bounds": _suite_bounds,
-    "alpha0": _suite_alpha0,
-    "majorant": _suite_majorant,
-    "sum_bound": _suite_sum_bound,
-    "gamma": _suite_gamma,
-    "technical": _suite_technical,
-    "s_monotone": _suite_s_monotone,
-    "sums": _suite_sums,
-}
-
-
-# Each suite's keyword parameters are its rectangle keys, read once here so
-# that a wrapper installed over a SUITES entry keeps the same schema.
-RECTANGLE_KEYS: dict[str, tuple[str, ...]] = {
-    name: tuple(inspect.signature(fn).parameters) for name, fn in SUITES.items()
-}
+            yield _exact({"N": N, "p": p}, sum_alpha_mantissa(N, p), direct[p], N + 2 * p)
 
 
 class UnknownSuiteError(KeyError):

@@ -45,26 +45,24 @@ def pow2(e: int) -> Rational:
 def rational_str(q: Rational) -> str:
     """Serialize exactly: terminating decimal when one exists, else 'p/q'.
 
-    A reduced fraction terminates in base 10 iff its denominator is 2^a * 5^b.
+    A reduced fraction terminates in base 10 iff its denominator is 2^a * 5^b;
+    with k = max(a, b) its digits are the integer |num| 2^(k-a) 5^(k-b).
     """
     q = Fraction(q)
-    den = q.denominator
-    a = 0
-    while den % 2 == 0:
-        den //= 2
-        a += 1
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return str(num)
+    a = (den & -den).bit_length() - 1
+    rest = den >> a
     b = 0
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         b += 1
-    if den != 1:
-        return f"{q.numerator}/{q.denominator}"
-    if q.denominator == 1:
-        return str(q.numerator)
-    # scale to 10^max(a,b) and place the decimal point
+    if rest != 1:
+        return f"{num}/{den}"
     digits = max(a, b)
-    scaled = abs(q.numerator) * 10**digits // q.denominator
-    sign = "-" if q.numerator < 0 else ""
+    scaled = (abs(num) << (digits - a)) * 5 ** (digits - b)
+    sign = "-" if num < 0 else ""
     text = str(scaled).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:]
     return f"{sign}{whole}.{frac}"

@@ -29,7 +29,7 @@ come from packed big-integer multiplication (Kronecker substitution).  Float
 helpers evaluate psi(x)^n and its truncated series.
 
 `alternating_dyadic_sum` sums a conditionally convergent alternating series
-of dyadic terms +-m_p / 2^(shift+2p): an exact partial sum, then iterated
+of dyadic terms +-m_p / 4^p: an exact partial sum, then iterated
 averaging of a window of partial sums for the tail, all carried as one
 integer over a power of two and rounded once to float.  Only the worked
 example's S(n) in `operators` uses it, streaming its numerators from the
@@ -346,9 +346,9 @@ def alpha_tail_envelope(n: int, P: int) -> float:
 # ---------------------------------------------------------------------------
 
 def alternating_dyadic_sum(
-    numerators: Iterable[int], shift: int, start: int, window: int
+    numerators: Iterable[int], start: int, window: int
 ) -> float:
-    """sum_p (-1)^p m_p / 2^(shift+2p) over the integers m_0, m_1, ... .
+    """sum_p (-1)^p m_p / 4^p over the integers m_0, m_1, ... .
 
     Terms p < start are summed exactly.  The alternating tail from p = start
     is collapsed by iterated averaging of the window partial sums s_0..s_(w-1)
@@ -356,14 +356,14 @@ def alternating_dyadic_sum(
     alternating series with smooth, decreasing term magnitudes.  Averaging
     neighbours w-1 times is exactly the binomial combination
     sum_k C(w-1, k) s_k / 2^(w-1), so everything is one integer over
-    2^(shift + 2*last + w - 1), last = start + w - 1, built by Horner-style
+    2^(2*last + w - 1), last = start + w - 1, built by Horner-style
     left shifts, and the only rounding is the final correctly rounded
     int / int division.
     """
     if start < 0 or window < 1:
         raise ValueError(f"need start >= 0 and window >= 1, got ({start}, {window})")
     last = start + window - 1
-    acc = 0       # partial sum through term p, times 2^(shift + 2p)
+    acc = 0       # partial sum through term p, times 4^p
     weighted = 0  # sum_k C(w-1, k) s_k over the window so far, same scale
     c = 1         # C(w-1, k) for the next window index k
     p = -1
@@ -375,4 +375,4 @@ def alternating_dyadic_sum(
             c = c * (window - 1 - k) // (k + 1)
     if p != last:
         raise ValueError(f"need {last + 1} numerators, got {p + 1}")
-    return weighted / (1 << (shift + 2 * last + window - 1))
+    return weighted / (1 << (2 * last + window - 1))

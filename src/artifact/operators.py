@@ -44,7 +44,7 @@ from .coeffs import (
     alpha_tail_envelope,
     alternating_dyadic_sum,
 )
-from .analysis import technical_C_down
+from .analysis import BoundConstants, technical_C_down
 from .report import VerifyReport
 
 
@@ -387,8 +387,9 @@ def check_power_bound_theorem(
     """n ||A^n - A^(n+1)|| <= 33M/2 and ||A^n|| <= 33M/2, M the probed power sup."""
     start = time.perf_counter()
     M = max([1.0] + probe_power_bound(T, probe_len, norm=norm))
-    report = _difference_theorem(T, "power_bound", M, 33.0 * M / 2.0,
-                                 33.0 * M / 2.0, n_max, eps, norm, probe_len)
+    bound = float(BoundConstants.C_sum) * M
+    report = _difference_theorem(T, "power_bound", M, bound, bound, n_max, eps, norm,
+                                 probe_len)
     report.elapsed_s = time.perf_counter() - start
     return report
 
@@ -401,7 +402,8 @@ def check_mean_bound_theorem(
     start = time.perf_counter()
     M = max(probe_mean_bound(T, probe_len, norm=norm), 1.0)
     report = _difference_theorem(T, "mean_bound", M, MEAN_NORM_FACTOR * M,
-                                 99.0 * M / 2.0, n_max, eps, norm, probe_len)
+                                 float(BoundConstants.C_meanbound) * M,
+                                 n_max, eps, norm, probe_len)
     report.elapsed_s = time.perf_counter() - start
     return report
 
@@ -459,7 +461,7 @@ def S_value(n: int, window: int = 64) -> float:
         raise ValueError("n must be >= 1")
     start = (n * n + n) // 2 + 8
     terms = (p * a // n for p, a in enumerate(alpha_mantissa_stream(n)))
-    return alternating_dyadic_sum(terms, 0, start, window)
+    return alternating_dyadic_sum(terms, start, window)
 
 
 def S_remainder_at_J(n: int) -> float:

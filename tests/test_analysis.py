@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from artifact.analysis import (
     BoundConstants,
+    RECTANGLE_KEYS,
     UnknownSuiteError,
     SUITES,
     c_np,
@@ -166,6 +167,16 @@ class TestUpperLowerK:
         # n = 5 has a root exactly at p = 0 (the quartic vanishes)
         assert _quartic_q(5) == 0
         assert check_upper_lower_K(5, 0) is None
+
+    def test_only_exact_roots_are_ties(self):
+        # 24p = A -+ sqrt(D) in integers; the neighbours of a tie are decided
+        for n, p in ((5, 0), (5, 29), (90, 714), (90, 7475)):
+            A, D = _discriminant(n)
+            assert (A - 24 * p) ** 2 == D
+            assert check_upper_lower_K(n, p) is None
+            assert check_upper_lower_K(n, p + 1) is True
+            if p:
+                assert check_upper_lower_K(n, p - 1) is True
 
     def test_rejects_n_without_roots(self):
         with pytest.raises(ValueError):
@@ -499,27 +510,50 @@ class TestSuites:
             "s_monotone", "sums",
         }
 
+    SMALL = {
+        "oracle": dict(n_max=5, p_max=10),
+        "recurrences": dict(n_max=5, alpha_p_max=15, beta_p_max=15),
+        "monotonicity": dict(n_max=8, p_max=30),
+        "k_regions": dict(n_max=8, p_max=40),
+        "quotient": dict(n_max=6, p_max=25),
+        "bounds": dict(n_max=7, p_max=25),
+        "alpha0": dict(n_max=12),
+        "majorant": dict(P=200),
+        "sum_bound": dict(n_max=3),
+        "gamma": dict(n_max=6),
+        "technical": dict(N_max=25),
+        "s_monotone": dict(N_max=16, k_max=20),
+        "sums": dict(N_max=6, p_max=12),
+    }
+
     def test_small_rectangles_pass(self):
-        cases = {
-            "oracle": dict(n_max=5, p_max=10),
-            "recurrences": dict(n_max=5, alpha_p_max=15, beta_p_max=15),
-            "monotonicity": dict(n_max=8, p_max=30),
-            "k_regions": dict(n_max=8, p_max=40),
-            "quotient": dict(n_max=6, p_max=25),
-            "bounds": dict(n_max=7, p_max=25),
-            "alpha0": dict(n_max=12),
-            "majorant": dict(P=200),
-            "sum_bound": dict(n_max=3),
-            "gamma": dict(n_max=6),
-            "technical": dict(N_max=25),
-            "s_monotone": dict(N_max=16, k_max=20),
-            "sums": dict(N_max=6, p_max=12),
-        }
-        for name, rect in cases.items():
+        assert set(self.SMALL) == set(SUITES)
+        for name, rect in self.SMALL.items():
             report = run_suite(name, **rect)
             assert report.passed, (name, report.failures[:2])
             assert report.checks > 0
             assert report.elapsed_s >= 0
+            # the registry names the report and states the rectangle that ran
+            assert report.suite == name
+            assert tuple(report.rectangle) == RECTANGLE_KEYS[name]
+            assert report.rectangle | rect == report.rectangle, name
+
+    def test_registry_fills_rectangle_defaults_from_signature(self):
+        assert run_suite("gamma", n_max=2).rectangle == {
+            "n_max": 2, "K_values": [1, 2, 4]}
+        assert run_suite("sums", p_max=3).rectangle == {"N_max": 40, "p_max": 3}
+
+    def test_plain_wrapper_keeps_unread_key_error(self, monkeypatch):
+        inner = SUITES["alpha0"]
+        monkeypatch.setitem(SUITES, "alpha0", lambda *args, **kwargs: inner(*args, **kwargs))
+        assert run_suite("alpha0", n_max=3).checks == 3
+        with pytest.raises(ValueError, match="does not read bogus"):
+            run_suite("alpha0", n_max=3, bogus=1)
+
+    @pytest.mark.parametrize("K_values", [[-1], [0], [1, 0.5]])
+    def test_gamma_rejects_K_below_one(self, K_values):
+        with pytest.raises(ValueError, match="K >= 1"):
+            run_suite("gamma", n_max=3, K_values=K_values)
 
     def test_unread_rectangle_keys_fail_loudly(self):
         with pytest.raises(ValueError, match="bogus, p_max"):

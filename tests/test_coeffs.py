@@ -35,14 +35,14 @@ from artifact.operators import S_value
 ROOT2 = math.sqrt(2.0)
 
 
-def fraction_alternating_sum(numerator, shift, start, window):
+def fraction_alternating_sum(numerator, start, window):
     """The Fraction algorithm the integer kernel replaced, kept as reference.
 
-    Exact partial sum of (-1)^p numerator(p) / 2^(shift+2p) for p < start,
+    Exact partial sum of (-1)^p numerator(p) / 4^p for p < start,
     plus the window partial sums averaged pairwise down to one value.
     """
     def term(p):
-        t = Fraction(numerator(p), 1 << (shift + 2 * p))
+        t = Fraction(numerator(p), 1 << (2 * p))
         return -t if p % 2 else t
 
     total = sum((term(p) for p in range(start)), Fraction(0))
@@ -60,7 +60,7 @@ def reference_S_value(n, window=64):
     """S(n) by the Fraction reference."""
     J = (n * n + n) // 2
     return fraction_alternating_sum(
-        lambda p: math.comb(n + 2 * p - 1, p - 1) if p else 0, 0, J + 8, window
+        lambda p: math.comb(n + 2 * p - 1, p - 1) if p else 0, J + 8, window
     )
 
 
@@ -309,24 +309,24 @@ class TestBoundarySeries:
 
     def test_kernel_geometric_series(self):
         # sum_p (-1/4)^p = 4/5
-        assert alternating_dyadic_sum(repeat(1), 0, 0, 40) == pytest.approx(
+        assert alternating_dyadic_sum(repeat(1), 0, 40) == pytest.approx(
             0.8, abs=1e-15
         )
 
     def test_kernel_central_binomial_series(self):
         # sum_p (-1)^p C(2p, p) / 4^p = (1 + 1)^(-1/2), conditionally convergent
         value = alternating_dyadic_sum(
-            (math.comb(2 * p, p) for p in count()), 0, 8, 40
+            (math.comb(2 * p, p) for p in count()), 8, 40
         )
         assert value == pytest.approx(1 / ROOT2, abs=1e-15)
 
     def test_kernel_domain(self):
         with pytest.raises(ValueError):
-            alternating_dyadic_sum(repeat(1), 0, 0, 0)
+            alternating_dyadic_sum(repeat(1), 0, 0)
         with pytest.raises(ValueError):
-            alternating_dyadic_sum(repeat(1), 0, -1, 4)
+            alternating_dyadic_sum(repeat(1), -1, 4)
         with pytest.raises(ValueError, match="need 8 numerators, got 7"):
-            alternating_dyadic_sum([1] * 7, 0, 4, 4)
+            alternating_dyadic_sum([1] * 7, 4, 4)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 32, 60])
     def test_bit_identical_to_fraction_reference(self, n):
