@@ -53,7 +53,6 @@ from .arith import (
     certified_le,
     iv,
     iv_float_down,
-    iv_float_up,
 )
 from .coeffs import (
     alpha_mantissa,
@@ -73,11 +72,6 @@ class BoundConstants:
 
     C_sum: Rational = Fraction(33, 2)
     C_meanbound: Rational = Fraction(99, 2)
-
-    @staticmethod
-    def stirling_slack() -> float:
-        """Upper endpoint of e^(1/12), the Stirling correction factor."""
-        return iv_float_up(iv.exp(iv.mpf(1) / 12))
 
     @staticmethod
     def majorant(p: int) -> float:
@@ -651,7 +645,7 @@ def _suite_sums(N_max=40, p_max=100):
             yield _exact({"N": N, "p": p}, sum_alpha_mantissa(N, p), direct[p], N + 2 * p)
 
 
-class UnknownSuiteError(KeyError):
+class UnknownSuiteError(ValueError):
     pass
 
 

@@ -35,13 +35,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def pow2(e: int) -> Rational:
-    """Exact 2**e, e may be negative."""
-    if e >= 0:
-        return Fraction(1 << e)
-    return Fraction(1, 1 << (-e))
-
-
 def rational_str(q: Rational) -> str:
     """Serialize exactly: terminating decimal when one exists, else 'p/q'.
 
@@ -76,12 +69,6 @@ def parse_rational(text: str) -> Rational:
 # ---------------------------------------------------------------------------
 # certified comparisons against transcendental expressions
 # ---------------------------------------------------------------------------
-
-def iv_rational(q: Rational) -> "iv.mpf":
-    """Enclose an exact rational in an interval (tight to working precision)."""
-    q = Fraction(q)
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
-
 
 def _cmp_endpoint(x: Rational, shift: int, endpoint: tuple) -> int:
     """Sign of x/2^shift - e, exactly, for an mpf endpoint e = (-1)^s man 2^exp.

@@ -1,18 +1,20 @@
 """Command-line front end: coefficient queries, tables, figure data, suites.
 
-Subcommands:
+Subcommands (each declares only the flags it reads; see --help):
   coeff     print one exact coefficient (and its float value)
-  table     export a coefficient table as CSV with exact rational strings
+  table     export a coefficient table as CSV or JSON with exact rational strings
   figure    emit figure data (CSV): fig1 difference columns with threshold
             markers, fig2/fig3 boundary-behavior curves on an x grid
   verify    run a registered verification suite, print its JSON report
-  operator  matrix demos: truncated A^n, Cesaro averages, theorem checks,
-            the 2x2 worked example, seeded random stochastic matrices
+  operator  matrix demos, one sub-command per action: truncated A^n, Cesaro
+            averages, theorem checks, the 2x2 worked example, seeded random
+            stochastic matrices
 
-Exit codes: 0 success/pass, 1 failures or runtime errors, 2 unknown suite,
-a rectangle flag the suite does not read, a negative or empty rectangle, or
-other bad usage.  All output is deterministic for fixed flags; only the
-elapsed_s field of reports varies between runs.
+A flag with a library counterpart is passed on only when given, so the library
+signature is the one home of its default.  Exit codes: 0 success/pass; 1
+failures, or an operator's runtime error as JSON on stdout; 2 bad usage (an
+unread flag, an unknown suite, an out-of-range value) on stderr, with nothing
+on stdout.  Output is deterministic apart from the elapsed_s of reports.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .arith import rational_str
-from .analysis import UnknownSuiteError, run_all_suites, run_suite, thresholds
+from .analysis import run_all_suites, run_suite, thresholds
 from .coeffs import alpha, beta, psi_eval
 from .operators import (
     APPENDIX_T,
@@ -58,6 +61,13 @@ def _json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+def _given(args, *skip: str) -> dict:
+    """The flags on the command line, less the routing ones; a flag declared
+    with a SUPPRESS default is absent unless given, so the library's applies."""
+    skip += ("command", "action", "fn", "out")
+    return {k: v for k, v in vars(args).items() if k not in skip}
+
+
 def cmd_coeff(args) -> int:
     value = (alpha if args.kind == "alpha" else beta)(args.n, args.p)
     if args.format == "json":
@@ -72,6 +82,9 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.n_max < 1 or args.p_max < 0:
+        raise ValueError(f"table needs n_max >= 1 and p_max >= 0, got "
+                         f"{args.n_max} and {args.p_max}")
     fn = alpha if args.kind == "alpha" else beta
     if args.format == "json":
         entries = [
@@ -90,13 +103,17 @@ def cmd_table(args) -> int:
 
 
 def _x_grid(points: int, x_max: float) -> list[float]:
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
     return [i * x_max / (points - 1) for i in range(points)]
 
 
 def cmd_figure(args) -> int:
-    n_values = args.n or FIGURE_DEFAULT_N[args.id]
+    n_values = FIGURE_DEFAULT_N[args.id] if args.n is None else args.n
     lines = []
     if args.id == "fig1":
+        if args.p_max < 0:
+            raise ValueError(f"p_max must be >= 0, got {args.p_max}")
         lines.append("n,p,diff")
         for n in n_values:
             for p in range(args.p_max + 1):
@@ -124,131 +141,104 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rect = {
-        "n_max": args.n_max,
-        "p_max": args.p_max,
-        "N_max": args.N_max,
-        "k_max": args.k_max,
-        "P": args.P,
-    }
-    rect = {k: v for k, v in rect.items() if v is not None}
-    try:
-        if args.suite == "all":
-            if rect:
-                raise ValueError(
-                    f"verify all runs every suite at its default rectangle; "
-                    f"drop {', '.join(sorted(rect))} or name one suite"
-                )
-            reports = run_all_suites()
-            text = _json([r.to_dict() for r in reports])
-            failed = any(not r.passed for r in reports)
-        else:
-            report = run_suite(args.suite, **rect)
-            text = report.to_json()
-            failed = not report.passed
-    except UnknownSuiteError as exc:
-        sys.stderr.write(f"error: {exc.args[0]}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    rect = _given(args, "suite")
+    if args.suite == "all":
+        if rect:
+            raise ValueError(
+                f"verify all runs every suite at its default rectangle; "
+                f"drop {', '.join(sorted(rect))} or name one suite"
+            )
+        reports = run_all_suites()
+        text = _json([r.to_dict() for r in reports])
+        failed = any(not r.passed for r in reports)
+    else:
+        report = run_suite(args.suite, **rect)
+        text = report.to_json()
+        failed = not report.passed
     _emit(text, args.out)
     return 1 if failed else 0
 
 
-def _operator_error(exc: Exception) -> int:
-    _emit(_json({"error": type(exc).__name__, "message": str(exc)}), None)
-    return 1
+# Operator actions call one library function and render its result as
+# (text, exit code).
+
+def _matrix_text(mat):
+    return _json(mat.to_dict()), 0
 
 
-def cmd_operator(args) -> int:
-    norm = Norm(args.norm)
+def _report_text(report):
+    return report.to_json(), 0 if report.passed else 1
+
+
+def _brunel_text(r):
+    return _json({"matrix": r.matrix.to_dict(), "truncation_P": r.truncation_P,
+                  "tail_bound": r.tail_bound, "norm": r.norm_used.value}), 0
+
+
+def _appendix_text(ex):
+    return _json({"n": ex.n, "S_n": ex.S_n, "closed_form": ex.closed_form.to_dict(),
+                  "series_matrix": ex.series_matrix.to_dict(),
+                  "max_abs_difference": ex.max_abs_difference,
+                  "remainder_at_J": ex.remainder_at_J}), 0
+
+
+def cmd_operator(call, render, args) -> int:
+    """Run one operator action; a runtime error is reported as JSON, exit 1."""
+    given = _given(args)
     try:
-        if args.action == "appendix-demo":
-            ex = appendix_example(args.n or 5, eps=args.eps or 1e-10)
-            _emit(_json({
-                "n": ex.n,
-                "S_n": ex.S_n,
-                "closed_form": ex.closed_form.to_dict(),
-                "series_matrix": ex.series_matrix.to_dict(),
-                "max_abs_difference": ex.max_abs_difference,
-                "remainder_at_J": ex.remainder_at_J,
-            }), args.out)
-            return 0
-        if args.action == "random-stochastic":
-            mat = random_stochastic(args.dim, args.seed, doubly=args.doubly)
-            _emit(_json(mat.to_dict()), args.out)
-            return 0
-        if args.matrix:
-            T = load_matrix(args.matrix)
-        elif args.action == "check-mean-bound":
-            # The mean-bound theorem demo targets the worked 2x2 example.
-            T = APPENDIX_T
-        else:
-            sys.stderr.write("error: this action needs --matrix PATH\n")
-            return 2
-        if args.action == "brunel-power":
-            result = brunel(T, args.n or 1, eps=args.eps or 1e-8, norm=norm)
-            _emit(_json({
-                "matrix": result.matrix.to_dict(),
-                "truncation_P": result.truncation_P,
-                "tail_bound": result.tail_bound,
-                "norm": result.norm_used.value,
-            }), args.out)
-            return 0
-        if args.action == "cesaro":
-            _emit(_json(cesaro(T, args.N).to_dict()), args.out)
-            return 0
-        if args.action == "check-power-bound":
-            report = check_power_bound_theorem(
-                T, n_max=args.n_max or 40, eps=args.eps or 0.1, norm=norm)
-        elif args.action == "check-mean-bound":
-            report = check_mean_bound_theorem(
-                T, n_max=args.n_max or 30, eps=args.eps or 0.1, norm=norm)
-        elif args.action == "check-domination":
-            report = check_cesaro_domination(
-                T, N_max=args.N_max or 200, eps=args.eps or 0.05)
-        else:
-            sys.stderr.write(f"error: unknown operator action {args.action!r}\n")
-            return 2
-        _emit(report.to_json(), args.out)
-        return 0 if report.passed else 1
+        if "matrix" in given:
+            # optional only for check-mean-bound: its demo is the 2x2 example
+            path = given.pop("matrix")
+            given["T"] = APPENDIX_T if path is None else load_matrix(path)
+        text, code = render(call(**given))
+        _emit(text, args.out)
     except (SpectralExplosionError, MeanBoundProbeError, NonConvergenceError,
-            ValueError, OSError, json.JSONDecodeError) as exc:
-        return _operator_error(exc)
+            ValueError, OSError) as exc:
+        _emit(_json({"error": type(exc).__name__, "message": str(exc)}), None)
+        return 1
+    return code
+
+
+def _flag(*names: str, **kw) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for the commands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kw)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default=None, metavar="PATH")
-    common.add_argument("--norm", choices=[n.value for n in Norm],
-                        default="opinf")
-    common.add_argument("--eps", type=float, default=None)
-    common.add_argument("--seed", type=int, default=0)
+    library = argparse.SUPPRESS  # the default lives in the library signature
+    out = _flag("--out", metavar="PATH")
+    fmt = _flag("--format", choices=("csv", "json"), default="csv")
+    kind = _flag("--kind", choices=("alpha", "beta"), default="alpha")
+    matrix = _flag("--matrix", metavar="PATH", required=True)
+    eps = _flag("--eps", type=float, default=library)
+    norm = _flag("--norm", type=Norm, choices=list(Norm),
+                 metavar="{" + ",".join(n.value for n in Norm) + "}",
+                 default=library)
+    n_max = _flag("--n-max", type=int, default=library)
 
     parser = argparse.ArgumentParser(
-        prog="artifact",
+        prog="artifact", allow_abbrev=False,
         description="Exact psi-power coefficients, certified operator series, "
                     "and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeff", parents=[common],
+    p = sub.add_parser("coeff", parents=[kind, fmt, out], allow_abbrev=False,
                        help="print one exact coefficient")
-    p.add_argument("--kind", choices=("alpha", "beta"), default="alpha")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(fn=cmd_coeff)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[kind, fmt, out], allow_abbrev=False,
                        help="export an exact coefficient table")
-    p.add_argument("--kind", choices=("alpha", "beta"), default="alpha")
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--p-max", type=int, default=40)
     p.set_defaults(fn=cmd_table)
 
-    p = sub.add_parser("figure", parents=[common], help="emit figure data CSV")
+    p = sub.add_parser("figure", parents=[out], allow_abbrev=False,
+                       help="emit figure data CSV")
     p.add_argument("id", choices=("fig1", "fig2", "fig3"))
     p.add_argument("--n", type=int, action="append",
                    help="repeatable; defaults depend on the figure")
@@ -257,35 +247,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=float, default=0.9999)
     p.set_defaults(fn=cmd_figure)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[n_max, out], allow_abbrev=False,
                        help="run a verification suite")
     p.add_argument("suite")
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--p-max", type=int, default=None)
-    p.add_argument("--N-max", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--P", type=int, default=None)
+    for flag in ("--p-max", "--N-max", "--k-max", "--P"):
+        p.add_argument(flag, type=int, default=library)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("operator", parents=[common], help="matrix operations")
-    p.add_argument("action", choices=(
-        "brunel-power", "cesaro", "check-power-bound", "check-mean-bound",
-        "check-domination", "appendix-demo", "random-stochastic"))
-    p.add_argument("--matrix", default=None, metavar="PATH")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", type=int, default=8)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--N-max", type=int, default=None)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--doubly", action="store_true")
-    p.set_defaults(fn=cmd_operator)
+    actions = sub.add_parser("operator", allow_abbrev=False,
+                             help="matrix operations").add_subparsers(
+        dest="action", required=True)
+
+    def action(name, call, render, *parents, help):
+        a = actions.add_parser(name, parents=[*parents, out], allow_abbrev=False,
+                               help=help)
+        a.set_defaults(fn=partial(cmd_operator, call, render))
+        return a
+
+    a = action("brunel-power", brunel, _brunel_text, matrix, eps, norm,
+               help="truncated A^n(T) with its certified tail bound")
+    a.add_argument("--n", dest="n_power", metavar="N", type=int, default=library)
+    a = action("cesaro", cesaro, _matrix_text, matrix,
+               help="(I + T + ... + T^(N-1)) / N")
+    a.add_argument("--N", type=int, default=8)
+    action("check-power-bound", check_power_bound_theorem, _report_text,
+           matrix, n_max, eps, norm, help="power-bounded difference theorem")
+    a = action("check-mean-bound", check_mean_bound_theorem, _report_text,
+               n_max, eps, norm, help="mean-bounded difference theorem")
+    a.add_argument("--matrix", metavar="PATH",
+                   help="defaults to the worked 2x2 example")
+    a = action("check-domination", check_cesaro_domination, _report_text,
+               matrix, eps, help="entrywise Cesaro square-root domination")
+    a.add_argument("--N-max", type=int, default=library)
+    a = action("appendix-demo", appendix_example, _appendix_text, eps,
+               help="the worked 2x2 example, series against closed form")
+    a.add_argument("--n", type=int, default=5)
+    a = action("random-stochastic", random_stochastic, _matrix_text,
+               help="a seeded random stochastic matrix")
+    a.add_argument("--dim", type=int, default=3)
+    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--doubly", action="store_true", default=library)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

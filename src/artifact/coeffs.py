@@ -100,18 +100,23 @@ def mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
         yield n, cur
 
 
-def alpha_float_rows(n_list: Sequence[int], P: int) -> np.ndarray:
-    """Stacked float rows alpha(n, 0..P) via the vectorized ratio recurrence."""
-    p = np.arange(P, dtype=np.float64)
-    out = np.empty((len(n_list), P + 1))
-    for i, n in enumerate(n_list):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        ratios = (n + 2 * p + 1) * (n + 2 * p) / (4 * (p + 1) * (n + p + 1))
-        out[i, 0] = 2.0 ** (-n)
-        if P:
-            out[i, 1:] = out[i, 0] * np.cumprod(ratios)
-    return out
+def alpha_float_blocks(n_list: Sequence[int], P: int, width: int) -> Iterator[np.ndarray]:
+    """Float alpha(n, p) for p = 0..P, in (len(n_list), <= width) blocks.
+
+    alpha(n, p) = 2^-n r_0 r_1 ... r_(p-1), r_j = alpha(n, j+1)/alpha(n, j); the
+    running product is carried across blocks, so no value depends on the width.
+    """
+    if min(n_list) < 1:
+        raise ValueError(f"n must be >= 1, got {min(n_list)}")
+    n = np.array(n_list, dtype=np.float64)[:, None]
+    scale = np.array([2.0 ** -k for k in n_list])[:, None]
+    carry = np.ones((len(n_list), 1))
+    for s in range(0, P + 1, width):
+        j = np.arange(max(s, 1) - 1, min(s + width, P + 1) - 1, dtype=np.float64)
+        ratios = (n + 2 * j + 1) * (n + 2 * j) / (4 * (j + 1) * (n + j + 1))
+        prods = np.cumprod(np.hstack([carry, ratios]), axis=1)
+        carry = prods[:, -1:]
+        yield scale * (prods if s == 0 else prods[:, 1:])
 
 
 def alpha(n: int, p: int) -> Rational:
@@ -138,11 +143,6 @@ def beta(n: int, p: int) -> Rational:
 def alpha_ratio(n: int, p: int) -> Rational:
     """alpha(n, p+1)/alpha(n, p) by the closed ratio formula."""
     return Fraction((n + 2 * p + 1) * (n + 2 * p), 4 * (p + 1) * (n + p + 1))
-
-
-def alpha_zero_convention(p: int) -> Rational:
-    """Coefficients of psi(x)^0 = 1: 1 at p = 0, else 0 (inferred convention)."""
-    return Fraction(1) if p == 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ def psi_partial_sum(x: float, n: int, P: int) -> float:
     """sum_{p=0}^{P} alpha(n, p) x^p in float."""
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [-1, 1], got {x}")
-    coeffs = alpha_float_rows([n], P)[0].tolist()
+    coeffs = next(alpha_float_blocks([n], P, P + 1))[0].tolist()
     total = 0.0
     xp = 1.0
     for p in range(P + 1):

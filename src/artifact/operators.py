@@ -39,13 +39,19 @@ import numpy as np
 
 from .arith import binomial, iv, iv_float_up
 from .coeffs import (
-    alpha_float_rows,
+    alpha_float_blocks,
     alpha_mantissa_stream,
     alpha_tail_envelope,
     alternating_dyadic_sum,
 )
 from .analysis import BoundConstants, technical_C_down
 from .report import VerifyReport
+
+POWER_BLOCK = 1024  # powers of T held at once by the general path
+P_CAP = 10 ** 6  # largest truncation P the general path sums to
+PROBE_CUTOFF = 1e6  # a probed norm above this counts as divergence
+S_WINDOW = 64  # partial sums averaged for the alternating tail of S(n)
+SINKHORN_ITERS = 200  # balancing rounds of random_stochastic(doubly=True)
 
 
 class Norm(enum.Enum):
@@ -152,23 +158,23 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
 # probes
 # ---------------------------------------------------------------------------
 
-def _check_probe_len(probe_len: int) -> None:
-    if probe_len < 1:
-        raise ValueError("probe_len must be >= 1")
+def _check_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def probe_power_bound(
-    T: DenseMatrix, probe_len: int = 2000, cutoff: float = 1e6,
-    norm: Norm = Norm.OPINF,
+    T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
 ) -> list[float]:
-    """||T^p|| for p = 1..probe_len; errs if any norm passes the cutoff."""
-    _check_probe_len(probe_len)
+    """||T^p|| for p = 1..probe_len; errs if any norm passes PROBE_CUTOFF."""
+    _check_positive(probe_len=probe_len)
     norms = []
     for p, power in enumerate(islice(_powers(T), 1, probe_len + 1), start=1):
         value = norm.compute(power)
-        if not math.isfinite(value) or value > cutoff:
+        if not math.isfinite(value) or value > PROBE_CUTOFF:
             raise SpectralExplosionError(
-                f"||T^{p}|| = {value:g} exceeds the probe cutoff {cutoff:g}"
+                f"||T^{p}|| = {value:g} exceeds the probe cutoff {PROBE_CUTOFF:g}"
             )
         norms.append(value)
         if value == 0.0:
@@ -177,19 +183,18 @@ def probe_power_bound(
 
 
 def probe_mean_bound(
-    T: DenseMatrix, probe_len: int = 2000, cutoff: float = 1e6,
-    norm: Norm = Norm.OPINF,
+    T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
 ) -> float:
     """sup of ||(I + T + ... + T^(N-1))/N|| over N = 1..probe_len."""
-    _check_probe_len(probe_len)
+    _check_positive(probe_len=probe_len)
     best = 0.0
     acc = np.zeros((T.dim, T.dim))
     for N, power in enumerate(islice(_powers(T), probe_len), start=1):
         acc += power
         value = norm.compute(acc) / N
-        if not math.isfinite(value) or value > cutoff:
+        if not math.isfinite(value) or value > PROBE_CUTOFF:
             raise MeanBoundProbeError(
-                f"||M_{N}|| = {value:g} exceeds the probe cutoff {cutoff:g}"
+                f"||M_{N}|| = {value:g} exceeds the probe cutoff {PROBE_CUTOFF:g}"
             )
         best = max(best, value)
     return best
@@ -199,19 +204,20 @@ def probe_mean_bound(
 # series evaluation
 # ---------------------------------------------------------------------------
 
-POWER_BLOCK = 1024  # powers of T held at once by the general path
+def _pick_P(n: int, M: float, eps: float) -> int:
+    """Smallest P >= 16 with envelope(n, P) * M <= eps, up to P_CAP.
 
-
-def _pick_P(n: int, M: float, eps: float, cap: int) -> int:
-    """Smallest truncation with envelope(n, P) * M <= eps (within the cap)."""
+    The start solves e^(1/12) n M / sqrt(pi P) = eps with 1.0869 < e^(1/12),
+    a few parts per million short, so the search steps up one term at a time.
+    """
     if M == 0.0:
         return 0
     P = max(16, math.ceil((1.0869 * n * M / eps) ** 2 / math.pi))
-    while P <= cap and alpha_tail_envelope(n, P) * M > eps:
-        P = P * 2
-    if P > cap:
+    while P <= P_CAP and alpha_tail_envelope(n, P) * M > eps:
+        P += 1
+    if P > P_CAP:
         raise NonConvergenceError(
-            f"tail <= {eps:g} needs truncation beyond the cap {cap:g}"
+            f"tail <= {eps:g} needs truncation beyond the cap {P_CAP:g}"
         )
     return P
 
@@ -254,18 +260,17 @@ def evaluate_powers(
     eps: float,
     norm: Norm = Norm.OPINF,
     probe_len: int = 2000,
-    cap: int = 10 ** 6,
 ) -> tuple[dict[int, tuple[np.ndarray, float]], int]:
     """Truncated A^n(T) for every n in n_list, sharing one pass over T^p.
 
     Returns ({n: (matrix, tail_bound)}, P).  tail_bound is measured in `norm`;
     P is 0 on scalar and Jordan inputs, whose closed forms read no term.
     """
-    if not n_list or min(n_list) < 1:
-        raise ValueError("n_list must contain positive integers")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    _check_probe_len(probe_len)
+    if not n_list:
+        raise ValueError("n_list is empty")
+    _check_positive(n=min(n_list), probe_len=probe_len)
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps:g}")
     d = T.dim
 
     jordan = _as_jordan(T)
@@ -299,19 +304,18 @@ def evaluate_powers(
         P = len(norms) - 1
         tails = {n: 0.0 for n in n_list}
     else:
-        P = _pick_P(max(n_list), M, eps, cap)
+        P = _pick_P(max(n_list), M, eps)
         tails = {n: math.nextafter(alpha_tail_envelope(n, P) * M, math.inf)
                  for n in n_list}
 
-    rows = alpha_float_rows(list(n_list), P)
     flat = np.zeros((len(n_list), d * d))
     block = np.empty((min(POWER_BLOCK, P + 1), d * d))
     powers = _powers(T)
-    for s in range(0, P + 1, POWER_BLOCK):
-        w = min(POWER_BLOCK, P + 1 - s)
+    for rows in alpha_float_blocks(n_list, P, POWER_BLOCK):
+        w = rows.shape[1]
         for i, power in enumerate(islice(powers, w)):
             block[i] = power.reshape(-1)
-        flat += rows[:, s:s + w] @ block[:w]
+        flat += rows @ block[:w]
         # rows are positive, so a non-finite power anywhere in the block shows here
         if not np.isfinite(flat).all():
             raise SpectralExplosionError("powers overflowed past the probe")
@@ -331,10 +335,10 @@ class BrunelResult:
 
 def brunel(
     T: DenseMatrix, n_power: int = 1, eps: float = 1e-8,
-    norm: Norm = Norm.OPINF, probe_len: int = 2000, cap: int = 10 ** 6,
+    norm: Norm = Norm.OPINF, probe_len: int = 2000,
 ) -> BrunelResult:
     """A^n_power(T) with tail_bound <= eps (in `norm`), or a signalled failure."""
-    powers, P = evaluate_powers(T, [n_power], eps, norm, probe_len, cap)
+    powers, P = evaluate_powers(T, [n_power], eps, norm, probe_len)
     mat, tail = powers[n_power]
     return BrunelResult(
         matrix=DenseMatrix(dim=T.dim, array=mat),
@@ -385,6 +389,7 @@ def check_power_bound_theorem(
     norm: Norm = Norm.OPINF, probe_len: int = 2000,
 ) -> VerifyReport:
     """n ||A^n - A^(n+1)|| <= 33M/2 and ||A^n|| <= 33M/2, M the probed power sup."""
+    _check_positive(n_max=n_max)
     start = time.perf_counter()
     M = max([1.0] + probe_power_bound(T, probe_len, norm=norm))
     bound = float(BoundConstants.C_sum) * M
@@ -399,6 +404,7 @@ def check_mean_bound_theorem(
     norm: Norm = Norm.OPINF, probe_len: int = 2000,
 ) -> VerifyReport:
     """Mean-bounded variant: ||A^n|| <= M(4 sqrt(6/pi) + 2), n||A^(n+1)-A^n|| <= 99M/2."""
+    _check_positive(n_max=n_max)
     start = time.perf_counter()
     M = max(probe_mean_bound(T, probe_len, norm=norm), 1.0)
     report = _difference_theorem(T, "mean_bound", M, MEAN_NORM_FACTOR * M,
@@ -418,6 +424,7 @@ def check_cesaro_domination(
     entrywise).  The A^l series are truncated, which only lowers the right
     side, and C is rounded down, so a pass certifies the displayed inequality.
     """
+    _check_positive(N_max=N_max)
     start = time.perf_counter()
     if (T.array < 0).any():
         raise ValueError("domination check requires entrywise nonnegative T")
@@ -449,7 +456,7 @@ def check_cesaro_domination(
 # the worked 2x2 example
 # ---------------------------------------------------------------------------
 
-def S_value(n: int, window: int = 64) -> float:
+def S_value(n: int) -> float:
     """S(n) = sum_p (-1/4)^p C(n+2p-1, p-1), summed exactly then accelerated.
 
     Terms decrease in magnitude exactly for p > J(n) = (n^2+n)/2, so the
@@ -461,7 +468,7 @@ def S_value(n: int, window: int = 64) -> float:
         raise ValueError("n must be >= 1")
     start = (n * n + n) // 2 + 8
     terms = (p * a // n for p, a in enumerate(alpha_mantissa_stream(n)))
-    return alternating_dyadic_sum(terms, start, window)
+    return alternating_dyadic_sum(terms, start, S_WINDOW)
 
 
 def S_remainder_at_J(n: int) -> float:
@@ -512,14 +519,13 @@ def appendix_example(n: int, eps: float = 1e-10) -> AppendixExample:
 # test-matrix helpers
 # ---------------------------------------------------------------------------
 
-def random_stochastic(
-    dim: int, seed: int, doubly: bool = False, sinkhorn_iters: int = 200
-) -> DenseMatrix:
+def random_stochastic(dim: int, seed: int, doubly: bool = False) -> DenseMatrix:
     """Seeded random row-stochastic (or Sinkhorn doubly stochastic) matrix."""
+    _check_positive(dim=dim)
     rng = np.random.default_rng(seed)
     arr = rng.random((dim, dim)) + 0.1
     if doubly:
-        for _ in range(sinkhorn_iters):
+        for _ in range(SINKHORN_ITERS):
             arr /= arr.sum(axis=1, keepdims=True)
             arr /= arr.sum(axis=0, keepdims=True)
         # one extra row pass so rows sum to 1 within float rounding

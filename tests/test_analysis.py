@@ -279,7 +279,6 @@ class TestMajorant:
     def test_constants(self):
         assert BoundConstants.C_sum == Fraction(33, 2)
         assert BoundConstants.C_meanbound == Fraction(99, 2)
-        assert BoundConstants.stirling_slack() >= math.exp(1 / 12)
 
 
 def exact_difference_sum(n):

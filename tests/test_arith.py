@@ -15,9 +15,7 @@ from artifact.arith import (
     iv,
     iv_float_down,
     iv_float_up,
-    iv_rational,
     parse_rational,
-    pow2,
     rational_str,
 )
 
@@ -51,18 +49,6 @@ class TestBinomial:
         for n in range(0, 40):
             for k in range(n + 1):
                 assert binomial(n, k) == binomial(n, n - k)
-
-
-class TestPow2:
-    def test_examples(self):
-        assert pow2(3) == 8
-        assert pow2(-2) == Fraction(1, 4)
-        assert pow2(0) == 1
-
-    def test_group_law(self):
-        for a in range(-20, 21):
-            for b in range(-20, 21):
-                assert pow2(a) * pow2(b) == pow2(a + b)
 
 
 class TestRationalFieldAxioms:
@@ -129,14 +115,14 @@ class TestCertifiedComparisons:
         assert 0 <= width < 1e-15
 
     def test_float_rounding_directions(self):
-        x = iv_rational(Fraction(1, 3))
+        x = iv.mpf(1) / 3
         lo, hi = iv_float_down(x), iv_float_up(x)
         assert lo <= 1 / 3 <= hi
         x = iv.exp(iv.mpf(1) / 12)
         assert iv_float_down(x) <= math.exp(1 / 12) <= iv_float_up(x)
 
     def test_exact_rationals_round_trip_through_intervals(self):
-        x = iv_rational(Fraction(3, 8))
+        x = iv.mpf(3) / 8
         assert iv_float_down(x) == 0.375 == iv_float_up(x)
 
     @given(rationals)

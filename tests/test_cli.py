@@ -13,9 +13,10 @@ import pytest
 
 import artifact
 from artifact.arith import parse_rational
+from artifact import cli
 from artifact.cli import build_parser, main
 from artifact.coeffs import alpha, beta
-from artifact.operators import random_stochastic, rotation_matrix
+from artifact.operators import Norm, random_stochastic, rotation_matrix
 
 # sha256 of operator theorem-check reports without elapsed_s, computed before
 # the power loops were merged into one stream; any change to what a check
@@ -315,9 +316,64 @@ class TestOperatorCommand:
         assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
     def test_matrix_required(self, capsys):
-        code, _, err = run(capsys, "operator", "brunel-power", "--n", "1")
-        assert code == 2
-        assert "--matrix" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["operator", "brunel-power", "--n", "1"])
+        assert exc.value.code == 2
+        assert "--matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action, flags, fn, want", [
+        ("brunel-power", [], "brunel", {}),
+        ("brunel-power", ["--n", "2", "--eps", "0.5", "--norm", "max"], "brunel",
+         {"n_power": 2, "eps": 0.5, "norm": Norm.MAX}),
+        ("check-power-bound", [], "check_power_bound_theorem", {}),
+        ("check-power-bound", ["--n-max", "3"], "check_power_bound_theorem",
+         {"n_max": 3}),
+        ("check-mean-bound", ["--eps", "0.2"], "check_mean_bound_theorem",
+         {"eps": 0.2}),
+        ("check-domination", [], "check_cesaro_domination", {}),
+        ("appendix-demo", [], "appendix_example", {"n": 5}),
+        ("random-stochastic", [], "random_stochastic", {"dim": 3, "seed": 0}),
+        ("random-stochastic", ["--doubly"], "random_stochastic",
+         {"dim": 3, "seed": 0, "doubly": True}),
+    ])
+    def test_forwards_only_given_flags(self, capsys, tmp_path, monkeypatch,
+                                       action, flags, fn, want):
+        """A flag left out reaches the library as its own default: the CLI
+        passes no keyword for it."""
+        calls = []
+
+        def record(T=None, **kwargs):
+            calls.append(kwargs)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(cli, fn, record)
+        argv = ["operator", action, *flags]
+        if action not in ("appendix-demo", "random-stochastic"):
+            argv += ["--matrix", self.write(tmp_path, [[0.5]])]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and json.loads(out)["message"] == "recorded"
+        assert calls == [want]
+
+    @pytest.mark.parametrize("flags, name", [
+        (["brunel-power", "--n", "0"], "n"),
+        (["brunel-power", "--eps", "0"], "eps"),
+        (["check-power-bound", "--n-max", "0"], "n_max"),
+        (["check-domination", "--N-max", "0"], "N_max"),
+    ])
+    def test_explicit_zero_reaches_library(self, capsys, tmp_path, flags, name):
+        """0 was once replaced by the default (n = 1, eps = 1e-8, n_max = 40)."""
+        path = self.write(tmp_path, [[0.5, 0.5], [0.25, 0.75]])
+        code, out, _ = run(capsys, "operator", *flags, "--matrix", path)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith(f"{name} must be")
+
+    def test_appendix_demo_zero_reaches_library(self, capsys):
+        code, out, _ = run(capsys, "operator", "appendix-demo", "--n", "0")
+        assert code == 1
+        assert json.loads(out) == {"error": "ValueError",
+                                   "message": "n must be >= 1"}
 
     def test_spectral_explosion_structured_error(self, capsys, tmp_path):
         path = self.write(tmp_path, [[2.0]])
@@ -363,6 +419,44 @@ class TestOperatorCommand:
         )
         assert code == 0
         assert json.loads(out)["norm"] == "fro"
+
+
+class TestUsageErrors:
+    """Bad usage exits 2 with one stderr line and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig1", "--format", "json"],
+        ["verify", "alpha0", "--eps", "0.1"],
+        ["coeff", "--n", "1", "--p", "1", "--norm", "fro"],
+        ["table", "--seed", "3"],
+        ["operator", "random-stochastic", "--eps", "1"],
+        ["operator", "check-domination", "--norm", "fro", "--matrix", "M"],
+        ["operator", "appendix-demo", "--matrix", "M"],
+        ["operator", "check-power-bound", "--matrix", "M", "--n", "3"],
+        ["operator", "cesaro", "--matrix", "M", "--N-max", "3"],
+    ])
+    def test_unread_flag_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv, word", [
+        (["coeff", "--n", "0", "--p", "1"], "n >= 1"),
+        (["figure", "fig1", "--n", "0"], "n >= 1"),
+        (["figure", "fig2", "--points", "1"], "points"),
+        (["figure", "fig1", "--p-max", "-1"], "p_max"),
+        (["table", "--n-max", "-2"], "n_max"),
+        (["table", "--p-max", "-1"], "p_max"),
+    ])
+    def test_bad_value_exit_two(self, capsys, argv, word):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and word in err
+        assert err.count("\n") == 1
 
 
 class TestParser:

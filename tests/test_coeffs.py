@@ -4,20 +4,20 @@ import math
 from fractions import Fraction
 from itertools import count, repeat
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.coeffs import (
     alpha,
-    alpha_float_rows,
+    alpha_float_blocks,
     alpha_mantissa,
     alpha_mantissa_row,
     alpha_mantissa_stream,
     alpha_ratio,
     alpha_recurrence_check,
     alpha_tail_envelope,
-    alpha_zero_convention,
     alternating_dyadic_sum,
     beta,
     beta_recurrence_check,
@@ -140,7 +140,7 @@ class TestMantissa:
         for evaluate in (
             lambda: alpha_mantissa_row(n, 5),
             lambda: next(alpha_mantissa_stream(n)),
-            lambda: alpha_float_rows([1, n], 5),
+            lambda: next(alpha_float_blocks([1, n], 5, 6)),
             lambda: psi_partial_sum(0.5, n, 5),
         ):
             with pytest.raises(ValueError, match="n must be >= 1"):
@@ -148,10 +148,22 @@ class TestMantissa:
 
     def test_float_row_tracks_exact(self):
         for n in (1, 5, 12):
-            frow = alpha_float_rows([n], 200)[0]
+            frow = next(alpha_float_blocks([n], 200, 201))[0]
             for p in (0, 1, 50, 200):
                 exact = float(alpha(n, p))
                 assert frow[p] == pytest.approx(exact, rel=1e-11)
+
+    def test_float_blocks_do_not_depend_on_width(self):
+        """The running product is carried across blocks, so any width gives
+        bit-identical values, including widths that split P + 1 unevenly."""
+        n_list, P = [1, 2, 7, 41], 70_000
+        whole = next(alpha_float_blocks(n_list, P, P + 1))
+        assert whole.shape == (4, P + 1)
+        for width in (1024, 999, 7):
+            blocks = list(alpha_float_blocks(n_list, P, width))
+            assert all(b.shape[1] <= width for b in blocks)
+            assert np.array_equal(np.hstack(blocks), whole), width
+        assert next(alpha_float_blocks([3], 0, 1024)).tolist() == [[1 / 8]]
 
 
 class TestOracle:
@@ -292,7 +304,7 @@ class TestTailEnvelopes:
     def test_alpha_tail_envelope_dominates_true_tail(self):
         for n in (1, 3, 10):
             for P in (10, 100, 1000):
-                row = alpha_float_rows([n], P + 4000)[0]
+                row = next(alpha_float_blocks([n], P + 4000, P + 4001))[0]
                 observed = sum(row[P + 1 :])
                 assert observed < alpha_tail_envelope(n, P)
 
@@ -333,14 +345,11 @@ class TestBoundarySeries:
         assert S_value(n) == reference_S_value(n)
 
     def test_bit_identical_with_other_window(self):
+        """The kernel under S(n) with a 40-term window instead of S_WINDOW."""
         n, window = 7, 40
-        assert S_value(n, window) == reference_S_value(n, window)
-
-
-class TestZeroPower:
-    def test_zero_power_convention(self):
-        assert alpha_zero_convention(0) == 1
-        assert alpha_zero_convention(5) == 0
+        terms = (p * a // n for p, a in enumerate(alpha_mantissa_stream(n)))
+        value = alternating_dyadic_sum(terms, (n * n + n) // 2 + 8, window)
+        assert value == reference_S_value(n, window)
 
 
 class TestMonotonicityInN:

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from artifact.coeffs import alpha, psi_eval
+from artifact.coeffs import alpha, alpha_tail_envelope, psi_eval
 from artifact.operators import (
     APPENDIX_T,
     AppendixExample,
@@ -22,6 +22,7 @@ from artifact.operators import (
     S_remainder_at_J,
     S_value,
     SpectralExplosionError,
+    _pick_P,
     appendix_example,
     brunel,
     cesaro,
@@ -419,6 +420,21 @@ class TestBrunelGeneralPath:
             direct = brunel(T, n, eps=eps).matrix.array
             assert Norm.OPINF.compute(direct - acc) <= (n + 2) * eps
 
+    @pytest.mark.parametrize("n, M, eps, want", [
+        (41, 1.0, 0.1, 63213),         # check_power_bound_theorem, n_max = 40
+        (41, None, 0.1, 126424),       # the same on rotation_matrix(1.0)
+        (1, 1.0, 1e-3, 376039),        # brunel at n = 1, eps = 1e-3
+        (9, 1.000000000000002, 0.1, 3046),  # a start that needs no step
+    ])
+    def test_pick_P_is_minimal(self, n, M, eps, want):
+        """The smallest P with envelope(n, P) M <= eps: the search once
+        doubled P whenever its start fell a few terms short."""
+        if M is None:
+            M = max([1.0] + probe_power_bound(rotation_matrix(1.0)))
+        P = _pick_P(n, M, eps)
+        assert P == want
+        assert alpha_tail_envelope(n, P) * M <= eps < alpha_tail_envelope(n, P - 1) * M
+
     def test_evaluate_powers_validation(self):
         with pytest.raises(ValueError):
             evaluate_powers(APPENDIX_T, [], 0.1)
@@ -511,6 +527,19 @@ class TestTheoremChecks:
     def test_power_bound_rejects_explosive(self):
         with pytest.raises(SpectralExplosionError):
             check_power_bound_theorem(DenseMatrix.from_rows([[1.5]]), n_max=4)
+
+    @pytest.mark.parametrize("check, name", [
+        (lambda: check_power_bound_theorem(DenseMatrix.identity(2), n_max=0), "n_max"),
+        (lambda: check_mean_bound_theorem(APPENDIX_T, n_max=-3), "n_max"),
+        (lambda: check_cesaro_domination(DenseMatrix.identity(2), N_max=0), "N_max"),
+        (lambda: random_stochastic(0, 0), "dim"),
+    ], ids=["power-0", "mean-minus3", "domination-0", "stochastic-dim-0"])
+    def test_degenerate_range_names_parameter(self, check, name):
+        """n_max = 0 once passed with 0 checks; -3 and N_max = 0 failed on
+        the inner n_list instead of naming the parameter; dim = 0 returned an
+        empty matrix."""
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            check()
 
     def test_mean_bound_appendix(self):
         report = check_mean_bound_theorem(APPENDIX_T, n_max=8)
