@@ -7,9 +7,7 @@ inequalities."""
 
 from .arith import Rational, binomial, parse_rational, rational_str
 from .coeffs import (
-    SeriesPoly,
     alpha,
-    alpha_ratio,
     beta,
     oracle_alpha,
     oracle_beta,
@@ -50,11 +48,9 @@ __all__ = [
     "DenseMatrix",
     "Norm",
     "Rational",
-    "SeriesPoly",
     "Thresholds",
     "VerifyReport",
     "alpha",
-    "alpha_ratio",
     "appendix_example",
     "beta",
     "binomial",

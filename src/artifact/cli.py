@@ -22,11 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from functools import partial
+from typing import Iterator
 
 from .arith import rational_str
 from .analysis import run_all_suites, run_suite, thresholds
-from .coeffs import alpha, beta, psi_eval
+from .coeffs import alpha, alpha_mantissa_row, beta, mantissa_rows, psi_eval
 from .operators import (
     APPENDIX_T,
     MeanBoundProbeError,
@@ -81,24 +83,29 @@ def cmd_coeff(args) -> int:
     return 0
 
 
+def _table_cells(kind: str, n_max: int, p_max: int) -> Iterator[tuple[int, int, str]]:
+    """(n, p, exact value) for the table, read off the integer mantissa rows:
+    alpha(n, p) = row[p] / 2^(n+2p), beta(n, p) = row[p-n] / 2^(2p-n) or 0."""
+    for n, row in mantissa_rows(n_max, p_max):
+        for p in range(p_max + 1):
+            if kind == "alpha":
+                value = Fraction(row[p], 1 << (n + 2 * p))
+            else:
+                value = Fraction(row[p - n], 1 << (2 * p - n)) if p >= n else 0
+            yield n, p, rational_str(value)
+
+
 def cmd_table(args) -> int:
     if args.n_max < 1 or args.p_max < 0:
         raise ValueError(f"table needs n_max >= 1 and p_max >= 0, got "
                          f"{args.n_max} and {args.p_max}")
-    fn = alpha if args.kind == "alpha" else beta
+    cells = _table_cells(args.kind, args.n_max, args.p_max)
     if args.format == "json":
-        entries = [
-            {"n": n, "p": p, "value": rational_str(fn(n, p))}
-            for n in range(1, args.n_max + 1)
-            for p in range(args.p_max + 1)
-        ]
+        entries = [{"n": n, "p": p, "value": v} for n, p, v in cells]
         _emit(_json({"kind": args.kind, "entries": entries}), args.out)
-        return 0
-    lines = ["n,p,value"]
-    for n in range(1, args.n_max + 1):
-        for p in range(args.p_max + 1):
-            lines.append(f"{n},{p},{rational_str(fn(n, p))}")
-    _emit("\n".join(lines) + "\n", args.out)
+    else:
+        lines = ["n,p,value", *(f"{n},{p},{v}" for n, p, v in cells)]
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -112,12 +119,16 @@ def cmd_figure(args) -> int:
     n_values = FIGURE_DEFAULT_N[args.id] if args.n is None else args.n
     lines = []
     if args.id == "fig1":
-        if args.p_max < 0:
-            raise ValueError(f"p_max must be >= 0, got {args.p_max}")
+        if args.p_max < 0 or min(n_values) < 1:
+            raise ValueError(f"fig1 needs n >= 1 and p_max >= 0, got "
+                             f"n = {min(n_values)} and p_max = {args.p_max}")
         lines.append("n,p,diff")
         for n in n_values:
-            for p in range(args.p_max + 1):
-                diff = float(alpha(n, p) - alpha(n + 1, p))
+            # alpha(n, p) - alpha(n+1, p) = (2 a(n, p) - a(n+1, p)) / 2^(n+1+2p)
+            rows = zip(alpha_mantissa_row(n, args.p_max),
+                       alpha_mantissa_row(n + 1, args.p_max))
+            for p, (a, up) in enumerate(rows):
+                diff = (2 * a - up) / (1 << (n + 1 + 2 * p))
                 lines.append(f"{n},{p},{diff!r}")
             K = thresholds(n).K
             if K is not None:

@@ -14,17 +14,20 @@ related by the index shift beta(n, p+n) = alpha(n, p).  Closed forms:
 Every coefficient is a dyadic rational, handled as an integer mantissa over
 a power of two:
 
-    alpha(n, p) = a(n, p) / 2^(n+2p),   a(n, p) = n C(n+2p-1, p) / (n+p).
+    alpha(n, p) = a(n, p) / 2^(n+2p),   a(n, p) = n C(n+2p-1, p) / (n+p),
+    beta(n, p)  = b(n, p) / 2^(2p-n),   b(n, p) = n C(2p-n-1, p-1) / p.
 
-`alpha` and `beta` are exact accessors on that mantissa.  Sweeps over a
+`alpha` and `beta` are exact accessors on those mantissas, each from its own
+closed form, so the shift b(n, p+n) = a(n, p) is a real check.  Sweeps over a
 rectangle use `mantissa_rows`, the integer kernel: two rows seeded by the
 exact ratio recurrence, then every further row by the paper's three-term
 recurrence in mantissa form, a(n+1, p) = a(n, p+1) - a(n-1, p+1), which is
 pure big-integer subtraction.
 
-An independent oracle builds the same mantissas from the binomial series of
-sqrt(1-x) alone: scaled to integers, xi(x) = 2 C(x/4) with C(y) the Catalan
-series sum_k Cat(k-1) y^k, so a(n, p) = [y^(n+p)] C(y)^n, and the powers of C
+An independent oracle builds the same mantissas in integers from the
+binomial series of xi(x) alone: its coefficient ratio (2k-3)/(2k), scaled by
+4^k/2, is the Catalan recurrence, so xi(x) = 2 C(x/4) with C(y) the Catalan
+series sum_k Cat(k-1) y^k, a(n, p) = [y^(n+p)] C(y)^n, and the powers of C
 come from packed big-integer multiplication (Kronecker substitution).  Float
 helpers evaluate psi(x)^n and its truncated series.
 
@@ -40,7 +43,6 @@ evaluated by `operators` from their closed forms instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
@@ -127,8 +129,8 @@ def alpha(n: int, p: int) -> Rational:
 
 
 def beta_mantissa(n: int, p: int) -> int:
-    """Integer b with beta(n, p) = b / 2^(2p-n): a(n, p-n), or 0 for p < n."""
-    return alpha_mantissa(n, p - n) if p >= n else 0
+    """Integer b with beta(n, p) = b / 2^(2p-n): n C(2p-n-1, p-1) / p, 0 for p < n."""
+    return binomial(2 * p - n - 1, p - 1) * n // p if p >= n else 0
 
 
 def beta(n: int, p: int) -> Rational:
@@ -140,59 +142,23 @@ def beta(n: int, p: int) -> Rational:
     return Fraction(beta_mantissa(n, p), 1 << (2 * p - n))
 
 
-def alpha_ratio(n: int, p: int) -> Rational:
-    """alpha(n, p+1)/alpha(n, p) by the closed ratio formula."""
-    return Fraction((n + 2 * p + 1) * (n + 2 * p), 4 * (p + 1) * (n + p + 1))
-
-
 # ---------------------------------------------------------------------------
 # independent oracle: packed powers of the Catalan series
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SeriesPoly:
-    """Truncated power series with exact coefficients for degrees 0..degree."""
-
-    coeffs: list[Rational]
-    degree: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient vector length must be degree + 1")
-
-    def __getitem__(self, p: int) -> Rational:
-        return self.coeffs[p]
-
-
-def sqrt_one_minus_x_series(degree: int) -> SeriesPoly:
-    """Binomial series of (1-x)^(1/2): sum_k C(1/2, k) (-x)^k, exact."""
-    coeffs = [Fraction(1)]
-    c = Fraction(1)  # falling product C(1/2, k) * (-1)^k
-    for k in range(1, degree + 1):
-        c *= Fraction(2 * k - 3, 2 * k)  # C(1/2,k)(-1)^k = C(1/2,k-1)(-1)^(k-1)*(k-3/2)/k
-        coeffs.append(c)
-    return SeriesPoly(coeffs, degree)
-
-
-def xi_series(degree: int) -> SeriesPoly:
-    """Series of xi(x) = 1 - sqrt(1-x)."""
-    s = sqrt_one_minus_x_series(degree)
-    coeffs = [-c for c in s.coeffs]
-    coeffs[0] += 1
-    return SeriesPoly(coeffs, degree)
-
-
 def catalan_series(degree: int) -> list[int]:
     """Integer coefficients Cat(k-1) of C(y) = xi(y/4)/2 for k = 0..degree.
 
-    4^k c_k / 2 for the xi coefficients c_k; a non-integer is an error.
+    s_k = 4^k xi_k / 2 for the binomial-series coefficients xi_k of xi(x):
+    xi_1 = 1/2 and xi_k / xi_(k-1) = (2k-3)/(2k) give s_1 = 1 and
+    s_k = s_(k-1) 2(2k-3) / k; a division that leaves a remainder is an error.
     """
-    out = []
-    for k, c in enumerate(xi_series(degree).coeffs):
-        scaled = c * (1 << (2 * k)) / 2
-        if scaled.denominator != 1:
-            raise AssertionError(f"4^{k} xi_{k} / 2 = {scaled} is not an integer")
-        out.append(scaled.numerator)
+    out = [0, 1][: degree + 1]
+    for k in range(2, degree + 1):
+        s, r = divmod(out[-1] * 2 * (2 * k - 3), k)
+        if r:
+            raise AssertionError(f"4^{k} xi_{k} / 2 = {s} + {r}/{k} is not an integer")
+        out.append(s)
     return out
 
 
@@ -237,24 +203,20 @@ def oracle_mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int
         yield n, coeffs[n : n + p_max + 1]
 
 
-def oracle_beta(n: int, p_max: int) -> SeriesPoly:
-    """xi(x)^n = 2^n C(x/4)^n from packed integer powers: no closed forms."""
+def oracle_beta(n: int, p_max: int) -> list[Rational]:
+    """beta(n, 0..p_max): xi(x)^n = 2^n C(x/4)^n from packed integer powers."""
     if n < 1:
         raise ValueError("n must be >= 1")
     *_, (_, coeffs) = catalan_power_rows(n, p_max)
-    return SeriesPoly(
-        [Fraction(c << n, 1 << (2 * q)) for q, c in enumerate(coeffs)], p_max
-    )
+    return [Fraction(c << n, 1 << (2 * q)) for q, c in enumerate(coeffs)]
 
 
-def oracle_alpha(n: int, p_max: int) -> SeriesPoly:
-    """psi(x)^n = xi(x)^n / x^n: a(n, p) = [y^(n+p)] C(y)^n over 2^(n+2p)."""
+def oracle_alpha(n: int, p_max: int) -> list[Rational]:
+    """alpha(n, 0..p_max): a(n, p) = [y^(n+p)] C(y)^n over 2^(n+2p)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     *_, (_, row) = oracle_mantissa_rows(n, p_max)
-    return SeriesPoly(
-        [Fraction(a, 1 << (n + 2 * p)) for p, a in enumerate(row)], p_max
-    )
+    return [Fraction(a, 1 << (n + 2 * p)) for p, a in enumerate(row)]
 
 
 # ---------------------------------------------------------------------------

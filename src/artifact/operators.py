@@ -115,6 +115,8 @@ def matrix_from_dict(data: dict) -> DenseMatrix:
     rows = data["rows"]
     if not isinstance(dim, int) or dim < 1:
         raise ValueError("dim must be a positive integer")
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("rows must be a list of lists")
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("rows must be dim x dim")
     return DenseMatrix(dim=dim, array=np.asarray(rows, dtype=np.float64))
@@ -205,13 +207,11 @@ def probe_mean_bound(
 # ---------------------------------------------------------------------------
 
 def _pick_P(n: int, M: float, eps: float) -> int:
-    """Smallest P >= 16 with envelope(n, P) * M <= eps, up to P_CAP.
+    """Smallest P >= 16 with envelope(n, P) * M <= eps for M > 0, up to P_CAP.
 
     The start solves e^(1/12) n M / sqrt(pi P) = eps with 1.0869 < e^(1/12),
     a few parts per million short, so the search steps up one term at a time.
     """
-    if M == 0.0:
-        return 0
     P = max(16, math.ceil((1.0869 * n * M / eps) ** 2 / math.pi))
     while P <= P_CAP and alpha_tail_envelope(n, P) * M > eps:
         P += 1

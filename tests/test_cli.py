@@ -76,24 +76,35 @@ class TestCoeffCommand:
 
 
 class TestTableCommand:
-    def test_csv_round_trips_to_exact_rationals(self, capsys):
-        code, out, _ = run(capsys, "table", "--n-max", "4", "--p-max", "6")
+    """Every cell of an 8 x 20 table, where beta has cells with p < n and with
+    p >= n, against the per-cell exact accessors."""
+
+    GRID = [(n, p) for n in range(1, 9) for p in range(21)]
+
+    def cells(self, capsys, kind, fmt):
+        code, out, _ = run(capsys, "table", "--kind", kind, "--n-max", "8",
+                           "--p-max", "20", "--format", fmt)
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "n,p,value"
-        assert len(lines) == 1 + 4 * 7
-        for line in lines[1:]:
-            n_s, p_s, val = line.split(",")
-            assert parse_rational(val) == alpha(int(n_s), int(p_s))
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["kind"] == kind
+            cells = [(e["n"], e["p"], e["value"]) for e in doc["entries"]]
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "n,p,value"
+            cells = [(int(n), int(p), v)
+                     for n, p, v in (line.split(",") for line in lines[1:])]
+        assert [(n, p) for n, p, _ in cells] == self.GRID
+        return [(n, p, parse_rational(v)) for n, p, v in cells]
+
+    def test_csv_round_trips_to_exact_rationals(self, capsys):
+        for n, p, value in self.cells(capsys, "alpha", "csv"):
+            assert value == alpha(n, p), (n, p)
 
     def test_beta_table(self, capsys):
-        code, out, _ = run(
-            capsys, "table", "--kind", "beta", "--n-max", "3", "--p-max", "5"
-        )
-        assert code == 0
-        for line in out.strip().splitlines()[1:]:
-            n_s, p_s, val = line.split(",")
-            assert parse_rational(val) == beta(int(n_s), int(p_s))
+        for fmt in ("csv", "json"):
+            for n, p, value in self.cells(capsys, "beta", fmt):
+                assert value == beta(n, p), (fmt, n, p)
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -111,6 +122,8 @@ class TestTableCommand:
         doc = json.loads(out)
         assert doc["kind"] == "alpha"
         assert {"n": 1, "p": 1, "value": "0.125"} in doc["entries"]
+        for n, p, value in self.cells(capsys, "alpha", "json"):
+            assert value == alpha(n, p), (n, p)
 
 
 class TestFigureCommand:
@@ -402,6 +415,18 @@ class TestOperatorCommand:
         )
         assert code == 1
         assert json.loads(out)["error"] == "JSONDecodeError"
+
+    def test_malformed_matrix_rows(self, capsys, tmp_path):
+        """Rows that are not a list of lists once leaked a TypeError traceback."""
+        path = tmp_path / "bad.json"
+        for rows in (5, [[1, 2], 3]):
+            path.write_text(json.dumps({"dim": 2, "rows": rows}))
+            code, out, _ = run(
+                capsys, "operator", "brunel-power", "--matrix", str(path), "--n", "1"
+            )
+            assert code == 1
+            assert json.loads(out) == {"error": "ValueError",
+                                       "message": "rows must be a list of lists"}
 
     def test_missing_matrix_file(self, capsys, tmp_path):
         code, out, _ = run(

@@ -15,20 +15,18 @@ from artifact.coeffs import (
     alpha_mantissa,
     alpha_mantissa_row,
     alpha_mantissa_stream,
-    alpha_ratio,
     alpha_recurrence_check,
     alpha_tail_envelope,
     alternating_dyadic_sum,
     beta,
     beta_recurrence_check,
+    catalan_series,
     mantissa_rows,
     oracle_alpha,
     oracle_beta,
     psi_eval,
     psi_partial_sum,
-    sqrt_one_minus_x_series,
     sum_alpha,
-    xi_series,
 )
 from artifact.operators import S_value
 
@@ -169,21 +167,9 @@ class TestMantissa:
 class TestOracle:
     """The convolution oracle shares no code with the closed forms."""
 
-    def test_sqrt_series_anchors(self):
-        s = sqrt_one_minus_x_series(4)
-        assert s.coeffs == [
-            Fraction(1),
-            Fraction(-1, 2),
-            Fraction(-1, 8),
-            Fraction(-1, 16),
-            Fraction(-5, 128),
-        ]
-
-    def test_xi_series_is_one_minus_sqrt(self):
-        s = xi_series(6)
-        assert s[0] == 0
-        assert s[1] == Fraction(1, 2)
-        assert s[2] == Fraction(1, 8)
+    def test_catalan_anchors(self):
+        assert catalan_series(6) == [0, 1, 1, 2, 5, 14, 42]
+        assert catalan_series(0) == [0]
 
     def test_beta_oracle_equality(self):
         for n in range(1, 9):
@@ -202,12 +188,6 @@ class TestOracle:
             for p in range(0, 30):
                 assert beta(n, p + n) == alpha(n, p)
 
-    def test_series_poly_validates_length(self):
-        from artifact.coeffs import SeriesPoly
-
-        with pytest.raises(ValueError):
-            SeriesPoly([Fraction(1)], 3)
-
 
 class TestRecurrences:
     def test_alpha_recurrence(self):
@@ -225,19 +205,6 @@ class TestRecurrences:
             alpha_recurrence_check(1, 0)
         with pytest.raises(ValueError):
             beta_recurrence_check(1, 0)
-
-    def test_ratio_formula(self):
-        for n in range(1, 10):
-            for p in range(0, 30):
-                assert alpha_ratio(n, p) == alpha(n, p + 1) / alpha(n, p)
-
-    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=200))
-    @settings(max_examples=60)
-    def test_ratio_is_positive_and_below_one_eventually(self, n, p):
-        r = alpha_ratio(n, p)
-        assert r > 0
-        if 6 * p > n * n - 3 * n - 4:
-            assert r < 1
 
 
 class TestSums:

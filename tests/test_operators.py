@@ -87,6 +87,10 @@ class TestDenseMatrix:
             matrix_from_dict({"dim": 2, "rows": [[1.0, 0.0]]})
         with pytest.raises(ValueError):
             matrix_from_dict({"dim": 0, "rows": []})
+        with pytest.raises(ValueError):
+            matrix_from_dict({"dim": 2, "rows": 5})
+        with pytest.raises(ValueError):
+            matrix_from_dict({"dim": 2, "rows": [[1, 2], 3]})
 
     def test_load_matrix(self, tmp_path):
         path = tmp_path / "m.json"
