@@ -501,18 +501,18 @@ def _suite_oracle(n_max=30, p_max=30, shift_n_max=40, shift_p_max=100):
 
 @_suite
 def _suite_recurrences(n_max=40, beta_p_max=120, alpha_p_max=200):
-    # Closed-form mantissas, never rows built by the recurrence under test.
-    width = max(alpha_p_max + 2, beta_p_max + 1)
-    closed = {k: [alpha_mantissa(k, p) for p in range(width)]
+    # Each coefficient's own closed form, never rows built by the recurrence
+    # under test.
+    closed = {k: [alpha_mantissa(k, p) for p in range(alpha_p_max + 2)]
               for k in range(1, n_max + 2)}
-
-    def b(k: int, q: int) -> int:  # beta_mantissa(k, q) read from the table
-        return closed[k][q - k] if q >= k else 0
+    beta = {k: [beta_mantissa(k, q) for q in range(beta_p_max + 1)]
+            for k in range(1, n_max + 2)}
 
     for n in range(2, n_max + 1):
         for p in range(beta_p_max + 1):
+            lower = beta[n - 1][p - 1] if p else 0
             yield ({"check": "beta", "N": n, "p": p},
-                   recurrence_holds(b(n - 1, p - 1), b(n, p), b(n + 1, p)))
+                   recurrence_holds(lower, beta[n][p], beta[n + 1][p]))
         for p in range(alpha_p_max + 1):
             yield ({"check": "alpha", "n": n, "p": p},
                    recurrence_holds(closed[n - 1][p + 1], closed[n][p + 1],

@@ -15,8 +15,11 @@ rounded up, so it is a proof (0 when the values are exact, as for a in
 {0, 1}).  The derivative diverges at a = 1, which is signalled.
 
 Every loop over T^0, T^1, ... consumes the one generator `_powers`, so each
-power is computed once and dropped once used.  The general path reads it in
-fixed blocks of POWER_BLOCK powers, so its memory does not grow with P.
+power is computed once and dropped once used.  The general path draws only
+T^0..T^(w-1) and S = T^w from it, w = POWER_BLOCK, and sums the series block
+by block as sum_j (sum_i alpha(n, jw+i) T^i) S^j (the block form of
+Paterson-Stockmeyer), so it takes about w + 2P/w matrix products instead of P,
+and its memory does not grow with P.
 
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination) and the worked
@@ -47,7 +50,7 @@ from .coeffs import (
 from .analysis import BoundConstants, technical_C_down
 from .report import VerifyReport
 
-POWER_BLOCK = 1024  # powers of T held at once by the general path
+POWER_BLOCK = 1024  # powers of T held by the general path, and its stride
 P_CAP = 10 ** 6  # largest truncation P the general path sums to
 PROBE_CUTOFF = 1e6  # a probed norm above this counts as divergence
 S_WINDOW = 64  # partial sums averaged for the alternating tail of S(n)
@@ -113,12 +116,15 @@ def matrix_from_dict(data: dict) -> DenseMatrix:
         raise ValueError('matrix JSON must be {"dim": d, "rows": [[...], ...]}')
     dim = data["dim"]
     rows = data["rows"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("dim must be a positive integer")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError("rows must be a list of lists")
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("rows must be dim x dim")
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for r in rows for x in r):
+        raise ValueError("matrix entries must be numbers")
     return DenseMatrix(dim=dim, array=np.asarray(rows, dtype=np.float64))
 
 
@@ -308,20 +314,27 @@ def evaluate_powers(
         tails = {n: math.nextafter(alpha_tail_envelope(n, P) * M, math.inf)
                  for n in n_list}
 
-    flat = np.zeros((len(n_list), d * d))
-    block = np.empty((min(POWER_BLOCK, P + 1), d * d))
+    # Block j of w0 terms is (sum_i alpha(n, j w0 + i) T^i) T^(j w0): the
+    # powers T^0..T^(w0-1) are drawn once, and Q steps by S = T^w0 per block.
+    w0 = min(POWER_BLOCK, P + 1)
+    block = np.empty((w0, d * d))
     powers = _powers(T)
+    for i, power in enumerate(islice(powers, w0)):
+        block[i] = power.reshape(-1)
+    S = next(powers)
+    Q = np.eye(d)
+    flat = np.zeros((len(n_list) * d, d))
     for rows in alpha_float_blocks(n_list, P, POWER_BLOCK):
         w = rows.shape[1]
-        for i, power in enumerate(islice(powers, w)):
-            block[i] = power.reshape(-1)
-        flat += rows @ block[:w]
-        # rows are positive, so a non-finite power anywhere in the block shows here
+        flat += (rows @ block[:w]).reshape(-1, d) @ Q
+        Q = Q @ S
+        # rows are positive, so a non-finite entry of `block` reaches `flat`;
+        # a non-finite entry of Q makes its whole column of the product
+        # non-finite, since 0 * inf is nan
         if not np.isfinite(flat).all():
             raise SpectralExplosionError("powers overflowed past the probe")
-    out = {
-        n: (flat[i].reshape(d, d), tails[n]) for i, n in enumerate(n_list)
-    }
+    stack = flat.reshape(len(n_list), d, d)
+    out = {n: (stack[i], tails[n]) for i, n in enumerate(n_list)}
     return out, P
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import analysis
 from artifact.analysis import (
     BoundConstants,
     RECTANGLE_KEYS,
@@ -536,6 +537,18 @@ class TestSuites:
             assert report.suite == name
             assert tuple(report.rectangle) == RECTANGLE_KEYS[name]
             assert report.rectangle | rect == report.rectangle, name
+
+    def test_recurrences_read_beta_closed_form(self, monkeypatch):
+        """The beta cells read beta's own closed form, so a wrong beta
+        mantissa fails them while every alpha cell still passes."""
+        right = analysis.beta_mantissa
+        monkeypatch.setattr(analysis, "beta_mantissa",
+                            lambda n, p: right(n, p) + ((n, p) == (5, 70)))
+        report = run_suite("recurrences", n_max=8, beta_p_max=80, alpha_p_max=20)
+        assert not report.passed
+        assert {f["params"]["check"] for f in report.failures} == {"beta"}
+        assert {(f["params"]["N"], f["params"]["p"]) for f in report.failures} == {
+            (4, 70), (5, 70), (6, 71)}
 
     def test_registry_fills_rectangle_defaults_from_signature(self):
         assert run_suite("gamma", n_max=2).rectangle == {

@@ -428,6 +428,18 @@ class TestOperatorCommand:
             assert json.loads(out) == {"error": "ValueError",
                                        "message": "rows must be a list of lists"}
 
+    def test_non_numeric_matrix_entry(self, capsys, tmp_path):
+        """An entry that is neither a number nor a string once leaked a
+        TypeError traceback from the float conversion."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "rows": [[{}, 1], [1, 1]]}))
+        code, out, _ = run(
+            capsys, "operator", "brunel-power", "--matrix", str(path), "--n", "1"
+        )
+        assert code == 1
+        assert json.loads(out) == {"error": "ValueError",
+                                   "message": "matrix entries must be numbers"}
+
     def test_missing_matrix_file(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "operator", "brunel-power",

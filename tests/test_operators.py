@@ -4,12 +4,14 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import numpy as np
 import pytest
 
-from artifact.coeffs import alpha, alpha_tail_envelope, psi_eval
+from artifact import operators
+from artifact.coeffs import alpha, alpha_float_blocks, alpha_tail_envelope, psi_eval
 from artifact.operators import (
     APPENDIX_T,
     AppendixExample,
@@ -23,6 +25,7 @@ from artifact.operators import (
     S_value,
     SpectralExplosionError,
     _pick_P,
+    _powers,
     appendix_example,
     brunel,
     cesaro,
@@ -91,6 +94,10 @@ class TestDenseMatrix:
             matrix_from_dict({"dim": 2, "rows": 5})
         with pytest.raises(ValueError):
             matrix_from_dict({"dim": 2, "rows": [[1, 2], 3]})
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            matrix_from_dict({"dim": 2, "rows": [[{}, 1], [1, 1]]})
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            matrix_from_dict({"dim": True, "rows": [[1]]})
 
     def test_load_matrix(self, tmp_path):
         path = tmp_path / "m.json"
@@ -460,6 +467,65 @@ class TestBrunelGeneralPath:
             single = brunel(T, n, eps=0.05)
             gap = Norm.OPINF.compute(shared[n][0] - single.matrix.array)
             assert gap <= shared[n][1] + single.tail_bound
+
+
+def sequential_pass(T: DenseMatrix, n_list: list[int], P: int) -> np.ndarray:
+    """sum_p alpha(n, p) T^p by one matrix product per power, for reference."""
+    d = T.dim
+    flat = np.zeros((len(n_list), d * d))
+    powers = _powers(T)
+    for rows in alpha_float_blocks(n_list, P, POWER_BLOCK):
+        block = np.array([p.reshape(-1) for p in islice(powers, rows.shape[1])])
+        flat += rows @ block
+    return flat.reshape(len(n_list), d, d)
+
+
+class TestStridedPowerPass:
+    """The general path sums block j as (sum_i alpha(n, jw+i) T^i) T^(jw)."""
+
+    @pytest.mark.parametrize("T", [
+        random_stochastic(3, 0),
+        random_stochastic(16, 0),
+        rotation_matrix(1.0),
+    ], ids=["row3", "row16", "rotation"])
+    @pytest.mark.parametrize("n_list", [[1], [1, 2, 3], list(range(1, 42))],
+                             ids=["n1", "n1-3", "n1-41"])
+    @pytest.mark.parametrize("P", [5, 1023, 1024, 1025, 2049, 33844])
+    def test_matches_sequential_pass(self, monkeypatch, T, n_list, P):
+        monkeypatch.setattr(operators, "_pick_P", lambda n, M, eps: P)
+        powers, got_P = evaluate_powers(T, n_list, 0.1, probe_len=8)
+        assert got_P == P
+        ref = sequential_pass(T, n_list, P)
+        for i, n in enumerate(n_list):
+            scale = max(1.0, Norm.OPINF.compute(ref[i]))
+            assert Norm.OPINF.compute(powers[n][0] - ref[i]) <= 1e-14 * scale, n
+
+    def test_overflow_past_first_stride_signalled(self):
+        """1.9^p overflows first at p = 1106, so T^0..T^1024 are finite and
+        only the products with the stride T^1024 can overflow."""
+        T = DenseMatrix.from_rows([[1.9, 0.0], [0.0, 0.2]])
+        assert np.isfinite(matrix_power(T, POWER_BLOCK).array).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpectralExplosionError, match="overflowed"):
+                evaluate_powers(T, [1, 2], 0.1, probe_len=5)
+
+    def test_power_budget(self, monkeypatch):
+        """The pass draws T^0..T^POWER_BLOCK whatever P is; a pass with one
+        product per power would draw P + 1 = 33 845 powers here."""
+        drawn = 0
+
+        def counting(T):
+            nonlocal drawn
+            for power in _powers(T):
+                drawn += 1
+                yield power
+
+        monkeypatch.setattr(operators, "_powers", counting)
+        probe_len = 2000
+        _, P = evaluate_powers(random_stochastic(3, 0), [1, 2, 3], 1e-2,
+                              probe_len=probe_len)
+        assert P == 33844
+        assert drawn <= probe_len + 1 + POWER_BLOCK + 1, drawn
 
 
 class TestWorkedExample:
