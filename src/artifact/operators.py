@@ -14,12 +14,15 @@ interval's midpoint, and the reported tail is the float rounding bound,
 rounded up, so it is a proof (0 when the values are exact, as for a in
 {0, 1}).  The derivative diverges at a = 1, which is signalled.
 
-Every loop over T^0, T^1, ... consumes the one generator `_powers`, so each
-power is computed once and dropped once used.  The general path draws only
-T^0..T^(w-1) and S = T^w from it, w = POWER_BLOCK, and sums the series block
-by block as sum_j (sum_i alpha(n, jw+i) T^i) S^j (the block form of
-Paterson-Stockmeyer), so it takes about w + 2P/w matrix products instead of P,
-and its memory does not grow with P.
+Every loop over T^0, T^1, ... consumes the one generator `_powers`, and the
+general path walks it once, so each power is computed once.  The walk probes
+||T^p|| for p <= probe_len and keeps T^0..T^min(probe_len, w) in one block,
+w = POWER_BLOCK; the series is then summed block by block as
+sum_j (sum_i alpha(n, jw+i) T^i) S^j with S = T^w (the block form of
+Paterson-Stockmeyer), reading the block and S from the walk and drawing only
+the powers the probe did not reach.  So the walk draws
+max(probe_len, min(w, P+1)) + 1 powers, and the pass adds about
+2 ceil((P+1)/w) matrix products; memory does not grow with P.
 
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination) and the worked
@@ -32,6 +35,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -168,17 +172,31 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
 
 def _check_positive(**values: int) -> None:
     for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def probe_power_bound(
-    T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
-) -> list[float]:
-    """||T^p|| for p = 1..probe_len; errs if any norm passes PROBE_CUTOFF."""
+_Walk = tuple[list[float], np.ndarray, Iterator[np.ndarray]]
+
+
+def _walk(T: DenseMatrix, probe_len: int, norm: Norm, rows: int) -> _Walk:
+    """The power probe, keeping the powers it passes in a (rows, d^2) block.
+
+    Returns ||T^p|| for p = 1..probe_len (cut after the first zero norm), the
+    block, whose row p holds T^p for every p < rows the walk reached, and the
+    generator, which yields T^(len(norms) + 1) next.
+    """
     _check_positive(probe_len=probe_len)
+    block = np.empty((rows, T.dim * T.dim))
+    powers = _powers(T)
     norms = []
-    for p, power in enumerate(islice(_powers(T), 1, probe_len + 1), start=1):
+    for p, power in enumerate(islice(powers, probe_len + 1)):
+        if p < rows:
+            block[p] = power.reshape(-1)
+        if p == 0:
+            continue
         value = norm.compute(power)
         if not math.isfinite(value) or value > PROBE_CUTOFF:
             raise SpectralExplosionError(
@@ -187,7 +205,14 @@ def probe_power_bound(
         norms.append(value)
         if value == 0.0:
             break
-    return norms
+    return norms, block, powers
+
+
+def probe_power_bound(
+    T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
+) -> list[float]:
+    """||T^p|| for p = 1..probe_len; errs if any norm passes PROBE_CUTOFF."""
+    return _walk(T, probe_len, norm, 0)[0]
 
 
 def probe_mean_bound(
@@ -251,11 +276,13 @@ def _jordan_values(
 
 
 def _as_jordan(T: DenseMatrix) -> Optional[tuple[float, float]]:
-    """(a, b) if T is a*I (b = 0) or the 2x2 Jordan block [[a, b], [0, a]]."""
+    """(a, b) if T is a*I (b = 0) or the 2x2 Jordan block [[a, b], [0, a]]
+    with |a| <= 1: the inputs evaluated in closed form."""
     arr = T.array
     a = float(arr[0, 0])
     b = float(arr[0, 1]) if T.dim == 2 else 0.0
-    if np.array_equal(arr - b * np.eye(T.dim, k=1), a * np.eye(T.dim)):
+    off = b * np.eye(T.dim, k=1)
+    if abs(a) <= 1.0 and np.array_equal(arr - off, a * np.eye(T.dim)):
         return a, b
     return None
 
@@ -272,15 +299,26 @@ def evaluate_powers(
     Returns ({n: (matrix, tail_bound)}, P).  tail_bound is measured in `norm`;
     P is 0 on scalar and Jordan inputs, whose closed forms read no term.
     """
+    return _evaluate(T, n_list, eps, norm, probe_len)
+
+
+def _evaluate(
+    T: DenseMatrix, n_list: Sequence[int], eps: float, norm: Norm,
+    probe_len: int, walk: Optional[_Walk] = None,
+) -> tuple[dict[int, tuple[np.ndarray, float]], int]:
+    """`evaluate_powers`; the general path reads `walk` when given, a
+    `_walk(T, probe_len, norm, POWER_BLOCK + 1)` not yet drawn further."""
     if not n_list:
         raise ValueError("n_list is empty")
-    _check_positive(n=min(n_list), probe_len=probe_len)
+    for n in n_list:
+        _check_positive(n=n)
+    _check_positive(probe_len=probe_len)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps:g}")
     d = T.dim
 
     jordan = _as_jordan(T)
-    if jordan is not None and abs(jordan[0]) <= 1.0:
+    if jordan is not None:
         a, b = jordan
         if a == 1.0 and b:
             raise NonConvergenceError("(psi^n)'(a) diverges at a = 1")
@@ -303,7 +341,7 @@ def evaluate_powers(
             out[n] = (mat, tail)
         return out, 0
 
-    norms = probe_power_bound(T, probe_len, norm=norm)
+    norms, block, powers = walk or _walk(T, probe_len, norm, POWER_BLOCK + 1)
     M = max(norms)
     if norms[-1] == 0.0:
         # nilpotent: the series is a polynomial of degree < the zero index
@@ -315,13 +353,12 @@ def evaluate_powers(
                  for n in n_list}
 
     # Block j of w0 terms is (sum_i alpha(n, j w0 + i) T^i) T^(j w0): the
-    # powers T^0..T^(w0-1) are drawn once, and Q steps by S = T^w0 per block.
+    # walk holds T^0..T^w0 once the powers past the probe are drawn, and Q
+    # steps by S = T^w0 per block.
     w0 = min(POWER_BLOCK, P + 1)
-    block = np.empty((w0, d * d))
-    powers = _powers(T)
-    for i, power in enumerate(islice(powers, w0)):
+    for i, power in zip(range(len(norms) + 1, w0 + 1), powers):
         block[i] = power.reshape(-1)
-    S = next(powers)
+    S = block[w0].reshape(d, d)
     Q = np.eye(d)
     flat = np.zeros((len(n_list) * d, d))
     for rows in alpha_float_blocks(n_list, P, POWER_BLOCK):
@@ -371,6 +408,7 @@ MEAN_NORM_FACTOR = 4 * math.sqrt(6 / math.pi) + 2
 def _difference_theorem(
     T: DenseMatrix, suite: str, M: float, norm_bound: float, diff_bound: float,
     n_max: int, eps: float, norm: Norm, probe_len: int,
+    walk: Optional[_Walk] = None,
 ) -> VerifyReport:
     """||A^n|| <= norm_bound and n ||A^n - A^(n+1)|| <= diff_bound, n <= n_max.
 
@@ -378,7 +416,7 @@ def _difference_theorem(
     certified tail bounds plus 1e-9, so a pass is sound for the truncated
     quantities standing in for the true ones.
     """
-    powers, P = evaluate_powers(T, list(range(1, n_max + 2)), eps, norm, probe_len)
+    powers, P = _evaluate(T, list(range(1, n_max + 2)), eps, norm, probe_len, walk)
     report = VerifyReport(
         suite=suite,
         rectangle={"n_max": n_max, "eps": eps, "norm": norm.value,
@@ -401,13 +439,18 @@ def check_power_bound_theorem(
     T: DenseMatrix, n_max: int = 40, eps: float = 0.1,
     norm: Norm = Norm.OPINF, probe_len: int = 2000,
 ) -> VerifyReport:
-    """n ||A^n - A^(n+1)|| <= 33M/2 and ||A^n|| <= 33M/2, M the probed power sup."""
+    """n ||A^n - A^(n+1)|| <= 33M/2 and ||A^n|| <= 33M/2, M the probed power sup.
+
+    The probe that gives M is the walk the evaluation of A^n reads.
+    """
     _check_positive(n_max=n_max)
     start = time.perf_counter()
-    M = max([1.0] + probe_power_bound(T, probe_len, norm=norm))
+    # closed-form inputs read no powers, so their walk keeps none
+    walk = _walk(T, probe_len, norm, 0 if _as_jordan(T) else POWER_BLOCK + 1)
+    M = max([1.0] + walk[0])
     bound = float(BoundConstants.C_sum) * M
     report = _difference_theorem(T, "power_bound", M, bound, bound, n_max, eps, norm,
-                                 probe_len)
+                                 probe_len, walk)
     report.elapsed_s = time.perf_counter() - start
     return report
 
@@ -436,12 +479,15 @@ def check_cesaro_domination(
     f runs over the standard basis (equivalently: the matrix inequality holds
     entrywise).  The A^l series are truncated, which only lowers the right
     side, and C is rounded down, so a pass certifies the displayed inequality.
+    No mean probe is taken: on the general path the power probe behind the
+    A^l series rejects every T whose Cesaro means pass PROBE_CUTOFF within
+    its window, since ||(I + ... + T^(N-1))/N|| <= max_(j<N) ||T^j||, and the
+    scalar and Jordan inputs that reach the closed forms are power-bounded.
     """
     _check_positive(N_max=N_max)
     start = time.perf_counter()
     if (T.array < 0).any():
         raise ValueError("domination check requires entrywise nonnegative T")
-    probe_mean_bound(T, probe_len)
     C = technical_C_down()
     r_max = math.isqrt(N_max)
     powers, P = evaluate_powers(T, list(range(1, r_max + 1)), eps,

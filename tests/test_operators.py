@@ -51,6 +51,20 @@ def sym3() -> DenseMatrix:
     )
 
 
+@pytest.fixture
+def power_draws(monkeypatch):
+    """A one-entry list counting the powers drawn from `operators._powers`."""
+    drawn = [0]
+
+    def counting(T):
+        for power in _powers(T):
+            drawn[0] += 1
+            yield power
+
+    monkeypatch.setattr(operators, "_powers", counting)
+    return drawn
+
+
 def eig_oracle(T: DenseMatrix, n: int) -> np.ndarray:
     """psi(T)^n = V diag(psi(lambda)^n) V^-1 for diagonalizable T.
 
@@ -401,6 +415,23 @@ class TestBrunelGeneralPath:
             assert 0 < tail <= eps
             assert Norm.OPINF.compute(mat - eig_oracle(T, n)) <= tail, n
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: M is the largest ||T^p|| over p <= probe_len = 2000 "
+        "(17.2 here), not a certified bound; sup_p ||T^p|| = 37.2 near p = 10^4"))
+    @pytest.mark.parametrize("b, eps", [(0.01, 0.2), (0.003, 0.1)])
+    def test_tail_bound_holds_past_the_probe(self, b, eps):
+        """At b = 0.01: P = 2780, tail_bound 0.19998, error 0.23143; at
+        b = 0.003: tail_bound 0.09997, error 0.10081."""
+        a = 0.9999
+        T = DenseMatrix.from_rows([[a, b, 0.0], [0.0, a, 0.0], [0.0, 0.0, 0.5]])
+        r = brunel(T, 1, eps=eps)
+        R = reference_jordan(a, b, 3, 1)
+        R[2][2] = reference_jordan(0.5, 0.0, 1, 1)[0][0]
+        with mpmath.workprec(200):
+            E = [[mpmath.mpf(float(x)) - y for x, y in zip(row, ref)]
+                 for row, ref in zip(r.matrix.array, R)]
+            assert reference_norm(E, Norm.OPINF) <= r.tail_bound
+
     def test_general_path_memory_is_bounded(self):
         """Powers stream in blocks: a (P+1) x d^2 buffer of all powers would
         take 265 MB here, while the traced peak must stay under 32 MB."""
@@ -454,6 +485,24 @@ class TestBrunelGeneralPath:
         with pytest.raises(ValueError):
             evaluate_powers(APPENDIX_T, [1], 0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: evaluate_powers(random_stochastic(3, 0), [1, 2.5], 0.1),
+        lambda: evaluate_powers(DenseMatrix.identity(2), [1, 2.5], 0.1),
+        lambda: evaluate_powers(random_stochastic(3, 0), [True], 0.1),
+        lambda: evaluate_powers(random_stochastic(3, 0), [1], 0.1, probe_len=8.0),
+        lambda: brunel(APPENDIX_T, 2.0),
+        lambda: check_power_bound_theorem(DenseMatrix.identity(2), n_max=True),
+        lambda: check_cesaro_domination(DenseMatrix.identity(2), N_max=2.5),
+        lambda: random_stochastic(2.0, 0),
+    ], ids=["n-2.5", "n-2.5-closed-form", "n-True", "probe_len-8.0", "brunel-n-2.0",
+            "n_max-True", "N_max-2.5", "dim-2.0"])
+    def test_non_integer_counts_rejected(self, call):
+        """The tail envelope is proved for integer n only: n = 2.5 once got a
+        "certified" tail, True was keyed True, and N_max = 2.5 raised a bare
+        TypeError."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
     def test_shared_pass_matches_individual_calls(self):
         """The shared pass truncates everything at the deepest P, so the top
         n agrees exactly with its standalone call and the lower ones agree
@@ -483,17 +532,20 @@ def sequential_pass(T: DenseMatrix, n_list: list[int], P: int) -> np.ndarray:
 class TestStridedPowerPass:
     """The general path sums block j as (sum_i alpha(n, jw+i) T^i) T^(jw)."""
 
-    @pytest.mark.parametrize("T", [
-        random_stochastic(3, 0),
-        random_stochastic(16, 0),
-        rotation_matrix(1.0),
-    ], ids=["row3", "row16", "rotation"])
+    @pytest.mark.parametrize("T, probe_len", [
+        (random_stochastic(3, 0), 8),
+        (random_stochastic(16, 0), 8),
+        (rotation_matrix(1.0), 8),
+        (random_stochastic(3, 0), 2000),
+    ], ids=["row3", "row16", "rotation", "row3-probe2000"])
     @pytest.mark.parametrize("n_list", [[1], [1, 2, 3], list(range(1, 42))],
                              ids=["n1", "n1-3", "n1-41"])
     @pytest.mark.parametrize("P", [5, 1023, 1024, 1025, 2049, 33844])
-    def test_matches_sequential_pass(self, monkeypatch, T, n_list, P):
+    def test_matches_sequential_pass(self, monkeypatch, T, probe_len, n_list, P):
+        """A probe of 8 powers leaves most of the block to be drawn after it;
+        one of 2000 (at least POWER_BLOCK + 1) fills the block and S itself."""
         monkeypatch.setattr(operators, "_pick_P", lambda n, M, eps: P)
-        powers, got_P = evaluate_powers(T, n_list, 0.1, probe_len=8)
+        powers, got_P = evaluate_powers(T, n_list, 0.1, probe_len=probe_len)
         assert got_P == P
         ref = sequential_pass(T, n_list, P)
         for i, n in enumerate(n_list):
@@ -509,23 +561,32 @@ class TestStridedPowerPass:
             with pytest.raises(SpectralExplosionError, match="overflowed"):
                 evaluate_powers(T, [1, 2], 0.1, probe_len=5)
 
-    def test_power_budget(self, monkeypatch):
-        """The pass draws T^0..T^POWER_BLOCK whatever P is; a pass with one
-        product per power would draw P + 1 = 33 845 powers here."""
-        drawn = 0
-
-        def counting(T):
-            nonlocal drawn
-            for power in _powers(T):
-                drawn += 1
-                yield power
-
-        monkeypatch.setattr(operators, "_powers", counting)
+    def test_power_budget(self, power_draws):
+        """The probe's walk over T^0..T^2000 already holds the block and the
+        stride T^POWER_BLOCK, so the pass draws no power of its own; with a
+        second walk for the block it was 3 026, and with one product per
+        power P + 1 = 33 845 more."""
         probe_len = 2000
         _, P = evaluate_powers(random_stochastic(3, 0), [1, 2, 3], 1e-2,
                               probe_len=probe_len)
         assert P == 33844
-        assert drawn <= probe_len + 1 + POWER_BLOCK + 1, drawn
+        assert power_draws[0] == probe_len + 1
+
+    def test_peak_memory_is_one_block(self):
+        """The walk writes T^0..T^POWER_BLOCK into one preallocated block; a
+        list of powers stacked afterwards would hold them twice.  The half MB
+        covers the float coefficient blocks and the probed norms, which do
+        not grow with d; a second block is 2.1 MB at d = 16."""
+        d = 16
+        T = random_stochastic(d, 0)
+        tracemalloc.start()
+        try:
+            _, P = evaluate_powers(T, [1, 2, 3], 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P == 33844
+        assert peak <= (POWER_BLOCK + 2) * d * d * 8 + 2 ** 19, peak
 
 
 class TestWorkedExample:
@@ -651,6 +712,40 @@ class TestTheoremChecks:
         short = evaluate_powers(T, ells, 0.2, probe_len=3)[1]
         assert report.rectangle["P"] == short
         assert short < evaluate_powers(T, ells, 0.2)[1]
+
+    def test_power_bound_walks_once(self, power_draws):
+        """M and the series come from one walk; probing for M and again for
+        the series drew 5 027 powers."""
+        report = check_power_bound_theorem(random_stochastic(3, 1, doubly=True),
+                                           n_max=40)
+        assert report.passed
+        assert power_draws[0] == 2001
+
+    def test_power_bound_closed_form_keeps_no_block(self):
+        """A scalar input is evaluated in closed form, so the walk that gives
+        M keeps no powers: a block of POWER_BLOCK + 1 powers is 32 MB here."""
+        T = DenseMatrix(dim=64, array=0.5 * np.eye(64))
+        tracemalloc.start()
+        try:
+            report = check_power_bound_theorem(T, n_max=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2 ** 20, peak
+
+    def test_domination_walks_once(self, power_draws):
+        """One walk for the A^l series plus T^0..T^N_max for the left side;
+        a discarded mean probe and a second walk drew 5 227."""
+        report = check_cesaro_domination(random_stochastic(3, 0), N_max=200)
+        assert report.passed
+        assert power_draws[0] == 2001 + 201
+
+    def test_domination_explosion_caught_by_power_probe(self):
+        """Without a mean probe, the power probe rejects growing powers."""
+        T = DenseMatrix.from_rows([[2.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(SpectralExplosionError):
+            check_cesaro_domination(T, N_max=16)
 
     def test_domination_rejects_negative_entries(self):
         with pytest.raises(ValueError):
