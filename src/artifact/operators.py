@@ -27,7 +27,10 @@ max(probe_len, min(w, P+1)) + 1 powers, and the pass adds about
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination) and the worked
 2x2 example with its alternating series S(n), the one sum still taken on the
-integer kernel `coeffs.alternating_dyadic_sum`.
+integer kernel `coeffs.alternating_dyadic_sum`.  Each difference check walks
+T^p once: the mean-bounded check reads the sup of the Cesaro means
+||(T^0 + ... + T^(N-1))/N|| from the same walk that gives the general path
+its norms and block, and on closed-form inputs its walk takes the means only.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numbers
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import mpmath
 import numpy as np
@@ -86,6 +89,15 @@ class NonConvergenceError(RuntimeError):
     """No truncation point within the cap certifies the requested tolerance."""
 
 
+def _check_positive(least: int = 1, /, **values: int) -> None:
+    """Each value is an integer >= least; the error names the parameter."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass
 class DenseMatrix:
     """Square matrix of finite 64-bit floats."""
@@ -94,6 +106,7 @@ class DenseMatrix:
     array: np.ndarray
 
     def __post_init__(self):
+        _check_positive(dim=self.dim)
         self.array = np.asarray(self.array, dtype=np.float64)
         if self.array.shape != (self.dim, self.dim):
             raise ValueError(f"expected shape ({self.dim}, {self.dim})")
@@ -150,8 +163,7 @@ def _powers(T: DenseMatrix) -> Iterator[np.ndarray]:
 
 def matrix_power(T: DenseMatrix, k: int) -> DenseMatrix:
     """T^k by iterated multiplication; overflow to non-finite entries errs."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_positive(0, k=k)
     with np.errstate(over="ignore", invalid="ignore"):
         for acc in islice(_powers(T), k + 1):
             if not np.isfinite(acc).all():
@@ -161,8 +173,7 @@ def matrix_power(T: DenseMatrix, k: int) -> DenseMatrix:
 
 def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
     """(I + T + ... + T^(N-1)) / N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_positive(N=N)
     return DenseMatrix(dim=T.dim, array=sum(islice(_powers(T), N)) / N)
 
 
@@ -170,67 +181,63 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
 # probes
 # ---------------------------------------------------------------------------
 
-def _check_positive(**values: int) -> None:
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+class _Walk(NamedTuple):
+    norms: list[float]
+    means: list[float]
+    block: np.ndarray
+    powers: Iterator[np.ndarray]
 
 
-_Walk = tuple[list[float], np.ndarray, Iterator[np.ndarray]]
+def _probed(value: float, name: str, error: type[RuntimeError]) -> float:
+    if not math.isfinite(value) or value > PROBE_CUTOFF:
+        raise error(f"||{name}|| = {value:g} exceeds the probe cutoff {PROBE_CUTOFF:g}")
+    return value
 
 
-def _walk(T: DenseMatrix, probe_len: int, norm: Norm, rows: int) -> _Walk:
-    """The power probe, keeping the powers it passes in a (rows, d^2) block.
+def _walk(
+    T: DenseMatrix, probe_len: int, norm: Norm, rows: int, means: bool = False,
+) -> _Walk:
+    """The probe, keeping the powers it passes in a (rows, d^2) block.
 
-    Returns ||T^p|| for p = 1..probe_len (cut after the first zero norm), the
-    block, whose row p holds T^p for every p < rows the walk reached, and the
-    generator, which yields T^(len(norms) + 1) next.
+    Returns ||T^p|| for p = 1..probe_len (cut after the first zero norm);
+    with `means`, ||(T^0 + ... + T^(N-1))/N|| for N = 1..probe_len, cut with
+    the norms, as past a zero power the means only shrink; the block, whose
+    row p holds T^p for every p < rows the walk reached; and the generator,
+    which yields T^(len(norms) + 1) next.  A walk with `means` and rows = 0
+    takes the means only: a mean-bounded T need not be power-bounded.
     """
     _check_positive(probe_len=probe_len)
     block = np.empty((rows, T.dim * T.dim))
     powers = _powers(T)
-    norms = []
+    norms, mean_norms = [], []
+    total = np.zeros((T.dim, T.dim))
     for p, power in enumerate(islice(powers, probe_len + 1)):
         if p < rows:
             block[p] = power.reshape(-1)
-        if p == 0:
+        if means and p < probe_len:
+            total += power
+            mean_norms.append(_probed(norm.compute(total) / (p + 1),
+                                      f"M_{p + 1}", MeanBoundProbeError))
+        if p == 0 or (means and not rows):
             continue
-        value = norm.compute(power)
-        if not math.isfinite(value) or value > PROBE_CUTOFF:
-            raise SpectralExplosionError(
-                f"||T^{p}|| = {value:g} exceeds the probe cutoff {PROBE_CUTOFF:g}"
-            )
-        norms.append(value)
-        if value == 0.0:
+        norms.append(_probed(norm.compute(power), f"T^{p}", SpectralExplosionError))
+        if norms[-1] == 0.0:
             break
-    return norms, block, powers
+    return _Walk(norms, mean_norms, block, powers)
 
 
 def probe_power_bound(
     T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
 ) -> list[float]:
     """||T^p|| for p = 1..probe_len; errs if any norm passes PROBE_CUTOFF."""
-    return _walk(T, probe_len, norm, 0)[0]
+    return _walk(T, probe_len, norm, 0).norms
 
 
 def probe_mean_bound(
     T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
 ) -> float:
     """sup of ||(I + T + ... + T^(N-1))/N|| over N = 1..probe_len."""
-    _check_positive(probe_len=probe_len)
-    best = 0.0
-    acc = np.zeros((T.dim, T.dim))
-    for N, power in enumerate(islice(_powers(T), probe_len), start=1):
-        acc += power
-        value = norm.compute(acc) / N
-        if not math.isfinite(value) or value > PROBE_CUTOFF:
-            raise MeanBoundProbeError(
-                f"||M_{N}|| = {value:g} exceeds the probe cutoff {PROBE_CUTOFF:g}"
-            )
-        best = max(best, value)
-    return best
+    return max(_walk(T, probe_len, norm, 0, means=True).means)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +348,7 @@ def _evaluate(
             out[n] = (mat, tail)
         return out, 0
 
-    norms, block, powers = walk or _walk(T, probe_len, norm, POWER_BLOCK + 1)
+    norms, _, block, powers = walk or _walk(T, probe_len, norm, POWER_BLOCK + 1)
     M = max(norms)
     if norms[-1] == 0.0:
         # nilpotent: the series is a polynomial of degree < the zero index
@@ -406,16 +413,23 @@ MEAN_NORM_FACTOR = 4 * math.sqrt(6 / math.pi) + 2
 
 
 def _difference_theorem(
-    T: DenseMatrix, suite: str, M: float, norm_bound: float, diff_bound: float,
+    T: DenseMatrix, suite: str, means: bool, norm_factor: float, diff_factor: float,
     n_max: int, eps: float, norm: Norm, probe_len: int,
-    walk: Optional[_Walk] = None,
 ) -> VerifyReport:
-    """||A^n|| <= norm_bound and n ||A^n - A^(n+1)|| <= diff_bound, n <= n_max.
+    """||A^n|| <= norm_factor M and n ||A^n - A^(n+1)|| <= diff_factor M, n <= n_max.
 
+    M is the larger of 1 and the sup of the Cesaro means (with `means`) or of
+    the power norms, taken in the one walk the general path then reads.
     Truncation slack is carried explicitly: each comparison allows the
     certified tail bounds plus 1e-9, so a pass is sound for the truncated
     quantities standing in for the true ones.
     """
+    _check_positive(n_max=n_max)
+    start = time.perf_counter()
+    # closed-form inputs read no powers, so their walk keeps none
+    walk = _walk(T, probe_len, norm, 0 if _as_jordan(T) else POWER_BLOCK + 1, means)
+    M = max([1.0] + (walk.means if means else walk.norms))
+    norm_bound, diff_bound = norm_factor * M, diff_factor * M
     powers, P = _evaluate(T, list(range(1, n_max + 2)), eps, norm, probe_len, walk)
     report = VerifyReport(
         suite=suite,
@@ -432,6 +446,7 @@ def _difference_theorem(
         slack = n * (tail_n + tail_next) + 1e-9
         report.record({"check": "difference", "n": n},
                       lhs <= diff_bound + slack, lhs, diff_bound)
+    report.elapsed_s = time.perf_counter() - start
     return report
 
 
@@ -439,20 +454,9 @@ def check_power_bound_theorem(
     T: DenseMatrix, n_max: int = 40, eps: float = 0.1,
     norm: Norm = Norm.OPINF, probe_len: int = 2000,
 ) -> VerifyReport:
-    """n ||A^n - A^(n+1)|| <= 33M/2 and ||A^n|| <= 33M/2, M the probed power sup.
-
-    The probe that gives M is the walk the evaluation of A^n reads.
-    """
-    _check_positive(n_max=n_max)
-    start = time.perf_counter()
-    # closed-form inputs read no powers, so their walk keeps none
-    walk = _walk(T, probe_len, norm, 0 if _as_jordan(T) else POWER_BLOCK + 1)
-    M = max([1.0] + walk[0])
-    bound = float(BoundConstants.C_sum) * M
-    report = _difference_theorem(T, "power_bound", M, bound, bound, n_max, eps, norm,
-                                 probe_len, walk)
-    report.elapsed_s = time.perf_counter() - start
-    return report
+    """n ||A^n - A^(n+1)|| <= 33M/2 and ||A^n|| <= 33M/2, M the probed power sup."""
+    C = float(BoundConstants.C_sum)
+    return _difference_theorem(T, "power_bound", False, C, C, n_max, eps, norm, probe_len)
 
 
 def check_mean_bound_theorem(
@@ -460,14 +464,9 @@ def check_mean_bound_theorem(
     norm: Norm = Norm.OPINF, probe_len: int = 2000,
 ) -> VerifyReport:
     """Mean-bounded variant: ||A^n|| <= M(4 sqrt(6/pi) + 2), n||A^(n+1)-A^n|| <= 99M/2."""
-    _check_positive(n_max=n_max)
-    start = time.perf_counter()
-    M = max(probe_mean_bound(T, probe_len, norm=norm), 1.0)
-    report = _difference_theorem(T, "mean_bound", M, MEAN_NORM_FACTOR * M,
-                                 float(BoundConstants.C_meanbound) * M,
-                                 n_max, eps, norm, probe_len)
-    report.elapsed_s = time.perf_counter() - start
-    return report
+    return _difference_theorem(T, "mean_bound", True, MEAN_NORM_FACTOR,
+                               float(BoundConstants.C_meanbound), n_max, eps, norm,
+                               probe_len)
 
 
 def check_cesaro_domination(
@@ -532,6 +531,7 @@ def S_value(n: int) -> float:
 
 def S_remainder_at_J(n: int) -> float:
     """Alternating-series remainder bound for truncation at p = J(n)."""
+    _check_positive(n=n)
     p = (n * n + n) // 2 + 1
     return binomial(n + 2 * p - 1, p - 1) / (1 << (2 * p))
 

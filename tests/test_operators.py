@@ -212,6 +212,22 @@ class TestProbes:
             with pytest.raises(ValueError, match="probe_len must be >= 1"):
                 evaluate()
 
+    @pytest.mark.parametrize("norm", list(Norm), ids=[n.value for n in Norm])
+    @pytest.mark.parametrize("T", [random_stochastic(4, 1), rotation_matrix(1.0),
+                                   APPENDIX_T], ids=["row4", "rotation", "appendix"])
+    def test_mean_probe_matches_separate_loop(self, T, norm):
+        """The means taken by the walk, alone (`probe_mean_bound`) or beside
+        the power norms (the general-path mean check), equal those of the
+        separate loop the probe once ran."""
+        best = 0.0
+        acc = np.zeros((T.dim, T.dim))
+        for N, power in enumerate(islice(_powers(T), 2000), start=1):
+            acc += power
+            best = max(best, norm.compute(acc) / N)
+        assert probe_mean_bound(T, norm=norm) == best
+        report = check_mean_bound_theorem(T, n_max=1, norm=norm)
+        assert report.rectangle["M"] == max(1.0, best)
+
     def test_mean_probe_explodes_on_expansion(self):
         with pytest.raises(MeanBoundProbeError):
             probe_mean_bound(DenseMatrix.from_rows([[2.0]]), probe_len=200)
@@ -494,12 +510,19 @@ class TestBrunelGeneralPath:
         lambda: check_power_bound_theorem(DenseMatrix.identity(2), n_max=True),
         lambda: check_cesaro_domination(DenseMatrix.identity(2), N_max=2.5),
         lambda: random_stochastic(2.0, 0),
+        lambda: DenseMatrix(dim=True, array=[[1.0]]),
+        lambda: cesaro(APPENDIX_T, True),
+        lambda: cesaro(APPENDIX_T, 2.5),
+        lambda: matrix_power(APPENDIX_T, True),
+        lambda: matrix_power(APPENDIX_T, 2.5),
     ], ids=["n-2.5", "n-2.5-closed-form", "n-True", "probe_len-8.0", "brunel-n-2.0",
-            "n_max-True", "N_max-2.5", "dim-2.0"])
+            "n_max-True", "N_max-2.5", "dim-2.0", "matrix-dim-True", "cesaro-N-True",
+            "cesaro-N-2.5", "power-k-True", "power-k-2.5"])
     def test_non_integer_counts_rejected(self, call):
         """The tail envelope is proved for integer n only: n = 2.5 once got a
         "certified" tail, True was keyed True, and N_max = 2.5 raised a bare
-        TypeError."""
+        TypeError.  A matrix of dim True was accepted, cesaro(T, True) was
+        the identity and cesaro(T, 2.5) failed inside islice."""
         with pytest.raises(ValueError, match="must be an integer"):
             call()
 
@@ -664,11 +687,16 @@ class TestTheoremChecks:
         (lambda: check_mean_bound_theorem(APPENDIX_T, n_max=-3), "n_max"),
         (lambda: check_cesaro_domination(DenseMatrix.identity(2), N_max=0), "N_max"),
         (lambda: random_stochastic(0, 0), "dim"),
-    ], ids=["power-0", "mean-minus3", "domination-0", "stochastic-dim-0"])
+        (lambda: DenseMatrix.identity(0), "dim"),
+        (lambda: cesaro(APPENDIX_T, 0), "N"),
+        (lambda: S_remainder_at_J(0), "n"),
+    ], ids=["power-0", "mean-minus3", "domination-0", "stochastic-dim-0",
+            "identity-dim-0", "cesaro-N-0", "remainder-n-0"])
     def test_degenerate_range_names_parameter(self, check, name):
         """n_max = 0 once passed with 0 checks; -3 and N_max = 0 failed on
         the inner n_list instead of naming the parameter; dim = 0 returned an
-        empty matrix."""
+        empty matrix, and as DenseMatrix.identity(0) it reached an IndexError;
+        S_remainder_at_J(0) returned 0.25."""
         with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
             check()
 
@@ -720,6 +748,42 @@ class TestTheoremChecks:
                                            n_max=40)
         assert report.passed
         assert power_draws[0] == 2001
+
+    def test_mean_bound_walks_once(self, power_draws):
+        """M and the series come from one walk; a separate mean probe and the
+        evaluation's power walk drew 4 001 powers."""
+        report = check_mean_bound_theorem(random_stochastic(4, 1), n_max=6)
+        assert report.passed
+        assert power_draws[0] == 2001
+
+    def test_mean_bound_closed_form_walks_once(self, power_draws):
+        report = check_mean_bound_theorem(APPENDIX_T, n_max=6)
+        assert report.passed
+        assert power_draws[0] <= 2001
+
+    def test_mean_bound_needs_no_power_bound(self):
+        """The means of this Jordan block peak at 500 while ||T^1000|| is
+        about 1e6, so its walk, on the closed-form path, takes means only."""
+        T = DenseMatrix.from_rows([[-1.0, 1e3], [0.0, -1.0]])
+        report = check_mean_bound_theorem(T, n_max=6)
+        assert report.passed, report.failures[:2]
+        assert report.rectangle["M"] == 500.0
+
+    def test_mean_bound_general_path_probes_powers(self):
+        """On the general path the walk also takes the power norms the series
+        truncation reads, so the same block beside a 0.5 explodes."""
+        T = DenseMatrix.from_rows(
+            [[-1.0, 1e3, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.5]]
+        )
+        with pytest.raises(SpectralExplosionError, match=r"\|\|T\^1000\|\|"):
+            check_mean_bound_theorem(T, n_max=4)
+
+    def test_mean_bound_explosion_raises_at_first_power(self):
+        """Powers and means both explode; the power past the cutoff comes first."""
+        T = DenseMatrix.from_rows([[2.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.1]])
+        with pytest.raises(SpectralExplosionError,
+                           match=r"^\|\|T\^20\|\| = 1\.04858e\+06 "):
+            check_mean_bound_theorem(T, n_max=4)
 
     def test_power_bound_closed_form_keeps_no_block(self):
         """A scalar input is evaluated in closed form, so the walk that gives
