@@ -45,11 +45,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-import numpy as np
-
-from .arith import Rational, binomial, iv, iv_float_up
+from .arith import Rational, binomial
 
 
 def alpha_mantissa(n: int, p: int) -> int:
@@ -100,25 +98,6 @@ def mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
         del prev[width:]
         prev, cur = cur, prev
         yield n, cur
-
-
-def alpha_float_blocks(n_list: Sequence[int], P: int, width: int) -> Iterator[np.ndarray]:
-    """Float alpha(n, p) for p = 0..P, in (len(n_list), <= width) blocks.
-
-    alpha(n, p) = 2^-n r_0 r_1 ... r_(p-1), r_j = alpha(n, j+1)/alpha(n, j); the
-    running product is carried across blocks, so no value depends on the width.
-    """
-    if min(n_list) < 1:
-        raise ValueError(f"n must be >= 1, got {min(n_list)}")
-    n = np.array(n_list, dtype=np.float64)[:, None]
-    scale = np.array([2.0 ** -k for k in n_list])[:, None]
-    carry = np.ones((len(n_list), 1))
-    for s in range(0, P + 1, width):
-        j = np.arange(max(s, 1) - 1, min(s + width, P + 1) - 1, dtype=np.float64)
-        ratios = (n + 2 * j + 1) * (n + 2 * j) / (4 * (j + 1) * (n + j + 1))
-        prods = np.cumprod(np.hstack([carry, ratios]), axis=1)
-        carry = prods[:, -1:]
-        yield scale * (prods if s == 0 else prods[:, 1:])
 
 
 def alpha(n: int, p: int) -> Rational:
@@ -279,28 +258,16 @@ def psi_eval(x: float, n: int) -> float:
 
 
 def psi_partial_sum(x: float, n: int, P: int) -> float:
-    """sum_{p=0}^{P} alpha(n, p) x^p in float."""
+    """sum_{p=0}^{P} alpha(n, p) x^p in float, each alpha(n, p) = a / 2^(n+2p)
+    correctly rounded from its mantissa."""
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [-1, 1], got {x}")
-    coeffs = next(alpha_float_blocks([n], P, P + 1))[0].tolist()
     total = 0.0
     xp = 1.0
-    for p in range(P + 1):
-        total += coeffs[p] * xp
+    for p, a in enumerate(islice(alpha_mantissa_stream(n), P + 1)):
+        total += a / (1 << (n + 2 * p)) * xp
         xp *= x
     return total
-
-
-def alpha_tail_envelope(n: int, P: int) -> float:
-    """Certified upper bound on sum_{p>P} alpha(n, p), rounded up.
-
-    alpha(n, p) <= (n/(2p)) * e^(1/12)/sqrt(pi*p) <= (n e^(1/12)/(2 sqrt(pi)))
-    p^(-3/2); the integral test turns the tail into <= e^(1/12) * n/sqrt(pi*P).
-    """
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    bound = iv.exp(iv.mpf(1) / 12) * n / iv.sqrt(iv.pi * P)
-    return iv_float_up(bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,27 @@
 """Finite-dimensional evaluation of A(T) = sum_p alpha(1,p) T^p and its powers.
 
-A^n(T) = sum_p alpha(n,p) T^p, truncated with a certified bound on the
-discarded tail: sum_{p>P} alpha(n,p) <= e^(1/12) n / sqrt(pi P), multiplied by
-the measured sup of ||T^p|| over a probe window (the power-boundedness of T is
-a hypothesis probed empirically, not proved).
+Since x psi^2 - 2 psi + 1 = 0, A = psi(T) is the minimal solution of
+X = I/2 + (T/2) X^2, the G-matrix equation of a quasi-birth-death process,
+and the general path solves it by logarithmic reduction (Latouche and
+Ramaswami, J. Appl. Probab. 30, 1993; Bini, Latouche and Meini, Numerical
+Methods for Structured Markov Chains, 2005).  From H = T/2, L = I/2, G = L and
+Pi = H, each step sets U = HL + LH and W = (I - U)^-1, then H <- W H^2,
+L <- W L^2, G <- G + Pi L and Pi <- Pi H; A^n is formed as G^n.  After K
+steps the power series of G in T has coefficients in [0, alpha(1,p)]; they
+equal alpha(1,p) for p <= 2^(K+1) - 2, the agreement degree P that is
+reported, and they sum to 1 - 2^-(K+1), while Pi_j's sum to 2^-(j+1).  So with
+M = sup_p ||T^p||, ||A^n - G^n|| <= n M 2^-(K+1).  K = k + 1 for the smallest k
+with max(n) M 2^-(k+1) <= eps, and the reported tail is n M 2^-(k+1), rounded
+up: twice the truncation, the other half being headroom for float rounding,
+which is not bounded.  M is the largest ||T^p|| over a probe window, so the
+power-boundedness of T is a hypothesis probed empirically, not proved; a
+guard stops the reduction when an iterate is non-finite or
+||Pi_j|| > 2 M 2^-(j+1), which the probed M forbids.  At most LR_STEP_CAP
+steps are taken.  A nilpotent T (a probed power of norm 0) is evaluated with
+enough steps to reach its last nonzero power exactly, with tail 0.
 
 Scalar matrices a*I and 2x2 Jordan blocks [[a, b], [0, a]] with |a| <= 1
-(a scalar matrix is the case b = 0) read no series at all: A^n has
+(a scalar matrix is the case b = 0) take no reduction at all: A^n has
 psi(a)^n = (1 + sqrt(1-a))^(-n) on the diagonal and b (psi^n)'(a) =
 b n psi(a)^(n+1) / (2 sqrt(1-a)) above it.  Both closed forms are enclosed
 in 128-bit `arith.iv` intervals; each entry is the float nearest its
@@ -14,15 +29,8 @@ interval's midpoint, and the reported tail is the float rounding bound,
 rounded up, so it is a proof (0 when the values are exact, as for a in
 {0, 1}).  The derivative diverges at a = 1, which is signalled.
 
-Every loop over T^0, T^1, ... consumes the one generator `_powers`, and the
-general path walks it once, so each power is computed once.  The walk probes
-||T^p|| for p <= probe_len and keeps T^0..T^min(probe_len, w) in one block,
-w = POWER_BLOCK; the series is then summed block by block as
-sum_j (sum_i alpha(n, jw+i) T^i) S^j with S = T^w (the block form of
-Paterson-Stockmeyer), reading the block and S from the walk and drawing only
-the powers the probe did not reach.  So the walk draws
-max(probe_len, min(w, P+1)) + 1 powers, and the pass adds about
-2 ceil((P+1)/w) matrix products; memory does not grow with P.
+Every loop over T^0, T^1, ... consumes the one generator `_powers`, and each
+evaluation walks it once, in the probe.
 
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination) and the worked
@@ -30,7 +38,7 @@ mean-bounded difference bounds, Cesaro square-root domination) and the worked
 integer kernel `coeffs.alternating_dyadic_sum`.  Each difference check walks
 T^p once: the mean-bounded check reads the sup of the Cesaro means
 ||(T^0 + ... + T^(N-1))/N|| from the same walk that gives the general path
-its norms and block, and on closed-form inputs its walk takes the means only.
+its norms, and on closed-form inputs its walk takes the means only.
 """
 
 from __future__ import annotations
@@ -48,17 +56,11 @@ import mpmath
 import numpy as np
 
 from .arith import binomial, iv, iv_float_up
-from .coeffs import (
-    alpha_float_blocks,
-    alpha_mantissa_stream,
-    alpha_tail_envelope,
-    alternating_dyadic_sum,
-)
+from .coeffs import alpha_mantissa_stream, alternating_dyadic_sum
 from .analysis import BoundConstants, technical_C_down
 from .report import VerifyReport
 
-POWER_BLOCK = 1024  # powers of T held by the general path, and its stride
-P_CAP = 10 ** 6  # largest truncation P the general path sums to
+LR_STEP_CAP = 21  # most logarithmic-reduction steps the general path takes
 PROBE_CUTOFF = 1e6  # a probed norm above this counts as divergence
 S_WINDOW = 64  # partial sums averaged for the alternating tail of S(n)
 SINKHORN_ITERS = 200  # balancing rounds of random_stochastic(doubly=True)
@@ -86,7 +88,7 @@ class MeanBoundProbeError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """No truncation point within the cap certifies the requested tolerance."""
+    """The requested tolerance cannot be certified within the step cap."""
 
 
 def _check_positive(least: int = 1, /, **values: int) -> None:
@@ -184,8 +186,6 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
 class _Walk(NamedTuple):
     norms: list[float]
     means: list[float]
-    block: np.ndarray
-    powers: Iterator[np.ndarray]
 
 
 def _probed(value: float, name: str, error: type[RuntimeError]) -> float:
@@ -195,70 +195,48 @@ def _probed(value: float, name: str, error: type[RuntimeError]) -> float:
 
 
 def _walk(
-    T: DenseMatrix, probe_len: int, norm: Norm, rows: int, means: bool = False,
+    T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False, norms: bool = True,
 ) -> _Walk:
-    """The probe, keeping the powers it passes in a (rows, d^2) block.
+    """The probe: one walk over T^0..T^probe_len.
 
-    Returns ||T^p|| for p = 1..probe_len (cut after the first zero norm);
+    Returns ||T^p|| for p = 1..probe_len (cut after the first zero norm) and,
     with `means`, ||(T^0 + ... + T^(N-1))/N|| for N = 1..probe_len, cut with
-    the norms, as past a zero power the means only shrink; the block, whose
-    row p holds T^p for every p < rows the walk reached; and the generator,
-    which yields T^(len(norms) + 1) next.  A walk with `means` and rows = 0
-    takes the means only: a mean-bounded T need not be power-bounded.
+    the norms, as past a zero power the means only shrink.  Without `norms`
+    the walk takes the means only: a mean-bounded T need not be power-bounded.
     """
     _check_positive(probe_len=probe_len)
-    block = np.empty((rows, T.dim * T.dim))
-    powers = _powers(T)
-    norms, mean_norms = [], []
+    power_norms, mean_norms = [], []
     total = np.zeros((T.dim, T.dim))
-    for p, power in enumerate(islice(powers, probe_len + 1)):
-        if p < rows:
-            block[p] = power.reshape(-1)
+    for p, power in enumerate(islice(_powers(T), probe_len + 1)):
         if means and p < probe_len:
             total += power
             mean_norms.append(_probed(norm.compute(total) / (p + 1),
                                       f"M_{p + 1}", MeanBoundProbeError))
-        if p == 0 or (means and not rows):
+        if p == 0 or not norms:
             continue
-        norms.append(_probed(norm.compute(power), f"T^{p}", SpectralExplosionError))
-        if norms[-1] == 0.0:
+        power_norms.append(_probed(norm.compute(power), f"T^{p}", SpectralExplosionError))
+        if power_norms[-1] == 0.0:
             break
-    return _Walk(norms, mean_norms, block, powers)
+    return _Walk(power_norms, mean_norms)
 
 
 def probe_power_bound(
     T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
 ) -> list[float]:
     """||T^p|| for p = 1..probe_len; errs if any norm passes PROBE_CUTOFF."""
-    return _walk(T, probe_len, norm, 0).norms
+    return _walk(T, probe_len, norm).norms
 
 
 def probe_mean_bound(
     T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
 ) -> float:
     """sup of ||(I + T + ... + T^(N-1))/N|| over N = 1..probe_len."""
-    return max(_walk(T, probe_len, norm, 0, means=True).means)
+    return max(_walk(T, probe_len, norm, means=True, norms=False).means)
 
 
 # ---------------------------------------------------------------------------
-# series evaluation
+# evaluation
 # ---------------------------------------------------------------------------
-
-def _pick_P(n: int, M: float, eps: float) -> int:
-    """Smallest P >= 16 with envelope(n, P) * M <= eps for M > 0, up to P_CAP.
-
-    The start solves e^(1/12) n M / sqrt(pi P) = eps with 1.0869 < e^(1/12),
-    a few parts per million short, so the search steps up one term at a time.
-    """
-    P = max(16, math.ceil((1.0869 * n * M / eps) ** 2 / math.pi))
-    while P <= P_CAP and alpha_tail_envelope(n, P) * M > eps:
-        P += 1
-    if P > P_CAP:
-        raise NonConvergenceError(
-            f"tail <= {eps:g} needs truncation beyond the cap {P_CAP:g}"
-        )
-    return P
-
 
 def _enclose(x: "iv.mpf") -> tuple[float, float]:
     """The float nearest the middle of x and its distance to x's far end, rounded up."""
@@ -301,20 +279,18 @@ def evaluate_powers(
     norm: Norm = Norm.OPINF,
     probe_len: int = 2000,
 ) -> tuple[dict[int, tuple[np.ndarray, float]], int]:
-    """Truncated A^n(T) for every n in n_list, sharing one pass over T^p.
+    """A^n(T) for every n in n_list, from one probe and one reduction.
 
-    Returns ({n: (matrix, tail_bound)}, P).  tail_bound is measured in `norm`;
-    P is 0 on scalar and Jordan inputs, whose closed forms read no term.
+    Returns ({n: (matrix, tail_bound)}, P).  tail_bound is measured in `norm`.
+    P is the agreement degree: on the general path every A^n is exact through
+    T^P, P = 2^(K+1) - 2 after K reduction steps, or on a nilpotent T the last
+    nonzero power; it is 0 on scalar and Jordan inputs, whose closed forms read
+    no term.
     """
     return _evaluate(T, n_list, eps, norm, probe_len)
 
 
-def _evaluate(
-    T: DenseMatrix, n_list: Sequence[int], eps: float, norm: Norm,
-    probe_len: int, walk: Optional[_Walk] = None,
-) -> tuple[dict[int, tuple[np.ndarray, float]], int]:
-    """`evaluate_powers`; the general path reads `walk` when given, a
-    `_walk(T, probe_len, norm, POWER_BLOCK + 1)` not yet drawn further."""
+def _check_request(n_list: Sequence[int], eps: float, probe_len: int) -> None:
     if not n_list:
         raise ValueError("n_list is empty")
     for n in n_list:
@@ -322,6 +298,49 @@ def _evaluate(
     _check_positive(probe_len=probe_len)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps:g}")
+
+
+def _reduce(T: DenseMatrix, steps: int, M: float, norm: Norm) -> np.ndarray:
+    """G after `steps` steps of logarithmic reduction on X = I/2 + (T/2) X^2.
+
+    Pi_j, the product of the H's, has a power series in T with nonnegative
+    coefficients summing to 2^-(j+1), so ||Pi_j|| <= M 2^-(j+1) for every T
+    with sup_p ||T^p|| <= M; a singular I - U, a non-finite G or
+    ||Pi_j|| > 2 M 2^-(j+1) (which a non-finite Pi fails too) shows powers
+    past the probe above M.  An overflow of H reaches Pi, and one of L
+    reaches G, in the same step.
+    """
+    eye = np.eye(T.dim)
+    H, L = T.array / 2, eye / 2
+    G, Pi = L, H
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, steps + 1):
+            try:
+                W = np.linalg.inv(eye - (H @ L + L @ H))
+            except np.linalg.LinAlgError:
+                raise SpectralExplosionError(
+                    f"I - U is singular at reduction step {j}: "
+                    "powers grow past the probe") from None
+            H, L = W @ (H @ H), W @ (L @ L)
+            G = G + Pi @ L
+            Pi = Pi @ H
+            if not np.isfinite(G).all():
+                raise SpectralExplosionError(
+                    f"reduction step {j} overflowed: powers grow past the probe")
+            size, bound = norm.compute(Pi), M * 2.0 ** -j
+            if not size <= bound:
+                raise SpectralExplosionError(
+                    f"||Pi_{j}|| = {size:g} exceeds 2 M 2^-{j + 1} = {bound:g}: "
+                    "powers grow past the probe")
+    return G
+
+
+def _evaluate(
+    T: DenseMatrix, n_list: Sequence[int], eps: float, norm: Norm,
+    probe_len: int, walk: Optional[_Walk] = None,
+) -> tuple[dict[int, tuple[np.ndarray, float]], int]:
+    """`evaluate_powers`; the general path reads the norms of `walk` when given."""
+    _check_request(n_list, eps, probe_len)
     d = T.dim
 
     jordan = _as_jordan(T)
@@ -348,42 +367,37 @@ def _evaluate(
             out[n] = (mat, tail)
         return out, 0
 
-    norms, _, block, powers = walk or _walk(T, probe_len, norm, POWER_BLOCK + 1)
+    norms = (walk or _walk(T, probe_len, norm)).norms
     M = max(norms)
     if norms[-1] == 0.0:
-        # nilpotent: the series is a polynomial of degree < the zero index
+        # nilpotent: A^n is a polynomial of degree P < the zero index, and
+        # K steps agree with it through degree 2^(K+1) - 2 >= P
         P = len(norms) - 1
+        steps = (P + 1).bit_length() - 1
         tails = {n: 0.0 for n in n_list}
     else:
-        P = _pick_P(max(n_list), M, eps)
-        tails = {n: math.nextafter(alpha_tail_envelope(n, P) * M, math.inf)
-                 for n in n_list}
+        def tail(n: int, k: int) -> float:
+            return math.nextafter(n * M, math.inf) * 2.0 ** -(k + 1)
 
-    # Block j of w0 terms is (sum_i alpha(n, j w0 + i) T^i) T^(j w0): the
-    # walk holds T^0..T^w0 once the powers past the probe are drawn, and Q
-    # steps by S = T^w0 per block.
-    w0 = min(POWER_BLOCK, P + 1)
-    for i, power in zip(range(len(norms) + 1, w0 + 1), powers):
-        block[i] = power.reshape(-1)
-    S = block[w0].reshape(d, d)
-    Q = np.eye(d)
-    flat = np.zeros((len(n_list) * d, d))
-    for rows in alpha_float_blocks(n_list, P, POWER_BLOCK):
-        w = rows.shape[1]
-        flat += (rows @ block[:w]).reshape(-1, d) @ Q
-        Q = Q @ S
-        # rows are positive, so a non-finite entry of `block` reaches `flat`;
-        # a non-finite entry of Q makes its whole column of the product
-        # non-finite, since 0 * inf is nan
-        if not np.isfinite(flat).all():
-            raise SpectralExplosionError("powers overflowed past the probe")
-    stack = flat.reshape(len(n_list), d, d)
-    out = {n: (stack[i], tails[n]) for i, n in enumerate(n_list)}
-    return out, P
+        top = max(n_list)
+        k = next((k for k in range(LR_STEP_CAP) if tail(top, k) <= eps), None)
+        if k is None:
+            raise NonConvergenceError(
+                f"tail <= {eps:g} needs more than {LR_STEP_CAP} reduction steps")
+        steps = k + 1
+        P = 2 ** (steps + 1) - 2
+        tails = {n: tail(n, k) for n in n_list}
+
+    G = _reduce(T, steps, M, norm)
+    return {n: (np.linalg.matrix_power(G, n), tails[n]) for n in n_list}, P
 
 
 @dataclass
 class BrunelResult:
+    """A^n_power(T), its tail bound in `norm_used`, and `truncation_P`, the
+    agreement degree: the result is exact through T^truncation_P (0 on the
+    closed forms, which read no term)."""
+
     matrix: DenseMatrix
     truncation_P: int
     tail_bound: float
@@ -425,12 +439,14 @@ def _difference_theorem(
     quantities standing in for the true ones.
     """
     _check_positive(n_max=n_max)
+    n_list = list(range(1, n_max + 2))
+    _check_request(n_list, eps, probe_len)
     start = time.perf_counter()
-    # closed-form inputs read no powers, so their walk keeps none
-    walk = _walk(T, probe_len, norm, 0 if _as_jordan(T) else POWER_BLOCK + 1, means)
+    # the closed forms read no power norms, so the mean check's walk skips them
+    walk = _walk(T, probe_len, norm, means, norms=not (means and _as_jordan(T)))
     M = max([1.0] + (walk.means if means else walk.norms))
     norm_bound, diff_bound = norm_factor * M, diff_factor * M
-    powers, P = _evaluate(T, list(range(1, n_max + 2)), eps, norm, probe_len, walk)
+    powers, P = _evaluate(T, n_list, eps, norm, probe_len, walk)
     report = VerifyReport(
         suite=suite,
         rectangle={"n_max": n_max, "eps": eps, "norm": norm.value,
@@ -522,8 +538,7 @@ def S_value(n: int) -> float:
     is collapsed by iterated averaging, all on the integer kernel
     `coeffs.alternating_dyadic_sum` with C(n+2p-1, p-1) = p a(n,p) / n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_positive(n=n)
     start = (n * n + n) // 2 + 8
     terms = (p * a // n for p, a in enumerate(alpha_mantissa_stream(n)))
     return alternating_dyadic_sum(terms, start, S_WINDOW)

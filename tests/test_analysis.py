@@ -40,7 +40,6 @@ from artifact.analysis import (
 from artifact.coeffs import (
     alpha,
     alpha_mantissa_row,
-    alpha_tail_envelope,
     psi_eval,
     psi_partial_sum,
 )
@@ -322,14 +321,19 @@ class TestSumCoefficientBound:
             assert float(n * exact) == pytest.approx(want, abs=5e-4), n
 
     def test_coefficients_sum_to_one(self):
-        """Abel at x = 1: sum_p alpha(n,p) = psi(1)^n = 1, tail under its envelope."""
+        """Abel at x = 1: sum_p alpha(n,p) = psi(1)^n = 1.  alpha(n, p) is the
+        chance that a fair +-1 walk first reaches -n at step N = n + 2p, so by
+        the reflection principle the tail past P is P(-n < S_N <= n) at
+        N = n + 2P, a sum of n binomial terms."""
         P = 2000
         for n in (1, 7, 40):
             num = 0
             for a in alpha_mantissa_row(n, P):
                 num = (num << 2) + a
             deficit = 1 - Fraction(num, 1 << (n + 2 * P))
-            assert 0 <= deficit <= alpha_tail_envelope(n, P), n
+            N = n + 2 * P
+            tail = sum(math.comb(N, (N + j) // 2) for j in range(-n + 2, n + 1, 2))
+            assert deficit == Fraction(tail, 1 << N), n
 
     def test_domain(self):
         with pytest.raises(ValueError):

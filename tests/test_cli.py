@@ -18,22 +18,22 @@ from artifact.cli import build_parser, main
 from artifact.coeffs import alpha, beta
 from artifact.operators import Norm, random_stochastic, rotation_matrix
 
-# sha256 of operator theorem-check reports without elapsed_s, computed before
-# the power loops were merged into one stream; any change to what a check
-# visits, decides or reports (M, P, counts, failures) changes them.  The
-# APPENDIX_T mean-bound pin is that report with rectangle.P = 0, the closed
-# form's truncation index on a Jordan block.
+# sha256 of operator theorem-check reports without elapsed_s; any change to
+# what a check visits, decides or reports (M, P, counts, failures) changes
+# them.  On the general path rectangle.P is the reduction's agreement degree
+# 2^(K+1) - 2; the APPENDIX_T mean-bound pin has rectangle.P = 0, as the
+# closed form on a Jordan block reads no term.
 REPORT_PINS = [
     ("check-power-bound", random_stochastic(5, 0, doubly=True), ["--n-max", "8"],
-     "c26e9c875d2dc953f9d932e1c2bece1224c2dd36df24708eae178e503810c1ba"),
+     "72fe3828a861b2371d7346bc31f501ed2529ac8a59fa8114dd2d4761f9e8b496"),
     ("check-power-bound", rotation_matrix(1.0), ["--n-max", "6", "--norm", "fro"],
-     "8eeb08b575a3a647e51e6f31d6a7d6f9d4edc183c91acec6a81564cef5cab347"),
+     "845d2d3b7dccce8eeb7fdf9a378a8782263cb05e38083d4fa5c10b7bb50d1c30"),
     ("check-mean-bound", None, ["--n-max", "5"],
      "dca2fc1e3a54dac3c0a6f0cd0b2eeaccbdd298759056111875d9622ec606b037"),
     ("check-mean-bound", random_stochastic(4, 1), ["--n-max", "6"],
-     "c92356b3c35ef10b249613038ae2df1c4e614373701e17ab34d235e8db1d92b0"),
+     "39d3998624a9c40032f278e2fc7ba2fdaa2b484a1874a815a2663f6fd68111e6"),
     ("check-domination", random_stochastic(3, 0), ["--N-max", "50"],
-     "e542590aef27431da45e8cf0bad8169d37bcabd6116adadcc97feee89e59472b"),
+     "f387a5afac7f21a3f8fe5af6f97993409aa0fcb47d5584850c0f8894a942533d"),
 ]
 
 
@@ -386,7 +386,7 @@ class TestOperatorCommand:
         code, out, _ = run(capsys, "operator", "appendix-demo", "--n", "0")
         assert code == 1
         assert json.loads(out) == {"error": "ValueError",
-                                   "message": "n must be >= 1"}
+                                   "message": "n must be >= 1, got 0"}
 
     def test_spectral_explosion_structured_error(self, capsys, tmp_path):
         path = self.write(tmp_path, [[2.0]])

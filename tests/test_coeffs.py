@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from artifact.coeffs import (
     alpha,
-    alpha_float_blocks,
     alpha_mantissa,
     alpha_mantissa_row,
     alpha_mantissa_stream,
     alpha_recurrence_check,
-    alpha_tail_envelope,
     alternating_dyadic_sum,
     beta,
     beta_recurrence_check,
@@ -138,30 +136,10 @@ class TestMantissa:
         for evaluate in (
             lambda: alpha_mantissa_row(n, 5),
             lambda: next(alpha_mantissa_stream(n)),
-            lambda: next(alpha_float_blocks([1, n], 5, 6)),
             lambda: psi_partial_sum(0.5, n, 5),
         ):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 evaluate()
-
-    def test_float_row_tracks_exact(self):
-        for n in (1, 5, 12):
-            frow = next(alpha_float_blocks([n], 200, 201))[0]
-            for p in (0, 1, 50, 200):
-                exact = float(alpha(n, p))
-                assert frow[p] == pytest.approx(exact, rel=1e-11)
-
-    def test_float_blocks_do_not_depend_on_width(self):
-        """The running product is carried across blocks, so any width gives
-        bit-identical values, including widths that split P + 1 unevenly."""
-        n_list, P = [1, 2, 7, 41], 70_000
-        whole = next(alpha_float_blocks(n_list, P, P + 1))
-        assert whole.shape == (4, P + 1)
-        for width in (1024, 999, 7):
-            blocks = list(alpha_float_blocks(n_list, P, width))
-            assert all(b.shape[1] <= width for b in blocks)
-            assert np.array_equal(np.hstack(blocks), whole), width
-        assert next(alpha_float_blocks([3], 0, 1024)).tolist() == [[1 / 8]]
 
 
 class TestOracle:
@@ -265,22 +243,6 @@ class TestPsiEval:
     def test_partial_sum_domain(self):
         with pytest.raises(ValueError):
             psi_partial_sum(1.5, 1, 10)
-
-
-class TestTailEnvelopes:
-    def test_alpha_tail_envelope_dominates_true_tail(self):
-        for n in (1, 3, 10):
-            for P in (10, 100, 1000):
-                row = next(alpha_float_blocks([n], P + 4000, P + 4001))[0]
-                observed = sum(row[P + 1 :])
-                assert observed < alpha_tail_envelope(n, P)
-
-    def test_envelope_monotone_in_P(self):
-        assert alpha_tail_envelope(2, 400) < alpha_tail_envelope(2, 100)
-
-    def test_envelope_domain(self):
-        with pytest.raises(ValueError):
-            alpha_tail_envelope(1, 0)
 
 
 class TestBoundarySeries:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from artifact import operators
-from artifact.coeffs import alpha, alpha_float_blocks, alpha_tail_envelope, psi_eval
+from artifact.coeffs import alpha, psi_eval
 from artifact.operators import (
     APPENDIX_T,
     AppendixExample,
@@ -20,12 +20,11 @@ from artifact.operators import (
     MeanBoundProbeError,
     NonConvergenceError,
     Norm,
-    POWER_BLOCK,
     S_remainder_at_J,
     S_value,
     SpectralExplosionError,
-    _pick_P,
     _powers,
+    _reduce,
     appendix_example,
     brunel,
     cesaro,
@@ -375,20 +374,29 @@ class TestBrunelGeneralPath:
 
     def test_overflow_past_short_probe_signalled(self):
         """A probe too short to see the growth still cannot yield non-finite
-        entries: the overflow inside a block of powers is caught."""
+        entries or a numpy warning: the guard on Pi_j stops the reduction at
+        step 2, where unguarded it would overflow Pi at step 11."""
         T = DenseMatrix.from_rows([[1.5, 0.0], [0.0, 0.2]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SpectralExplosionError, match="overflowed"):
-                evaluate_powers(T, [1], 0.1, probe_len=5)
+        with pytest.raises(SpectralExplosionError, match="past the probe"):
+            evaluate_powers(T, [1], 0.1, probe_len=5)
+
+    def test_singular_step_signalled(self):
+        """I - T/2 is singular for diag(2, 0.5), which a probe of 5 powers
+        (||T^5|| = 32) lets through."""
+        T = DenseMatrix.from_rows([[2.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(SpectralExplosionError, match="singular"):
+            evaluate_powers(T, [1], 0.1, probe_len=5)
 
     def test_non_convergence_at_tiny_eps(self):
-        with pytest.raises(NonConvergenceError):
+        """eps = 1e-10 needs 34 reduction steps on the rotation (M = 1.41)."""
+        with pytest.raises(NonConvergenceError, match="21 reduction steps"):
             brunel(rotation_matrix(1.0), 1, eps=1e-10)
 
     def test_result_fields(self):
         r = brunel(rotation_matrix(1.0), 1, eps=0.05)
         assert isinstance(r, BrunelResult)
-        assert r.truncation_P >= 16
+        # M 2^-(k+1) <= 0.05 with M = 1.41 first at k = 4, so K = 5 steps
+        assert r.truncation_P == 2 ** 6 - 2
         assert 0 < r.tail_bound <= 0.05
         assert r.norm_used is Norm.OPINF
 
@@ -411,36 +419,40 @@ class TestBrunelGeneralPath:
             expected = sorted(psi_eval(l, n) for l in lams)
             assert got == pytest.approx(expected, abs=1e-8)
 
-    @pytest.mark.parametrize("eps, one_block", [(0.1, True), (0.04, False)])
+    @pytest.mark.parametrize("eps", [0.1, 0.04, 1e-2, 1e-4, 1e-5])
     @pytest.mark.parametrize("T", [
         rotation_matrix(1.0),
         random_stochastic(3, 0, doubly=True),
+        random_stochastic(3, 0),
         random_stochastic(16, 0),
-    ], ids=["rotation", "doubly3", "row16"])
-    def test_series_within_tail_of_eig_oracle(self, T, eps, one_block):
-        """The truncated series is within its certified tail of psi(T)^n,
-        whether P falls inside the first block of powers or past a block
-        boundary at no multiple of the block length."""
+        random_stochastic(64, 1),
+    ], ids=["rotation", "doubly3", "row3", "row16", "row64"])
+    def test_series_within_tail_of_eig_oracle(self, T, eps):
+        """The reduction is within its tail of psi(T)^n, down to eps = 1e-5,
+        where the truncated series needed more terms than it could sum."""
         powers, P = evaluate_powers(T, [1, 2, 3], eps)
-        if one_block:
-            assert P < POWER_BLOCK
-        else:
-            assert P > POWER_BLOCK and P % POWER_BLOCK != 0
+        assert (P + 2) & (P + 1) == 0  # P = 2^(K+1) - 2
         for n in (1, 2, 3):
             mat, tail = powers[n]
             assert 0 < tail <= eps
             assert Norm.OPINF.compute(mat - eig_oracle(T, n)) <= tail, n
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: M is the largest ||T^p|| over p <= probe_len = 2000 "
-        "(17.2 here), not a certified bound; sup_p ||T^p|| = 37.2 near p = 10^4"))
-    @pytest.mark.parametrize("b, eps", [(0.01, 0.2), (0.003, 0.1)])
-    def test_tail_bound_holds_past_the_probe(self, b, eps):
-        """At b = 0.01: P = 2780, tail_bound 0.19998, error 0.23143; at
-        b = 0.003: tail_bound 0.09997, error 0.10081."""
-        a = 0.9999
+    @pytest.mark.parametrize("a, b, eps", [
+        (0.9999, 0.01, 0.2), (0.9999, 0.003, 0.1),
+        (0.99999, 0.01, 0.2), (0.99999, 0.003, 0.1),
+    ])
+    def test_tail_bound_holds_past_the_probe(self, a, b, eps):
+        """M is the largest ||T^p|| over p <= probe_len = 2000, not a
+        certified bound: at a = 0.9999, b = 0.01 it is 17.2 while
+        sup_p ||T^p|| = 37.2 near p = 10^4.  The reduction's headroom covers
+        a = 0.9999 (errors 0.025 and 0.046 against tails 0.134 and 0.090); at
+        a = 0.99999 its errors would be 0.80 and 0.24 against tails 0.16 and
+        0.054, and only the guard on Pi_j stops it."""
         T = DenseMatrix.from_rows([[a, b, 0.0], [0.0, a, 0.0], [0.0, 0.0, 0.5]])
-        r = brunel(T, 1, eps=eps)
+        try:
+            r = brunel(T, 1, eps=eps)
+        except SpectralExplosionError:
+            return
         R = reference_jordan(a, b, 3, 1)
         R[2][2] = reference_jordan(0.5, 0.0, 1, 1)[0][0]
         with mpmath.workprec(200):
@@ -449,8 +461,8 @@ class TestBrunelGeneralPath:
             assert reference_norm(E, Norm.OPINF) <= r.tail_bound
 
     def test_general_path_memory_is_bounded(self):
-        """Powers stream in blocks: a (P+1) x d^2 buffer of all powers would
-        take 265 MB here, while the traced peak must stay under 32 MB."""
+        """The reduction holds a few d x d iterates and the probe its norms;
+        memory does not grow with P."""
         T = random_stochastic(32, 0)
         tracemalloc.start()
         try:
@@ -458,8 +470,8 @@ class TestBrunelGeneralPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert P == 33844
-        assert peak < 32 * 2 ** 20, peak
+        assert P == 1022
+        assert peak < 2 ** 20, peak
 
     def test_semigroup_consistency_scalar(self):
         a = DenseMatrix.from_rows([[0.5]])
@@ -477,21 +489,6 @@ class TestBrunelGeneralPath:
             acc = acc @ A1
             direct = brunel(T, n, eps=eps).matrix.array
             assert Norm.OPINF.compute(direct - acc) <= (n + 2) * eps
-
-    @pytest.mark.parametrize("n, M, eps, want", [
-        (41, 1.0, 0.1, 63213),         # check_power_bound_theorem, n_max = 40
-        (41, None, 0.1, 126424),       # the same on rotation_matrix(1.0)
-        (1, 1.0, 1e-3, 376039),        # brunel at n = 1, eps = 1e-3
-        (9, 1.000000000000002, 0.1, 3046),  # a start that needs no step
-    ])
-    def test_pick_P_is_minimal(self, n, M, eps, want):
-        """The smallest P with envelope(n, P) M <= eps: the search once
-        doubled P whenever its start fell a few terms short."""
-        if M is None:
-            M = max([1.0] + probe_power_bound(rotation_matrix(1.0)))
-        P = _pick_P(n, M, eps)
-        assert P == want
-        assert alpha_tail_envelope(n, P) * M <= eps < alpha_tail_envelope(n, P - 1) * M
 
     def test_evaluate_powers_validation(self):
         with pytest.raises(ValueError):
@@ -515,14 +512,20 @@ class TestBrunelGeneralPath:
         lambda: cesaro(APPENDIX_T, 2.5),
         lambda: matrix_power(APPENDIX_T, True),
         lambda: matrix_power(APPENDIX_T, 2.5),
+        lambda: S_value(True),
+        lambda: S_value(2.5),
+        lambda: appendix_example(True),
+        lambda: appendix_example(2.5),
     ], ids=["n-2.5", "n-2.5-closed-form", "n-True", "probe_len-8.0", "brunel-n-2.0",
             "n_max-True", "N_max-2.5", "dim-2.0", "matrix-dim-True", "cesaro-N-True",
-            "cesaro-N-2.5", "power-k-True", "power-k-2.5"])
+            "cesaro-N-2.5", "power-k-True", "power-k-2.5", "S-True", "S-2.5",
+            "appendix-True", "appendix-2.5"])
     def test_non_integer_counts_rejected(self, call):
-        """The tail envelope is proved for integer n only: n = 2.5 once got a
+        """The tail bound is proved for integer n only: n = 2.5 once got a
         "certified" tail, True was keyed True, and N_max = 2.5 raised a bare
         TypeError.  A matrix of dim True was accepted, cesaro(T, True) was
-        the identity and cesaro(T, 2.5) failed inside islice."""
+        the identity and cesaro(T, 2.5) failed inside islice; S_value(True)
+        returned S(1) and S_value(2.5) failed inside islice."""
         with pytest.raises(ValueError, match="must be an integer"):
             call()
 
@@ -541,19 +544,37 @@ class TestBrunelGeneralPath:
             assert gap <= shared[n][1] + single.tail_bound
 
 
+def alpha_float_rows(n_list: list[int], P: int) -> np.ndarray:
+    """Float alpha(n, 0..P), one row per n, by the ratio recurrence
+    alpha(n, p+1) / alpha(n, p) = (n+2p+1)(n+2p) / (4(p+1)(n+p+1))."""
+    n = np.array(n_list, dtype=np.float64)[:, None]
+    p = np.arange(P, dtype=np.float64)
+    ratios = (n + 2 * p + 1) * (n + 2 * p) / (4 * (p + 1) * (n + p + 1))
+    return 2.0 ** -n * np.cumprod(np.hstack([np.ones_like(n), ratios]), axis=1)
+
+
 def sequential_pass(T: DenseMatrix, n_list: list[int], P: int) -> np.ndarray:
-    """sum_p alpha(n, p) T^p by one matrix product per power, for reference."""
+    """The truncated series sum_(p<=P) alpha(n, p) T^p, one product per power,
+    the powers taken 1024 at a time."""
     d = T.dim
+    rows = alpha_float_rows(n_list, P)
     flat = np.zeros((len(n_list), d * d))
     powers = _powers(T)
-    for rows in alpha_float_blocks(n_list, P, POWER_BLOCK):
-        block = np.array([p.reshape(-1) for p in islice(powers, rows.shape[1])])
-        flat += rows @ block
+    for s in range(0, P + 1, 1024):
+        block = np.array([p.reshape(-1) for p in islice(powers, min(1024, P + 1 - s))])
+        flat += rows[:, s:s + len(block)] @ block
     return flat.reshape(len(n_list), d, d)
 
 
+def series_tail(n: int, P: int) -> float:
+    """sum_(p>P) alpha(n, p) <= e^(1/12) n / sqrt(pi P), from Stirling's
+    bound on C(n+2p-1, p) and the integral test; 1.087 > e^(1/12)."""
+    return 1.087 * n / math.sqrt(math.pi * P)
+
+
 class TestStridedPowerPass:
-    """The general path sums block j as (sum_i alpha(n, jw+i) T^i) T^(jw)."""
+    """The truncated series, summed here, against the reduction: the two
+    agree within the sum of both tails."""
 
     @pytest.mark.parametrize("T, probe_len", [
         (random_stochastic(3, 0), 8),
@@ -564,42 +585,37 @@ class TestStridedPowerPass:
     @pytest.mark.parametrize("n_list", [[1], [1, 2, 3], list(range(1, 42))],
                              ids=["n1", "n1-3", "n1-41"])
     @pytest.mark.parametrize("P", [5, 1023, 1024, 1025, 2049, 33844])
-    def test_matches_sequential_pass(self, monkeypatch, T, probe_len, n_list, P):
-        """A probe of 8 powers leaves most of the block to be drawn after it;
-        one of 2000 (at least POWER_BLOCK + 1) fills the block and S itself."""
-        monkeypatch.setattr(operators, "_pick_P", lambda n, M, eps: P)
-        powers, got_P = evaluate_powers(T, n_list, 0.1, probe_len=probe_len)
-        assert got_P == P
+    def test_matches_sequential_pass(self, T, probe_len, n_list, P):
+        """P is the series' truncation; a probe of 8 powers gives the
+        reduction a smaller M than the 2000 the series tail is taken with."""
+        powers, _ = evaluate_powers(T, n_list, 0.1, probe_len=probe_len)
         ref = sequential_pass(T, n_list, P)
+        M = max(probe_power_bound(T))
         for i, n in enumerate(n_list):
-            scale = max(1.0, Norm.OPINF.compute(ref[i]))
-            assert Norm.OPINF.compute(powers[n][0] - ref[i]) <= 1e-14 * scale, n
+            mat, tail = powers[n]
+            gap = Norm.OPINF.compute(mat - ref[i])
+            assert gap <= tail + M * series_tail(n, P), n
 
     def test_overflow_past_first_stride_signalled(self):
-        """1.9^p overflows first at p = 1106, so T^0..T^1024 are finite and
-        only the products with the stride T^1024 can overflow."""
+        """1.9^p overflows first at p = 1106, so even T^0..T^1024 are finite;
+        the guard on Pi_j stops the reduction at its first step."""
         T = DenseMatrix.from_rows([[1.9, 0.0], [0.0, 0.2]])
-        assert np.isfinite(matrix_power(T, POWER_BLOCK).array).all()
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SpectralExplosionError, match="overflowed"):
-                evaluate_powers(T, [1, 2], 0.1, probe_len=5)
+        assert np.isfinite(matrix_power(T, 1024).array).all()
+        with pytest.raises(SpectralExplosionError, match="past the probe"):
+            evaluate_powers(T, [1, 2], 0.1, probe_len=5)
 
     def test_power_budget(self, power_draws):
-        """The probe's walk over T^0..T^2000 already holds the block and the
-        stride T^POWER_BLOCK, so the pass draws no power of its own; with a
-        second walk for the block it was 3 026, and with one product per
-        power P + 1 = 33 845 more."""
+        """The probe's walk over T^0..T^2000 is the only draw of powers; the
+        truncated series once added P + 1 = 33 845 more."""
         probe_len = 2000
         _, P = evaluate_powers(random_stochastic(3, 0), [1, 2, 3], 1e-2,
-                              probe_len=probe_len)
-        assert P == 33844
+                               probe_len=probe_len)
+        assert P == 1022
         assert power_draws[0] == probe_len + 1
 
     def test_peak_memory_is_one_block(self):
-        """The walk writes T^0..T^POWER_BLOCK into one preallocated block; a
-        list of powers stacked afterwards would hold them twice.  The half MB
-        covers the float coefficient blocks and the probed norms, which do
-        not grow with d; a second block is 2.1 MB at d = 16."""
+        """The walk keeps no powers and the reduction a few d x d iterates;
+        the half MB covers the probed norms, which do not grow with d."""
         d = 16
         T = random_stochastic(d, 0)
         tracemalloc.start()
@@ -608,9 +624,68 @@ class TestStridedPowerPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert P == 33844
-        assert peak <= (POWER_BLOCK + 2) * d * d * 8 + 2 ** 19, peak
+        assert P == 1022
+        assert peak <= 2 ** 19, peak
 
+
+def scalar_reduction(steps: int, degree: int) -> tuple[list, list]:
+    """G and Pi after `steps` reduction steps at T = x, as Fraction power
+    series in x truncated after x^degree."""
+    def mul(a, b):
+        return [sum(a[i] * b[p - i] for i in range(p + 1)) for p in range(degree + 1)]
+
+    def inverse(u):  # (1 - u)^-1 for u with no constant term
+        w = [Fraction(1)] + [Fraction(0)] * degree
+        for p in range(1, degree + 1):
+            w[p] = sum(u[i] * w[p - i] for i in range(1, p + 1))
+        return w
+
+    zero = [Fraction(0)] * (degree + 1)
+    H, L = zero[:], zero[:]
+    H[1], L[0] = Fraction(1, 2), Fraction(1, 2)
+    G, Pi = L, H
+    for _ in range(steps):
+        W = inverse([x + y for x, y in zip(mul(H, L), mul(L, H))])
+        H, L = mul(W, mul(H, H)), mul(W, mul(L, L))
+        G = [g + q for g, q in zip(G, mul(Pi, L))]
+        Pi = mul(Pi, H)
+    return G, Pi
+
+
+class TestLogarithmicReduction:
+    """The facts the tail bound and the guard rest on, in exact arithmetic."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_iterate_agrees_through_degree(self, k):
+        """After k steps G's coefficients lie in [0, alpha(1, p)] and equal
+        alpha(1, p) exactly for p <= 2^(k+1) - 2, the reported P."""
+        degree = 79
+        G, _ = scalar_reduction(k, degree)
+        exact = [alpha(1, p) for p in range(degree + 1)]
+        assert all(0 <= g <= a for g, a in zip(G, exact))
+        P = 2 ** (k + 1) - 2
+        assert G[:P + 1] == exact[:P + 1]
+        assert G[P + 1] < exact[P + 1]
+
+    def test_sums_at_one(self):
+        """At x = 1 the iterate G sums to 1 - 2^-(k+1) and Pi to 2^-(k+1):
+        H = L = 1/2 at every step."""
+        H = L = G = Fraction(1, 2)
+        Pi = H
+        for k in range(1, 13):
+            W = 1 / (1 - (H * L + L * H))
+            H, L = W * H * H, W * L * L
+            G, Pi = G + Pi * L, Pi * H
+            assert (G, Pi) == (1 - Fraction(1, 2 ** (k + 1)), Fraction(1, 2 ** (k + 1)))
+
+    def test_matrix_iterate_matches_series(self):
+        """On the 40 x 40 shift S, row 0 of G(S) lists G's coefficients, so the
+        float reduction computes the exact iterate to rounding."""
+        d, k = 40, 4
+        S = DenseMatrix(dim=d, array=np.eye(d, k=1))
+        G, _ = scalar_reduction(k, d - 1)
+        row = _reduce(S, k, 1.0, Norm.OPINF)[0]
+        assert np.abs(row - [float(g) for g in G]).max() <= 1e-16
 
 class TestWorkedExample:
     def test_S_values_match_closed_form(self):
@@ -740,6 +815,16 @@ class TestTheoremChecks:
         short = evaluate_powers(T, ells, 0.2, probe_len=3)[1]
         assert report.rectangle["P"] == short
         assert short < evaluate_powers(T, ells, 0.2)[1]
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_power_bound_theorem(random_stochastic(16, 0), eps=0.0),
+        lambda: check_mean_bound_theorem(random_stochastic(16, 0), eps=-1),
+    ], ids=["power-eps-0", "mean-eps-minus1"])
+    def test_bad_eps_rejected_before_the_walk(self, power_draws, check):
+        """eps is checked before the probe, which once drew 2 001 powers first."""
+        with pytest.raises(ValueError, match="eps must be positive"):
+            check()
+        assert power_draws[0] == 0
 
     def test_power_bound_walks_once(self, power_draws):
         """M and the series come from one walk; probing for M and again for
