@@ -35,16 +35,38 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def dyadic_str(man: int, exp: int) -> str:
+    """Serialize man / 2^exp exactly, in the form rational_str gives that value.
+
+    A reduced fraction terminates in base 10 iff its denominator is 2^a * 5^b,
+    and a dyadic is the case b = 0: once the trailing zero bits of man are
+    shifted out, m / 2^e with e > 0 is reduced, and m / 2^e = m 5^e / 10^e, so
+    its digits are the integer |m| 5^e with the point e places from the right.
+    No gcd is taken.
+    """
+    if not man:
+        return "0"
+    shift = (man & -man).bit_length() - 1
+    man >>= shift
+    exp -= shift
+    if exp <= 0:
+        return str(man << -exp)
+    sign = "-" if man < 0 else ""
+    text = str(abs(man) * 5 ** exp).rjust(exp + 1, "0")
+    return f"{sign}{text[:-exp]}.{text[-exp:]}"
+
+
 def rational_str(q: Rational) -> str:
     """Serialize exactly: terminating decimal when one exists, else 'p/q'.
 
     A reduced fraction terminates in base 10 iff its denominator is 2^a * 5^b;
-    with k = max(a, b) its digits are the integer |num| 2^(k-a) 5^(k-b).
+    with k = max(a, b) its digits are the integer |num| 2^(k-a) 5^(k-b).  A
+    power-of-two denominator (b = 0, integers included) goes to dyadic_str.
     """
     q = Fraction(q)
     num, den = q.numerator, q.denominator
-    if den == 1:
-        return str(num)
+    if not den & (den - 1):
+        return dyadic_str(num, den.bit_length() - 1)
     a = (den & -den).bit_length() - 1
     rest = den >> a
     b = 0

@@ -22,11 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 from typing import Iterator
 
-from .arith import rational_str
+from .arith import dyadic_str, rational_str
 from .analysis import run_all_suites, run_suite, thresholds
 from .coeffs import alpha, alpha_mantissa_row, beta, mantissa_rows, psi_eval
 from .operators import (
@@ -84,15 +83,14 @@ def cmd_coeff(args) -> int:
 
 
 def _table_cells(kind: str, n_max: int, p_max: int) -> Iterator[tuple[int, int, str]]:
-    """(n, p, exact value) for the table, read off the integer mantissa rows:
+    """(n, p, exact value) for the table, printed off the integer mantissa rows:
     alpha(n, p) = row[p] / 2^(n+2p), beta(n, p) = row[p-n] / 2^(2p-n) or 0."""
     for n, row in mantissa_rows(n_max, p_max):
         for p in range(p_max + 1):
             if kind == "alpha":
-                value = Fraction(row[p], 1 << (n + 2 * p))
+                yield n, p, dyadic_str(row[p], n + 2 * p)
             else:
-                value = Fraction(row[p - n], 1 << (2 * p - n)) if p >= n else 0
-            yield n, p, rational_str(value)
+                yield n, p, dyadic_str(row[p - n], 2 * p - n) if p >= n else "0"
 
 
 def cmd_table(args) -> int:
@@ -101,11 +99,15 @@ def cmd_table(args) -> int:
                          f"{args.n_max} and {args.p_max}")
     cells = _table_cells(args.kind, args.n_max, args.p_max)
     if args.format == "json":
-        entries = [{"n": n, "p": p, "value": v} for n, p, v in cells]
-        _emit(_json({"kind": args.kind, "entries": entries}), args.out)
+        # the layout of _json({"kind": ..., "entries": [{"n", "p", "value"}]}):
+        # values are digits and a '.', so nothing needs escaping
+        entries = ",\n".join(
+            f'    {{\n      "n": {n},\n      "p": {p},\n      "value": "{v}"\n    }}'
+            for n, p, v in cells)
+        text = f'{{\n  "entries": [\n{entries}\n  ],\n  "kind": "{args.kind}"\n}}'
     else:
-        lines = ["n,p,value", *(f"{n},{p},{v}" for n, p, v in cells)]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "".join(["n,p,value\n", *(f"{n},{p},{v}\n" for n, p, v in cells)])
+    _emit(text, args.out)
     return 0
 
 

@@ -405,7 +405,7 @@ class BrunelResult:
 
 
 def brunel(
-    T: DenseMatrix, n_power: int = 1, eps: float = 1e-8,
+    T: DenseMatrix, n_power: int = 1, eps: float = 1e-5,
     norm: Norm = Norm.OPINF, probe_len: int = 2000,
 ) -> BrunelResult:
     """A^n_power(T) with tail_bound <= eps (in `norm`), or a signalled failure."""

@@ -12,6 +12,7 @@ from artifact.arith import (
     binomial,
     certified_ge,
     certified_le,
+    dyadic_str,
     iv,
     iv_float_down,
     iv_float_up,
@@ -22,6 +23,29 @@ from artifact.arith import (
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
 )
+mantissas = st.integers(min_value=-(2**200), max_value=2**200)
+exponents = st.integers(min_value=0, max_value=300)
+
+
+def fraction_str(q: Fraction) -> str:
+    """Test oracle: the serializer on a reduced Fraction alone, the form that
+    dyadic_str and rational_str must reproduce byte for byte."""
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return str(num)
+    a = (den & -den).bit_length() - 1
+    rest = den >> a
+    b = 0
+    while rest % 5 == 0:
+        rest //= 5
+        b += 1
+    if rest != 1:
+        return f"{num}/{den}"
+    digits = max(a, b)
+    scaled = (abs(num) << (digits - a)) * 5 ** (digits - b)
+    sign = "-" if num < 0 else ""
+    text = str(scaled).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 class TestBinomial:
@@ -94,6 +118,50 @@ class TestRationalStr:
         assert parse_rational("0.125") == Fraction(1, 8)
         assert parse_rational("1/8") == Fraction(1, 8)
         assert parse_rational("-2") == Fraction(-2)
+
+    @given(rationals)
+    @settings(max_examples=300)
+    def test_matches_fraction_oracle(self, a):
+        assert rational_str(a) == fraction_str(a)
+
+
+class TestDyadicStr:
+    """dyadic_str(m, e) prints m / 2^e exactly as the Fraction oracle does."""
+
+    def check(self, m: int, e: int) -> None:
+        q = Fraction(m, 2**e)
+        text = dyadic_str(m, e)
+        assert text == fraction_str(q), (m, e)
+        assert parse_rational(text) == q, (m, e)
+
+    @given(mantissas, exponents)
+    @settings(max_examples=400)
+    def test_matches_fraction_oracle(self, m, e):
+        self.check(m, e)
+
+    @given(mantissas, exponents, st.integers(min_value=0, max_value=8))
+    @settings(max_examples=200)
+    def test_integer_results(self, m, e, extra):
+        """m with at least e trailing zero bits: the value is an integer."""
+        m <<= e + extra
+        self.check(m, e)
+        assert "." not in dyadic_str(m, e)
+
+    @given(st.integers(min_value=-(2**64), max_value=2**64))
+    def test_exponent_zero(self, m):
+        assert dyadic_str(m, 0) == str(m)
+
+    @given(exponents)
+    def test_zero(self, e):
+        assert dyadic_str(0, e) == "0"
+
+    def test_examples(self):
+        assert dyadic_str(1, 3) == "0.125"
+        assert dyadic_str(-3, 2) == "-0.75"
+        assert dyadic_str(-1, 5) == "-0.03125"
+        assert dyadic_str(12, 2) == "3"
+        assert dyadic_str(-12, 3) == "-1.5"
+        assert dyadic_str(5, 1) == "2.5"
 
 
 class TestCertifiedComparisons:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import artifact
-from artifact.arith import parse_rational
+from artifact.arith import parse_rational, rational_str
 from artifact import cli
 from artifact.cli import build_parser, main
 from artifact.coeffs import alpha, beta
@@ -124,6 +124,42 @@ class TestTableCommand:
         assert {"n": 1, "p": 1, "value": "0.125"} in doc["entries"]
         for n, p, value in self.cells(capsys, "alpha", "json"):
             assert value == alpha(n, p), (n, p)
+
+    @pytest.mark.parametrize("kind", ["alpha", "beta"])
+    @pytest.mark.parametrize("n_max, p_max", [(1, 0), (2, 1), (8, 20)])
+    def test_json_layout_is_json_dumps(self, capsys, tmp_path, kind, n_max, p_max):
+        """The table's fixed JSON template is byte for byte what _json gives
+        the same document, on stdout (plus the newline _emit adds) and in --out."""
+        value = alpha if kind == "alpha" else beta
+        entries = [{"n": n, "p": p, "value": rational_str(value(n, p))}
+                   for n in range(1, n_max + 1) for p in range(p_max + 1)]
+        want = cli._json({"kind": kind, "entries": entries})
+        argv = ["table", "--kind", kind, "--n-max", str(n_max),
+                "--p-max", str(p_max), "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == want + "\n"
+        path = tmp_path / "table.json"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == want
+
+    # sha256 of the 8 x 20 tables as written by --out, computed when each cell
+    # was still built as a reduced Fraction and the JSON by json.dumps
+    TABLE_PINS = {
+        ("alpha", "csv"): "2f40674810bf71c008bd9257e635e99638369055e47dada7324e33f1143725d2",
+        ("alpha", "json"): "fa8fb75f8d7bd0da8de15094fb31aee07d8e7132dd360852395465ddc2f94e47",
+        ("beta", "csv"): "fd9c5babbe46589bd52e673362bbe19d020216413c2fc05c80c1b0a2381b172b",
+        ("beta", "json"): "80c076d883023466f2e8ba5896f350862aecd758d4c52efc56455ad9a47296b8",
+    }
+
+    @pytest.mark.parametrize("kind, fmt", sorted(TABLE_PINS))
+    def test_table_bytes_pinned(self, capsys, tmp_path, kind, fmt):
+        path = tmp_path / f"table.{fmt}"
+        code, _, _ = run(capsys, "table", "--kind", kind, "--n-max", "8",
+                         "--p-max", "20", "--format", fmt, "--out", str(path))
+        assert code == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.TABLE_PINS[kind, fmt]
 
 
 class TestFigureCommand:
@@ -263,6 +299,21 @@ class TestOperatorCommand:
         assert doc["tail_bound"] <= 1e-10
         assert np.allclose(doc["matrix"]["rows"], np.eye(2), atol=0)
         assert doc["norm"] == "opinf"
+
+    def test_brunel_power_default_eps_is_reachable(self, capsys, tmp_path):
+        """The library default eps is within the general path's step cap
+        (1e-8 was not: at M = 1 it needs 27 reduction steps, the cap is 21)."""
+        rows = [[0.5, 0.5], [0.25, 0.75]]
+        path = self.write(tmp_path, rows)
+        code, out, _ = run(capsys, "operator", "brunel-power", "--matrix", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert 0 < doc["tail_bound"] <= 1e-5
+        # psi(t) = 1 / (1 + sqrt(1 - t)) on the eigenvalues 1 and 1/4
+        w, V = np.linalg.eig(np.array(rows))
+        exact = V @ np.diag(1 / (1 + np.sqrt(1 - w))) @ np.linalg.inv(V)
+        err = np.abs(np.array(doc["matrix"]["rows"]) - exact).sum(axis=1).max()
+        assert err <= doc["tail_bound"]
 
     def test_cesaro(self, capsys, tmp_path):
         path = self.write(tmp_path, [[-1.0, 2.0], [0.0, -1.0]])
