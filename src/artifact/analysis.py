@@ -20,11 +20,16 @@ Every claim is decided on the integer mantissas a(n, p) = alpha(n, p) 2^(n+2p)
 by a shifted-integer comparison: I is 4 a(n,p) <= a(n,p+1), J is
 2 a(n,p) >= a(n+1,p), and the difference d(n,p) = 2 a(n,p) - a(n+1,p) is the
 mantissa of alpha(n,p) - alpha(n+1,p) over 2^(n+1+2p).  Each claim has one
-small predicate on mantissas; the public per-cell check_* functions feed it
-closed-form mantissas and the suites feed it rows of the integer kernel
-`mantissa_rows`.  A transcendental bound is an outward-rounded interval, and
-the mantissa is compared exactly against its unfavorable endpoint by
-`arith.certified_le` / `certified_ge`.
+small predicate on mantissas; the suites feed it rows of the integer kernel
+`mantissa_rows`, and the public per-cell check_* functions feed it one
+closed-form mantissa plus its neighbours, reached by the exact ratio hops of
+`alpha_mantissa_walk`.  The `bounds` suite walks its peak column
+n -> floor(I(n)) the same way, from one binomial.  The `recurrences` and
+`oracle` suites stay on the binomial closed forms and the Catalan oracle:
+they are the independent checks that the row kernel and the walk rest on.
+A transcendental bound is an outward-rounded interval, built once per p from
+shared cached pieces, and the mantissa is compared exactly against its
+unfavorable endpoint by `arith.certified_le` / `certified_ge`.
 
 The J threshold holds for every p and sum_p alpha(n, p) = psi(1)^n = 1, so
 sum_p |d(n,p)| / 2^(n+1+2p) = 2 sum_{p<=J(n)} d(n,p) / 2^(n+1+2p): the
@@ -57,6 +62,7 @@ from .arith import (
 from .coeffs import (
     alpha_mantissa,
     alpha_mantissa_row,
+    alpha_mantissa_walk,
     beta_mantissa,
     mantissa_rows,
     oracle_mantissa_rows,
@@ -134,10 +140,26 @@ def roots_exist(n: int) -> bool:
 # threshold equivalences (exact)
 # ---------------------------------------------------------------------------
 
-def _diff_mantissa(n: int, p: int) -> int:
-    """d(n, p) = 2 a(n, p) - a(n+1, p): alpha(n,p) - alpha(n+1,p) over 2^(n+1+2p)."""
-    a = alpha_mantissa(n, p) if n >= 1 else int(p == 0)  # psi^0 = 1
-    return 2 * a - alpha_mantissa(n + 1, p)
+def _diff_pair(n: int, p: int) -> tuple[int, int]:
+    """(d(n, p), d(n, p+1)) with d(n, p) = 2 a(n, p) - a(n+1, p), from one binomial.
+
+    d(n, p) is the mantissa of alpha(n,p) - alpha(n+1,p) over 2^(n+1+2p); the
+    seed a(n, p) starts both walks, one up in n, one along p and then up.
+    """
+    a = alpha_mantissa(n, p)
+    _, a_up = alpha_mantissa_walk([(n, p), (n + 1, p)], seed=a)
+    _, a_next, a_up_next = alpha_mantissa_walk([(n, p), (n, p + 1), (n + 1, p + 1)], seed=a)
+    return 2 * a - a_up, 2 * a_next - a_up_next
+
+
+def _diff_column(n: int, p: int) -> tuple[int, int]:
+    """(d(n-1, p), d(n, p)) from one walk up the column; a(0, p) = [p = 0] from psi^0 = 1."""
+    if n == 1:
+        a, a_up = alpha_mantissa_walk([(1, p), (2, p)])
+        a_prev = int(p == 0)
+    else:
+        a_prev, a, a_up = alpha_mantissa_walk([(n - 1, p), (n, p), (n + 1, p)])
+    return 2 * a_prev - a, 2 * a - a_up
 
 
 def _I_claim(n: int, p: int, a: int, a_next: int) -> bool:
@@ -150,14 +172,20 @@ def _J_claim(n: int, p: int, a: int, a_up: int) -> bool:
     return (2 * a >= a_up) == (2 * p <= n * n + n)
 
 
-def _K_claim(n: int, p: int, d: int, d_next: int) -> bool:
-    """Difference step nondecreasing, 4 d(n,p) <= d(n,p+1), iff the quadratic says so."""
-    return (4 * d <= d_next) == (12 * p * (n * n + n - 1) - 12 * p * p <= _quartic_q(n))
+def _K_claim(p: int, A: int, q: int, d: int, d_next: int) -> bool:
+    """Difference step nondecreasing, 4 d(n,p) <= d(n,p+1), iff p (A - 12p) <= q(n).
+
+    A = 12(n^2 + n - 1) and q(n) are the per-n constants of `_discriminant` and
+    `_quartic_q`, so the right side is the quadratic criterion f_n(p) <= 0.
+    """
+    return (4 * d <= d_next) == (p * (A - 12 * p) <= q)
 
 
-def _regions_claim(n: int, p: int, d: int, d_next: int) -> Optional[bool]:
-    """Difference step nondecreasing iff p lies outside the roots; None at a root."""
-    A, D = _discriminant(n)
+def _regions_claim(p: int, A: int, D: int, d: int, d_next: int) -> Optional[bool]:
+    """Difference step nondecreasing iff p lies outside the roots; None at a root.
+
+    (A, D) = `_discriminant(n)`, computed once per n by the caller.
+    """
     t = A - 24 * p
     if t * t == D:
         return None
@@ -174,12 +202,12 @@ def _quotient_claim(n: int, p: int, d_prev: int, d: int) -> Optional[bool]:
 
 def check_I_equivalence(n: int, p: int) -> bool:
     """[alpha(n,p) <= alpha(n,p+1)] iff [p <= I(n)], both sides exact."""
-    return _I_claim(n, p, alpha_mantissa(n, p), alpha_mantissa(n, p + 1))
+    return _I_claim(n, p, *alpha_mantissa_walk([(n, p), (n, p + 1)]))
 
 
 def check_J_equivalence(n: int, p: int) -> bool:
     """[alpha(n,p) >= alpha(n+1,p)] iff [p <= J(n)], both sides exact."""
-    return _J_claim(n, p, alpha_mantissa(n, p), alpha_mantissa(n + 1, p))
+    return _J_claim(n, p, *alpha_mantissa_walk([(n, p), (n + 1, p)]))
 
 
 def check_K_appendix_equivalence(n: int, p: int) -> bool:
@@ -190,7 +218,8 @@ def check_K_appendix_equivalence(n: int, p: int) -> bool:
     """
     if n < 2:
         raise ValueError("quadratic criterion needs n >= 2")
-    return _K_claim(n, p, _diff_mantissa(n, p), _diff_mantissa(n, p + 1))
+    A, _ = _discriminant(n)
+    return _K_claim(p, A, _quartic_q(n), *_diff_pair(n, p))
 
 
 def check_upper_lower_K(n: int, p: int) -> Optional[bool]:
@@ -204,7 +233,7 @@ def check_upper_lower_K(n: int, p: int) -> Optional[bool]:
     """
     if not roots_exist(n):
         raise ValueError(f"n = {n} does not have two nonnegative roots")
-    return _regions_claim(n, p, _diff_mantissa(n, p), _diff_mantissa(n, p + 1))
+    return _regions_claim(p, *_discriminant(n), *_diff_pair(n, p))
 
 
 def check_quotient_identity(n: int, p: int) -> Optional[bool]:
@@ -224,28 +253,48 @@ def check_quotient_identity(n: int, p: int) -> Optional[bool]:
     """
     if n < 1 or p < 0:
         raise ValueError("need n >= 1, p >= 0")
-    return _quotient_claim(n, p, _diff_mantissa(n - 1, p), _diff_mantissa(n, p))
+    return _quotient_claim(n, p, *_diff_column(n, p))
 
 
 # ---------------------------------------------------------------------------
 # bound checks (exact mantissa vs outward-rounded transcendental bound)
 # ---------------------------------------------------------------------------
 
+# The bounds are built from shared pieces and cached, so that the suites and the
+# per-cell checks read one definition and a sweep evaluates each interval once.
+# The caches hold intervals at the fixed `iv.prec` set by `arith`.
+
+@functools.cache
+def _e_twelfth() -> "iv.mpf":
+    """e^(1/12) as an outward-rounded interval."""
+    return iv.exp(iv.mpf(1) / 12)
+
+
+@functools.lru_cache(maxsize=4096)
+def _sqrt_pi_p(p: int) -> "iv.mpf":
+    """sqrt(pi p) as an outward-rounded interval."""
+    return iv.sqrt(iv.pi * p)
+
+
+@functools.lru_cache(maxsize=4096)
 def _eq8_bound(p: int) -> "iv.mpf":
     """e^(1/(24p)) / (2(1+p) sqrt(pi p)) as an outward-rounded interval."""
-    return iv.exp(iv.mpf(1) / (24 * p)) / (2 * (1 + p) * iv.sqrt(iv.pi * p))
+    return iv.exp(iv.mpf(1) / (24 * p)) / (2 * (1 + p) * _sqrt_pi_p(p))
 
 
+@functools.lru_cache(maxsize=4096)
 def _sean_bound(p: int) -> "iv.mpf":
     """e^(1/12) / sqrt(pi p) as an outward-rounded interval."""
-    return iv.exp(iv.mpf(1) / 12) / iv.sqrt(iv.pi * p)
+    return _e_twelfth() / _sqrt_pi_p(p)
 
 
+@functools.cache
 def _in_bound_M() -> "iv.mpf":
     """6 sqrt(2/pi) e^(1/12) as an outward-rounded interval."""
-    return 6 * iv.sqrt(iv.mpf(2) / iv.pi) * iv.exp(iv.mpf(1) / 12)
+    return 6 * iv.sqrt(iv.mpf(2) / iv.pi) * _e_twelfth()
 
 
+@functools.cache
 def _technical_C() -> "iv.mpf":
     """6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2)) as an outward-rounded interval."""
     return 6 * iv.exp(iv.mpf(7) / 12) * iv.sqrt(2 * iv.pi) / (2 - iv.sqrt(iv.mpf(2)))
@@ -331,7 +380,8 @@ def check_uniform_p_estimate(n: int, p: int) -> bool:
     """
     if n < 1 or p < 1:
         raise ValueError("need n >= 1, p >= 1")
-    return _uniform_claim(n, p, _diff_mantissa(n, p), alpha_mantissa(1, p), _eq8_bound(p))
+    a1, a, a_up = alpha_mantissa_walk([(1, p), (n, p), (n + 1, p)])
+    return _uniform_claim(n, p, 2 * a - a_up, a1, _eq8_bound(p))
 
 
 def check_alpha0_difference(n: int) -> bool:
@@ -533,12 +583,13 @@ def _suite_k_regions(n_max=40, p_max=600):
         if n < 2:
             continue
         d = [2 * row[p] - up[p] for p in range(p_max + 2)]
-        has_roots = roots_exist(n)
+        q = _quartic_q(n)
+        A, D = _discriminant(n)
         for p in range(p_max + 1):
-            yield {"check": "quadratic", "n": n, "p": p}, _K_claim(n, p, d[p], d[p + 1])
-            if has_roots:
+            yield {"check": "quadratic", "n": n, "p": p}, _K_claim(p, A, q, d[p], d[p + 1])
+            if q >= 0:  # both roots nonnegative, as in roots_exist(n)
                 yield ({"check": "regions", "n": n, "p": p},
-                       _regions_claim(n, p, d[p], d[p + 1]))
+                       _regions_claim(p, A, D, d[p], d[p + 1]))
 
 
 @_suite
@@ -556,8 +607,6 @@ def _suite_quotient(n_max=30, p_max=200):
 @_suite
 def _suite_bounds(n_max=60, p_max=400, sean_n_max=100, in_n_max=200):
     ps = range(1, p_max + 1)
-    eq8 = {p: _eq8_bound(p) for p in ps}
-    sean = {p: _sean_bound(p) for p in ps}
     # C(n+2p, p) = 2 C(n-1+2p, p) - a(n, p), from the central binomials up
     central = [binomial(2 * p, p) for p in range(p_max + 1)]
     a1 = None
@@ -567,16 +616,18 @@ def _suite_bounds(n_max=60, p_max=400, sean_n_max=100, in_n_max=200):
         if n <= n_max:
             for p in ps:
                 yield ({"check": "uniform", "n": n, "p": p},
-                       _uniform_claim(n, p, 2 * row[p] - up[p], a1[p], eq8[p]))
+                       _uniform_claim(n, p, 2 * row[p] - up[p], a1[p], _eq8_bound(p)))
         if n <= sean_n_max:
             for p in ps:
                 central[p] = 2 * central[p] - row[p]
                 yield ({"check": "stirling", "n": n, "p": p},
-                       _stirling_claim(n, p, central[p], sean[p]))
+                       _stirling_claim(n, p, central[p], _sean_bound(p)))
+    # The peak column n -> floor(I(n)) never steps back, so one binomial seeds
+    # a walk that reaches every peak cell by exact ratio hops.
     M = _in_bound_M()
-    for n in range(6, in_n_max + 1):
-        i = (n * n - 3 * n - 4) // 6
-        yield {"check": "peak", "n": n}, _peak_claim(n, i, alpha_mantissa(n, i), M)
+    peaks = [(n, (n * n - 3 * n - 4) // 6) for n in range(6, in_n_max + 1)]
+    for (n, i), a in zip(peaks, alpha_mantissa_walk(peaks)):
+        yield {"check": "peak", "n": n}, _peak_claim(n, i, a, M)
 
 
 @_suite

@@ -22,7 +22,9 @@ closed form, so the shift b(n, p+n) = a(n, p) is a real check.  Sweeps over a
 rectangle use `mantissa_rows`, the integer kernel: two rows seeded by the
 exact ratio recurrence, then every further row by the paper's three-term
 recurrence in mantissa form, a(n+1, p) = a(n, p+1) - a(n-1, p+1), which is
-pure big-integer subtraction.
+pure big-integer subtraction.  Single cells off a row use
+`alpha_mantissa_walk`: one binomial seeds a path whose n and p never
+decrease, and each further cell is one exact ratio hop.
 
 An independent oracle builds the same mantissas in integers from the
 binomial series of xi(x) alone: its coefficient ratio (2k-3)/(2k), scaled by
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .arith import Rational, binomial
 
@@ -67,6 +69,49 @@ def alpha_mantissa_stream(n: int) -> Iterator[int]:
     for p in count():
         yield a
         a = a * ((n + 2 * p + 1) * (n + 2 * p)) // ((p + 1) * (n + p + 1))
+
+
+def alpha_mantissa_walk(
+    cells: Iterable[tuple[int, int]], seed: Optional[int] = None
+) -> Iterator[int]:
+    """a(n, p) at each cell of a path whose n and p never decrease.
+
+    The first cell costs one binomial (`alpha_mantissa`), or none when its
+    mantissa is passed as `seed`.  Every later cell is one hop: the exact
+    ratios
+
+        a(n+1, p) / a(n, p) = (n+1)(n+2p) / (n(n+p+1)),
+        a(n, p+1) / a(n, p) = (n+2p+1)(n+2p) / ((p+1)(n+p+1)),
+
+    taken first in n and then in p, are multiplied into one small numerator
+    and one small denominator, followed by one big multiply and one divmod; a
+    division that leaves a remainder is an error.
+    """
+    cells = iter(cells)
+    first = next(cells, None)
+    if first is None:
+        return
+    n, p = first
+    if n < 1 or p < 0:
+        raise ValueError(f"the walk starts at n >= 1, p >= 0, got ({n}, {p})")
+    a = alpha_mantissa(n, p) if seed is None else seed
+    yield a
+    for n_to, p_to in cells:
+        if n_to < n or p_to < p:
+            raise ValueError(f"the walk cannot step back from ({n}, {p}) to ({n_to}, {p_to})")
+        num = den = 1
+        for m in range(n, n_to):
+            num *= (m + 1) * (m + 2 * p)
+            den *= m * (m + p + 1)
+        n = n_to
+        for q in range(p, p_to):
+            num *= (n + 2 * q + 1) * (n + 2 * q)
+            den *= (q + 1) * (n + q + 1)
+        p = p_to
+        a, r = divmod(a * num, den)
+        if r:
+            raise AssertionError(f"a({n}, {p}) = {a} + {r}/{den} is not an integer")
+        yield a
 
 
 def alpha_mantissa_row(n: int, p_max: int) -> list[int]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import analysis
+from artifact import analysis, coeffs
 from artifact.analysis import (
     BoundConstants,
     RECTANGLE_KEYS,
@@ -39,6 +39,7 @@ from artifact.analysis import (
 )
 from artifact.coeffs import (
     alpha,
+    alpha_mantissa,
     alpha_mantissa_row,
     psi_eval,
     psi_partial_sum,
@@ -135,6 +136,13 @@ class TestThresholdEquivalences:
     def test_K_needs_n_at_least_two(self):
         with pytest.raises(ValueError):
             check_K_appendix_equivalence(1, 0)
+
+    @pytest.mark.parametrize("check, n, p", [
+        (check_I_equivalence, 0, 3), (check_J_equivalence, -1, 2),
+        (check_K_appendix_equivalence, 5, -1), (check_upper_lower_K, 6, -2)])
+    def test_cells_outside_the_domain_raise(self, check, n, p):
+        with pytest.raises(ValueError, match="n >= 1, p >= 0"):
+            check(n, p)
 
     def test_sweeps_small(self):
         for n in range(1, 16):
@@ -553,6 +561,39 @@ class TestSuites:
         assert {f["params"]["check"] for f in report.failures} == {"beta"}
         assert {(f["params"]["N"], f["params"]["p"]) for f in report.failures} == {
             (4, 70), (5, 70), (6, 71)}
+
+    @pytest.mark.parametrize("in_n_max, peaks", [(5, 0), (6, 1), (7, 2)])
+    def test_bounds_peak_cells(self, monkeypatch, in_n_max, peaks):
+        """The peak column starts at n = 6 and reads a(n, floor(I(n))) from the walk."""
+        seen = []
+        claim = analysis._peak_claim
+
+        def record(n, i, a, M):
+            seen.append((n, i, a))
+            return claim(n, i, a, M)
+
+        monkeypatch.setattr(analysis, "_peak_claim", record)
+        rect = dict(n_max=1, p_max=1, sean_n_max=1)
+        report = run_suite("bounds", in_n_max=in_n_max, **rect)
+        assert report.passed
+        assert report.checks == run_suite("bounds", in_n_max=0, **rect).checks + peaks
+        cells = [(n, (n * n - 3 * n - 4) // 6) for n in range(6, in_n_max + 1)]
+        assert seen == [(n, i, alpha_mantissa(n, i)) for n, i in cells]
+
+    def test_bounds_takes_one_binomial_mantissa(self, monkeypatch):
+        """Only the seed of the peak walk is a closed-form mantissa; the other
+        194 peak cells are ratio hops and the rows come from the kernel."""
+        calls = []
+        right = alpha_mantissa
+
+        def counted(n, p):
+            calls.append((n, p))
+            return right(n, p)
+
+        monkeypatch.setattr(analysis, "alpha_mantissa", counted)
+        monkeypatch.setattr(coeffs, "alpha_mantissa", counted)
+        assert run_suite("bounds").passed
+        assert calls == [(6, 2)]
 
     def test_registry_fills_rectangle_defaults_from_signature(self):
         assert run_suite("gamma", n_max=2).rectangle == {

@@ -14,6 +14,7 @@ from artifact.coeffs import (
     alpha_mantissa,
     alpha_mantissa_row,
     alpha_mantissa_stream,
+    alpha_mantissa_walk,
     alpha_recurrence_check,
     alternating_dyadic_sum,
     beta,
@@ -140,6 +141,45 @@ class TestMantissa:
         ):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 evaluate()
+
+
+class TestMantissaWalk:
+    """Ratio hops along a path whose n and p never decrease."""
+
+    def test_peak_column(self):
+        cells = [(n, (n * n - 3 * n - 4) // 6) for n in range(6, 201)]
+        assert list(alpha_mantissa_walk(cells)) == [alpha_mantissa(n, p) for n, p in cells]
+
+    @given(st.lists(st.tuples(st.integers(1, 60), st.integers(0, 2000)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_monotone_paths(self, cells):
+        """Sorting n and p apart gives a path with repeats, single steps and long hops."""
+        path = list(zip(sorted(n for n, _ in cells), sorted(p for _, p in cells)))
+        assert list(alpha_mantissa_walk(path)) == [alpha_mantissa(n, p) for n, p in path]
+
+    def test_seed_skips_the_binomial(self):
+        assert list(alpha_mantissa_walk([(3, 4), (4, 5)], seed=alpha_mantissa(3, 4))) == [
+            alpha_mantissa(3, 4), alpha_mantissa(4, 5)]
+
+    def test_empty_path(self):
+        assert list(alpha_mantissa_walk([])) == []
+
+    def test_inexact_division_raises(self):
+        """a(2, 2) / a(2, 1) = 5/2, so a wrong odd seed leaves a remainder."""
+        assert list(alpha_mantissa_walk([(2, 1), (2, 2)])) == [2, 5]
+        with pytest.raises(AssertionError, match="not an integer"):
+            list(alpha_mantissa_walk([(2, 1), (2, 2)], seed=3))
+
+    @pytest.mark.parametrize("path", [[(3, 4), (2, 5)], [(3, 4), (4, 3)]])
+    def test_step_back_raises(self, path):
+        with pytest.raises(ValueError, match="step back"):
+            list(alpha_mantissa_walk(path))
+
+    @pytest.mark.parametrize("start", [(0, 3), (-1, 0), (2, -1)])
+    def test_rejects_start_outside_domain(self, start):
+        with pytest.raises(ValueError, match="starts at n >= 1"):
+            next(alpha_mantissa_walk([start]))
 
 
 class TestOracle:
