@@ -66,7 +66,6 @@ from .coeffs import (
     beta_mantissa,
     mantissa_rows,
     oracle_mantissa_rows,
-    recurrence_holds,
     sum_alpha_mantissa,
 )
 from .report import VerifyReport
@@ -251,8 +250,6 @@ def check_quotient_identity(n: int, p: int) -> Optional[bool]:
     guard n(n-1) - 2p = 0 fails (for n = 1 that is exactly p = 0, where the
     reduced formula does not apply either).
     """
-    if n < 1 or p < 0:
-        raise ValueError("need n >= 1, p >= 0")
     return _quotient_claim(n, p, *_diff_column(n, p))
 
 
@@ -393,8 +390,6 @@ def check_alpha0_difference(n: int) -> bool:
 
     and that value is at most 1.  Checked as an exact identity.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _alpha0_claim(n, alpha_mantissa(n, 0), alpha_mantissa(n + 1, 0))
 
 
@@ -411,8 +406,6 @@ def check_sum_coefficient_bound(n: int) -> bool:
     The differences change sign once, at p = J(n), and sum to zero, so the
     infinite sum is twice the finite sum over p <= J(n) (see _sum_bound_claim).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     J = n * (n + 1) // 2
     return _sum_bound_claim(n, alpha_mantissa_row(n, J), alpha_mantissa_row(n + 1, J))
 
@@ -562,11 +555,10 @@ def _suite_recurrences(n_max=40, beta_p_max=120, alpha_p_max=200):
         for p in range(beta_p_max + 1):
             lower = beta[n - 1][p - 1] if p else 0
             yield ({"check": "beta", "N": n, "p": p},
-                   recurrence_holds(lower, beta[n][p], beta[n + 1][p]))
+                   beta[n + 1][p] == beta[n][p] - lower)
         for p in range(alpha_p_max + 1):
             yield ({"check": "alpha", "n": n, "p": p},
-                   recurrence_holds(closed[n - 1][p + 1], closed[n][p + 1],
-                                    closed[n + 1][p]))
+                   closed[n + 1][p] == closed[n][p + 1] - closed[n - 1][p + 1])
 
 
 @_suite

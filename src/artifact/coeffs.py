@@ -19,10 +19,10 @@ a power of two:
 
 `alpha` and `beta` are exact accessors on those mantissas, each from its own
 closed form, so the shift b(n, p+n) = a(n, p) is a real check.  Sweeps over a
-rectangle use `mantissa_rows`, the integer kernel: two rows seeded by the
-exact ratio recurrence, then every further row by the paper's three-term
-recurrence in mantissa form, a(n+1, p) = a(n, p+1) - a(n-1, p+1), which is
-pure big-integer subtraction.  Single cells off a row use
+rectangle use `mantissa_rows`, the integer kernel: row 0 is psi^0 = 1, row 1
+comes from the exact ratio recurrence, and every further row from the paper's
+three-term recurrence in mantissa form, a(n+1, p) = a(n, p+1) - a(n-1, p+1),
+which is pure big-integer subtraction.  Single cells off a row use
 `alpha_mantissa_walk`: one binomial seeds a path whose n and p never
 decrease, and each further cell is one exact ratio hop.
 
@@ -54,6 +54,8 @@ from .arith import Rational, binomial
 
 def alpha_mantissa(n: int, p: int) -> int:
     """Integer a with alpha(n, p) = a / 2^(n+2p), from one binomial."""
+    if n < 1 or p < 0:
+        raise ValueError(f"alpha requires n >= 1, p >= 0, got ({n}, {p})")
     return binomial(n + 2 * p - 1, p) * n // (n + p)
 
 
@@ -122,21 +124,18 @@ def alpha_mantissa_row(n: int, p_max: int) -> list[int]:
 def mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
     """(n, row) for n = 1..n_max, with row[p] = a(n, p) for p = 0..p_max.
 
-    Rows 1 and 2 come from the ratio recurrence; row n+1 then overwrites row
-    n-1 in place by a(n+1, p) = a(n, p+1) - a(n-1, p+1), so only two lists
-    are ever alive.  A yielded list is reused two rows later: hold at most
-    the previous row.  Entries past p_max are working space for the later rows.
+    Row 0 is psi^0 = 1, i.e. [1, 0, 0, ...], and row 1 comes from the ratio
+    recurrence; row n+1 then overwrites row n-1 in place by a(n+1, p) =
+    a(n, p+1) - a(n-1, p+1), so only two lists are ever alive.  A yielded list
+    is reused two rows later: hold at most the previous row.  Entries past
+    p_max are working space for the later rows.
     """
     if n_max < 1:
         return
-    length = p_max + max(n_max - 2, 0)
-    prev = alpha_mantissa_row(1, length)
-    yield 1, prev
-    if n_max == 1:
-        return
-    cur = alpha_mantissa_row(2, length)
-    yield 2, cur
-    for n in range(3, n_max + 1):
+    cur = alpha_mantissa_row(1, p_max + n_max - 1)
+    prev = [1] + [0] * (len(cur) - 1)
+    yield 1, cur
+    for n in range(2, n_max + 1):
         width = len(cur) - 1
         for p in range(width):
             prev[p] = cur[p + 1] - prev[p + 1]
@@ -147,23 +146,20 @@ def mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
 
 def alpha(n: int, p: int) -> Rational:
     """Exact p-th Taylor coefficient of psi(x)^n."""
-    if n < 1 or p < 0:
-        raise ValueError(f"alpha requires n >= 1, p >= 0, got ({n}, {p})")
     return Fraction(alpha_mantissa(n, p), 1 << (n + 2 * p))
 
 
 def beta_mantissa(n: int, p: int) -> int:
     """Integer b with beta(n, p) = b / 2^(2p-n): n C(2p-n-1, p-1) / p, 0 for p < n."""
+    if n < 1 or p < 0:
+        raise ValueError(f"beta requires n >= 1, p >= 0, got ({n}, {p})")
     return binomial(2 * p - n - 1, p - 1) * n // p if p >= n else 0
 
 
 def beta(n: int, p: int) -> Rational:
     """Exact p-th Taylor coefficient of xi(x)^n."""
-    if n < 1 or p < 0:
-        raise ValueError(f"beta requires n >= 1, p >= 0, got ({n}, {p})")
-    if p < n:
-        return Fraction(0)
-    return Fraction(beta_mantissa(n, p), 1 << (2 * p - n))
+    b = beta_mantissa(n, p)
+    return Fraction(b, 1 << (2 * p - n)) if p >= n else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,41 +243,32 @@ def oracle_alpha(n: int, p_max: int) -> list[Rational]:
 # recurrences and closed-form sums
 # ---------------------------------------------------------------------------
 
-def recurrence_holds(lower: int, upper: int, nxt: int) -> bool:
-    """The three-term recurrence on mantissas: nxt == upper - lower.
-
-    alpha(n+1, p) = 2 alpha(n, p+1) - alpha(n-1, p+1) reads
-    a(n+1, p) = a(n, p+1) - a(n-1, p+1) over the common 2^(n+2p+1); the beta
-    recurrence is the same identity on beta mantissas over 2^(2p-n-1).
-    """
-    return nxt == upper - lower
-
-
 def alpha_recurrence_check(n: int, p: int) -> bool:
-    """alpha(n+1, p) == 2*alpha(n, p+1) - alpha(n-1, p+1), exactly (n >= 2)."""
+    """alpha(n+1, p) == 2*alpha(n, p+1) - alpha(n-1, p+1), exactly (n >= 2):
+    a(n+1, p) = a(n, p+1) - a(n-1, p+1) over the common 2^(n+2p+1)."""
     if n < 2:
         raise ValueError("recurrence anchor needs n >= 2")
-    return recurrence_holds(alpha_mantissa(n - 1, p + 1), alpha_mantissa(n, p + 1),
-                            alpha_mantissa(n + 1, p))
+    return alpha_mantissa(n + 1, p) == alpha_mantissa(n, p + 1) - alpha_mantissa(n - 1, p + 1)
 
 
 def beta_recurrence_check(n: int, p: int) -> bool:
-    """beta(n+1, p) == 2*beta(n, p) - beta(n-1, p-1), exactly (n >= 2)."""
+    """beta(n+1, p) == 2*beta(n, p) - beta(n-1, p-1), exactly (n >= 2):
+    b(n+1, p) = b(n, p) - b(n-1, p-1) over the common 2^(2p-n-1)."""
     if n < 2:
         raise ValueError("recurrence anchor needs n >= 2")
     lower = beta_mantissa(n - 1, p - 1) if p >= 1 else 0
-    return recurrence_holds(lower, beta_mantissa(n, p), beta_mantissa(n + 1, p))
+    return beta_mantissa(n + 1, p) == beta_mantissa(n, p) - lower
 
 
 def sum_alpha_mantissa(N: int, p: int) -> int:
     """Integer s with sum_{n=1}^{N} alpha(n, p) = s / 2^(N+2p), closed form."""
+    if N < 1 or p < 0:
+        raise ValueError(f"sum_alpha requires N >= 1, p >= 0, got ({N}, {p})")
     return (binomial(2 * p, p) << N) - binomial(N + 2 * p, p)
 
 
 def sum_alpha(N: int, p: int) -> Rational:
     """Closed form of sum_{n=1}^{N} alpha(n, p)."""
-    if N < 1 or p < 0:
-        raise ValueError(f"sum_alpha requires N >= 1, p >= 0, got ({N}, {p})")
     return Fraction(sum_alpha_mantissa(N, p), 1 << (N + 2 * p))
 
 

@@ -220,20 +220,6 @@ def _walk(
     return _Walk(power_norms, mean_norms)
 
 
-def probe_power_bound(
-    T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
-) -> list[float]:
-    """||T^p|| for p = 1..probe_len; errs if any norm passes PROBE_CUTOFF."""
-    return _walk(T, probe_len, norm).norms
-
-
-def probe_mean_bound(
-    T: DenseMatrix, probe_len: int = 2000, norm: Norm = Norm.OPINF,
-) -> float:
-    """sup of ||(I + T + ... + T^(N-1))/N|| over N = 1..probe_len."""
-    return max(_walk(T, probe_len, norm, means=True, norms=False).means)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -511,16 +497,14 @@ def check_cesaro_domination(
         suite="cesaro_domination",
         rectangle={"N_max": N_max, "eps": eps, "slack": slack, "P": P},
     )
-    rhs_partial = np.zeros((T.dim, T.dim))
-    rhs_by_r = {0: rhs_partial.copy()}
-    for ell in range(1, r_max + 1):
-        rhs_partial = rhs_partial + powers[ell][0]
-        rhs_by_r[ell] = rhs_partial.copy()
+    rhs, r = np.zeros((T.dim, T.dim)), 0  # rhs = sum_{l<=r} A^l, r = isqrt(N)
     lhs_sum = np.zeros((T.dim, T.dim))
     for N, power in enumerate(islice(_powers(T), 1, N_max + 1), start=1):
         lhs_sum += power
-        r = math.isqrt(N)
-        gap = float((lhs_sum / N - (C / r) * rhs_by_r[r]).max())
+        if math.isqrt(N) > r:
+            r += 1
+            rhs += powers[r][0]
+        gap = float((lhs_sum / N - (C / r) * rhs).max())
         report.record({"N": N}, gap <= slack, gap, slack)
     report.elapsed_s = time.perf_counter() - start
     return report

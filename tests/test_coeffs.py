@@ -18,6 +18,7 @@ from artifact.coeffs import (
     alpha_recurrence_check,
     alternating_dyadic_sum,
     beta,
+    beta_mantissa,
     beta_recurrence_check,
     catalan_series,
     mantissa_rows,
@@ -26,6 +27,7 @@ from artifact.coeffs import (
     psi_eval,
     psi_partial_sum,
     sum_alpha,
+    sum_alpha_mantissa,
 )
 from artifact.operators import S_value
 
@@ -96,6 +98,11 @@ class TestFrozenValues:
             alpha(1, -1)
         with pytest.raises(ValueError):
             beta(0, 0)
+        for name, accessor in (("alpha", alpha_mantissa), ("beta", beta_mantissa)):
+            for n, p in ((0, 3), (-2, 5), (3, -1), (0, 0)):
+                with pytest.raises(ValueError, match=rf"^{name} requires n >= 1, p >= 0, "
+                                                     rf"got \({n}, {p}\)$"):
+                    accessor(n, p)
 
 
 class TestMantissa:
@@ -130,6 +137,18 @@ class TestMantissa:
         assert sorted(rows) == list(range(1, 26))
         for n, row in rows.items():
             assert row == [alpha_mantissa(n, p) for p in range(41)], n
+
+    @pytest.mark.parametrize("n_max, p_max", [
+        (0, 5), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (2, 200)])
+    def test_kernel_rows_at_the_seed(self, n_max, p_max):
+        """The rows next to the psi^0 = 1 seed; none below n_max = 1."""
+        rows = [(n, row[: p_max + 1]) for n, row in mantissa_rows(n_max, p_max)]
+        assert rows == [(n, [alpha_mantissa(n, p) for p in range(p_max + 1)])
+                        for n in range(1, n_max + 1)]
+
+    def test_row_two_is_row_one_shifted(self):
+        """The recurrence at n = 1 with psi^0 = 1: a(2, p) = a(1, p+1)."""
+        assert all(alpha_mantissa(2, p) == alpha_mantissa(1, p + 1) for p in range(201))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rows_reject_n_below_one(self, n):
@@ -242,6 +261,10 @@ class TestSums:
             sum_alpha(0, 0)
         with pytest.raises(ValueError):
             sum_alpha(1, -1)
+        for N, p in ((0, 3), (-2, 5), (3, -1), (0, 0)):
+            with pytest.raises(ValueError, match=rf"^sum_alpha requires N >= 1, p >= 0, "
+                                                 rf"got \({N}, {p}\)$"):
+                sum_alpha_mantissa(N, p)
 
 
 class TestPsiEval:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from artifact import operators
+from artifact.analysis import technical_C_down
 from artifact.coeffs import alpha, psi_eval
 from artifact.operators import (
     APPENDIX_T,
@@ -25,6 +26,7 @@ from artifact.operators import (
     SpectralExplosionError,
     _powers,
     _reduce,
+    _walk,
     appendix_example,
     brunel,
     cesaro,
@@ -35,8 +37,6 @@ from artifact.operators import (
     load_matrix,
     matrix_from_dict,
     matrix_power,
-    probe_mean_bound,
-    probe_power_bound,
     random_stochastic,
     rotation_matrix,
 )
@@ -184,27 +184,28 @@ class TestCesaro:
 class TestProbes:
     def test_power_probe_explodes_on_expansion(self):
         with pytest.raises(SpectralExplosionError):
-            probe_power_bound(DenseMatrix.from_rows([[2.0]]))
+            _walk(DenseMatrix.from_rows([[2.0]]), 2000, Norm.OPINF)
 
     def test_power_probe_rotation_is_unit(self):
-        norms = probe_power_bound(rotation_matrix(1.0), probe_len=100)
+        norms = _walk(rotation_matrix(1.0), 100, Norm.OPINF).norms
         assert max(norms) <= ROOT2 + 1e-12
 
     def test_power_probe_stops_at_zero(self):
         shift = DenseMatrix.from_rows([[0.0, 1.0], [0.0, 0.0]])
-        norms = probe_power_bound(shift, probe_len=100)
+        norms = _walk(shift, 100, Norm.OPINF).norms
         assert norms == [1.0, 0.0]
 
     def test_mean_probe_appendix_is_one(self):
-        assert probe_mean_bound(APPENDIX_T, probe_len=500) == pytest.approx(1.0)
+        means = _walk(APPENDIX_T, 500, Norm.OPINF, means=True, norms=False).means
+        assert max(means) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("probe_len", [0, -1])
     def test_probe_len_must_be_positive(self, probe_len):
         """probe_len = 0 once gave a mean bound of 0.0 and a misleading P error."""
         T = random_stochastic(3, 0)
         for evaluate in (
-            lambda: probe_power_bound(T, probe_len),
-            lambda: probe_mean_bound(T, probe_len),
+            lambda: _walk(T, probe_len, Norm.OPINF),
+            lambda: _walk(T, probe_len, Norm.OPINF, means=True, norms=False),
             lambda: evaluate_powers(T, [1], 0.1, probe_len=probe_len),
             lambda: evaluate_powers(DenseMatrix.identity(2), [1], 0.1, probe_len=probe_len),
         ):
@@ -215,7 +216,7 @@ class TestProbes:
     @pytest.mark.parametrize("T", [random_stochastic(4, 1), rotation_matrix(1.0),
                                    APPENDIX_T], ids=["row4", "rotation", "appendix"])
     def test_mean_probe_matches_separate_loop(self, T, norm):
-        """The means taken by the walk, alone (`probe_mean_bound`) or beside
+        """The means taken by the walk, alone (without `norms`) or beside
         the power norms (the general-path mean check), equal those of the
         separate loop the probe once ran."""
         best = 0.0
@@ -223,13 +224,13 @@ class TestProbes:
         for N, power in enumerate(islice(_powers(T), 2000), start=1):
             acc += power
             best = max(best, norm.compute(acc) / N)
-        assert probe_mean_bound(T, norm=norm) == best
+        assert max(_walk(T, 2000, norm, means=True, norms=False).means) == best
         report = check_mean_bound_theorem(T, n_max=1, norm=norm)
         assert report.rectangle["M"] == max(1.0, best)
 
     def test_mean_probe_explodes_on_expansion(self):
         with pytest.raises(MeanBoundProbeError):
-            probe_mean_bound(DenseMatrix.from_rows([[2.0]]), probe_len=200)
+            _walk(DenseMatrix.from_rows([[2.0]]), 200, Norm.OPINF, means=True, norms=False)
 
     def test_appendix_power_growth_vs_mean_boundedness(self):
         """Powers grow linearly while Cesaro averages stay at norm one."""
@@ -590,7 +591,7 @@ class TestStridedPowerPass:
         reduction a smaller M than the 2000 the series tail is taken with."""
         powers, _ = evaluate_powers(T, n_list, 0.1, probe_len=probe_len)
         ref = sequential_pass(T, n_list, P)
-        M = max(probe_power_bound(T))
+        M = max(_walk(T, 2000, Norm.OPINF).norms)
         for i, n in enumerate(n_list):
             mat, tail = powers[n]
             gap = Norm.OPINF.compute(mat - ref[i])
@@ -803,6 +804,30 @@ class TestTheoremChecks:
     def test_domination_stochastic(self):
         report = check_cesaro_domination(random_stochastic(3, 0), N_max=50)
         assert report.passed, report.failures[:2]
+
+    @pytest.mark.parametrize("T", [random_stochastic(3, 0), DenseMatrix.identity(3)],
+                             ids=["row3", "identity"])
+    def test_domination_gaps_bit_for_bit(self, T):
+        """At slack -inf every cell fails and records its gap; the gaps equal
+        those of a loop over precomputed r-prefix sums of A^l."""
+        N_max = 50
+        report = check_cesaro_domination(T, N_max=N_max, slack=-math.inf)
+        assert report.checks == len(report.failures) == N_max
+        C = technical_C_down()
+        r_max = math.isqrt(N_max)
+        powers, _ = evaluate_powers(T, list(range(1, r_max + 1)), 0.05)
+        prefix = [np.zeros((T.dim, T.dim))]
+        for ell in range(1, r_max + 1):
+            prefix.append(prefix[-1] + powers[ell][0])
+        lhs_sum = np.zeros((T.dim, T.dim))
+        want = []
+        for N, power in enumerate(islice(_powers(T), 1, N_max + 1), start=1):
+            lhs_sum += power
+            r = math.isqrt(N)
+            want.append(float((lhs_sum / N - (C / r) * prefix[r]).max()))
+        got = [f["lhs"] for f in report.failures]
+        assert [f["params"]["N"] for f in report.failures] == list(range(1, N_max + 1))
+        assert [g.hex() for g in got] == [w.hex() for w in want]
 
     def test_domination_probe_len_reaches_power_probe(self):
         """The right side's power probe reads probe_len powers, not 2000:
