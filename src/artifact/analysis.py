@@ -153,6 +153,9 @@ def _diff_pair(n: int, p: int) -> tuple[int, int]:
 
 def _diff_column(n: int, p: int) -> tuple[int, int]:
     """(d(n-1, p), d(n, p)) from one walk up the column; a(0, p) = [p = 0] from psi^0 = 1."""
+    if n < 1 or p < 0:
+        # the walk starts at n - 1, so its own check would name another cell
+        raise ValueError(f"the quotient identity needs n >= 1, p >= 0, got ({n}, {p})")
     if n == 1:
         a, a_up = alpha_mantissa_walk([(1, p), (2, p)])
         a_prev = int(p == 0)

@@ -23,11 +23,12 @@ import argparse
 import json
 import sys
 from functools import partial
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
-from .arith import dyadic_str, rational_str
+from .arith import rational_str
 from .analysis import run_all_suites, run_suite, thresholds
-from .coeffs import alpha, alpha_mantissa_row, beta, mantissa_rows, psi_eval
+from .coeffs import alpha, alpha_mantissa_row, beta, decimal_rows, psi_eval
 from .operators import (
     APPENDIX_T,
     MeanBoundProbeError,
@@ -48,13 +49,19 @@ FIGURE_DEFAULT_N = {"fig1": [10, 20], "fig2": [1, 5, 10, 20, 40],
                     "fig3": [1, 5, 10, 20, 40]}
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or each str of an iterable in turn, to out or to stdout;
+    what goes to stdout ends with a newline."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for piece in pieces:
+            sys.stdout.write(piece)
+            last = piece or last
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
 
 
@@ -83,14 +90,25 @@ def cmd_coeff(args) -> int:
 
 
 def _table_cells(kind: str, n_max: int, p_max: int) -> Iterator[tuple[int, int, str]]:
-    """(n, p, exact value) for the table, printed off the integer mantissa rows:
-    alpha(n, p) = row[p] / 2^(n+2p), beta(n, p) = row[p-n] / 2^(2p-n) or 0."""
-    for n, row in mantissa_rows(n_max, p_max):
+    """(n, p, exact value) for the table, printed from the exact Decimal rows
+    of `decimal_rows`: alpha(n, p) = row[p], beta(n, p) = alpha(n, p-n) =
+    row[p-n], or 0 for p < n.  The entries are normalized, so the fixed-point
+    format has no trailing zeros and matches `rational_str`."""
+    for n, row in decimal_rows(n_max, p_max):
         for p in range(p_max + 1):
-            if kind == "alpha":
-                yield n, p, dyadic_str(row[p], n + 2 * p)
-            else:
-                yield n, p, dyadic_str(row[p - n], 2 * p - n) if p >= n else "0"
+            k = p if kind == "alpha" else p - n
+            yield n, p, format(row[k], "f") if k >= 0 else "0"
+
+
+def _json_table(kind: str, cells: Iterable[tuple[int, int, str]]) -> Iterator[str]:
+    """The layout of _json({"kind": ..., "entries": [{"n", "p", "value"}]}),
+    piece by piece: values are digits and a '.', so nothing needs escaping."""
+    yield '{\n  "entries": [\n'
+    sep = ""
+    for n, p, v in cells:
+        yield f'{sep}    {{\n      "n": {n},\n      "p": {p},\n      "value": "{v}"\n    }}'
+        sep = ",\n"
+    yield f'\n  ],\n  "kind": "{kind}"\n}}'
 
 
 def cmd_table(args) -> int:
@@ -99,15 +117,10 @@ def cmd_table(args) -> int:
                          f"{args.n_max} and {args.p_max}")
     cells = _table_cells(args.kind, args.n_max, args.p_max)
     if args.format == "json":
-        # the layout of _json({"kind": ..., "entries": [{"n", "p", "value"}]}):
-        # values are digits and a '.', so nothing needs escaping
-        entries = ",\n".join(
-            f'    {{\n      "n": {n},\n      "p": {p},\n      "value": "{v}"\n    }}'
-            for n, p, v in cells)
-        text = f'{{\n  "entries": [\n{entries}\n  ],\n  "kind": "{args.kind}"\n}}'
+        pieces = _json_table(args.kind, cells)
     else:
-        text = "".join(["n,p,value\n", *(f"{n},{p},{v}\n" for n, p, v in cells)])
-    _emit(text, args.out)
+        pieces = chain(["n,p,value\n"], (f"{n},{p},{v}\n" for n, p, v in cells))
+    _emit(pieces, args.out)
     return 0
 
 

@@ -22,7 +22,11 @@ closed form, so the shift b(n, p+n) = a(n, p) is a real check.  Sweeps over a
 rectangle use `mantissa_rows`, the integer kernel: row 0 is psi^0 = 1, row 1
 comes from the exact ratio recurrence, and every further row from the paper's
 three-term recurrence in mantissa form, a(n+1, p) = a(n, p+1) - a(n-1, p+1),
-which is pure big-integer subtraction.  Single cells off a row use
+which is pure big-integer subtraction.  The `table` export prints from
+`decimal_rows`, the same recurrence in value form on exact Decimals: row 1
+is the integer row 1 over 2^(1+2p), the context is wide enough for every
+entry and traps rounding, and the tests check each entry against the integer
+kernel.  Single cells off a row use
 `alpha_mantissa_walk`: one binomial seeds a path whose n and p never
 decrease, and each further cell is one exact ratio hop.
 
@@ -45,6 +49,7 @@ evaluated by `operators` from their closed forms instead.
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterable, Iterator, Optional
@@ -139,6 +144,38 @@ def mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
         width = len(cur) - 1
         for p in range(width):
             prev[p] = cur[p + 1] - prev[p + 1]
+        del prev[width:]
+        prev, cur = cur, prev
+        yield n, cur
+
+
+def decimal_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[Decimal]]]:
+    """(n, row) for n = 1..n_max, with row[p] = alpha(n, p) as an exact Decimal.
+
+    The value form of `mantissa_rows`, for printing: row 0 is psi^0 = 1, row 1
+    is `alpha_mantissa_row` divided by 2^(1+2p), and row n+1 overwrites row
+    n-1 by alpha(n+1, p) = 2 alpha(n, p+1) - alpha(n-1, p+1).  The arithmetic
+    runs in a context of 2(n_max + p_max) digits, more than any entry (or
+    twice one) needs: alpha(n, p) < 1 has n+2p fractional digits.  Inexact and
+    Rounded are trapped, so a result that would need rounding raises.  Every
+    entry is normalized, so format(row[p], "f") prints it exactly under any
+    context.  The caller's context is never changed.  Same reuse contract as
+    `mantissa_rows`.
+    """
+    if n_max < 1:
+        return
+    exact = Context(prec=2 * (n_max + p_max))
+    exact.traps[Inexact] = exact.traps[Rounded] = True
+    with localcontext(exact):
+        cur = [(Decimal(a) / (1 << (1 + 2 * p))).normalize()
+               for p, a in enumerate(alpha_mantissa_row(1, p_max + n_max - 1))]
+    prev = [Decimal(1)] + [Decimal(0)] * (len(cur) - 1)
+    yield 1, cur
+    for n in range(2, n_max + 1):
+        width = len(cur) - 1
+        with localcontext(exact):
+            for p in range(width):
+                prev[p] = (2 * cur[p + 1] - prev[p + 1]).normalize()
         del prev[width:]
         prev, cur = cur, prev
         yield n, cur

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -224,8 +225,10 @@ class TestQuotientIdentity:
                 assert check_quotient_identity(n, p) is not False, (n, p)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            check_quotient_identity(0, 0)
+        """The error names the caller's cell, not the walk's start (n-1, p)."""
+        for n, p in [(0, 0), (0, 3), (-2, 0), (1, -1)]:
+            with pytest.raises(ValueError, match=re.escape(f"n >= 1, p >= 0, got ({n}, {p})")):
+                check_quotient_identity(n, p)
 
 
 class TestUniformEstimate:

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,6 +144,50 @@ class TestTableCommand:
         code, out, _ = run(capsys, *argv, "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text() == want
+
+    @pytest.mark.parametrize("kind", ["alpha", "beta"])
+    @pytest.mark.parametrize("n_max, p_max", [(1, 0), (2, 1), (8, 20)])
+    def test_csv_stdout_is_the_out_file(self, capsys, tmp_path, kind, n_max, p_max):
+        """The streamed CSV ends with its own newline, so stdout gets nothing
+        added and carries the bytes that --out writes."""
+        argv = ["table", "--kind", kind, "--n-max", str(n_max), "--p-max", str(p_max)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "table.csv"
+        code, written, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and written == ""
+        assert out.encode() == path.read_bytes()
+
+    def test_bad_size_opens_no_file(self, capsys, tmp_path):
+        """The size is checked before the output file is opened."""
+        path = tmp_path / "table.csv"
+        code, out, err = run(capsys, "table", "--n-max", "0", "--out", str(path))
+        assert code == 2 and out == "" and "n_max" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_export_peaks_below_its_file_size(self, tmp_path, fmt):
+        """The table is streamed to the file: no string of the whole table is built."""
+        path = tmp_path / f"table.{fmt}"
+        tracemalloc.start()
+        try:
+            code = main(["table", "--n-max", "30", "--p-max", "200",
+                         "--format", fmt, "--out", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+    def test_values_past_the_int_string_limit(self, capsys):
+        """alpha(1, 2200) has 4397 decimal places and 4392 digits, more than
+        the 4300 that str(int) prints by default; the export does not go
+        through str(int)."""
+        code, out, err = run(capsys, "table", "--n-max", "1", "--p-max", "2200")
+        assert code == 0, err
+        n, p, value = out.splitlines()[-1].split(",")
+        assert (n, p) == ("1", "2200")
+        assert Fraction(Decimal(value)) == alpha(1, 2200)
 
     # sha256 of the 8 x 20 tables as written by --out, computed when each cell
     # was still built as a reduced Fraction and the JSON by json.dumps

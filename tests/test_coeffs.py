@@ -1,6 +1,7 @@
 """Tests for the exact coefficient engine: closed forms, oracle, recurrences."""
 
 import math
+from decimal import Context, Inexact, Rounded, getcontext, localcontext
 from fractions import Fraction
 from itertools import count, repeat
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import coeffs
 from artifact.coeffs import (
     alpha,
     alpha_mantissa,
@@ -21,6 +23,7 @@ from artifact.coeffs import (
     beta_mantissa,
     beta_recurrence_check,
     catalan_series,
+    decimal_rows,
     mantissa_rows,
     oracle_alpha,
     oracle_beta,
@@ -160,6 +163,50 @@ class TestMantissa:
         ):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 evaluate()
+
+
+class TestDecimalRows:
+    """The exact Decimal rows the table export prints, against the integer kernel."""
+
+    def test_every_cell_matches_the_integer_kernel(self):
+        """Fraction(row[p]) = a(n, p) / 2^(n+2p) on all of n <= 60, p <= 400,
+        and every entry is normalized: its last digit is not 0."""
+        p_max = 400
+        for (n, row), (m, mantissas) in zip(decimal_rows(60, p_max), mantissa_rows(60, p_max)):
+            assert n == m
+            for p in range(p_max + 1):
+                assert Fraction(row[p]) == Fraction(mantissas[p], 1 << (n + 2 * p)), (n, p)
+                assert row[p].as_tuple().digits[-1], (n, p)
+        assert n == 60
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    @pytest.mark.parametrize("p_max", [0, 1])
+    def test_rows_at_the_seed(self, n_max, p_max):
+        """The rows next to the psi^0 = 1 seed; none below n_max = 1."""
+        rows = [(n, [Fraction(v) for v in row[: p_max + 1]])
+                for n, row in decimal_rows(n_max, p_max)]
+        assert rows == [(n, [alpha(n, p) for p in range(p_max + 1)])
+                        for n in range(1, n_max + 1)]
+
+    def test_exact_and_private_under_a_narrow_caller_context(self):
+        """prec = 5 in the caller changes no digit, and the kernel's context
+        never shows in the caller: not between rows, not afterwards."""
+        with localcontext() as caller:
+            caller.prec = 5
+            caller.clear_flags()
+            for n, row in decimal_rows(12, 30):
+                assert getcontext() is caller and caller.prec == 5
+                assert [Fraction(v) for v in row[:31]] == [alpha(n, p) for p in range(31)], n
+            assert n == 12
+            assert getcontext() is caller and caller.prec == 5
+            assert not any(caller.flags.values())
+            assert not caller.traps[Inexact] and not caller.traps[Rounded]
+
+    def test_a_narrow_context_raises_instead_of_rounding(self, monkeypatch):
+        """Half the digits the entries need: the trapped rounding raises."""
+        monkeypatch.setattr(coeffs, "Context", lambda prec: Context(prec=prec // 2))
+        with pytest.raises((Inexact, Rounded)):
+            list(decimal_rows(3, 40))
 
 
 class TestMantissaWalk:
