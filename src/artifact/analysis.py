@@ -36,9 +36,12 @@ sum_p |d(n,p)| / 2^(n+1+2p) = 2 sum_{p<=J(n)} d(n,p) / 2^(n+1+2p): the
 difference sum is J(n)+1 exact terms, with no tail.
 
 The module ends with a registry of named verification suites.  A suite is
-a generator of records over its keyword parameters; the registering
-decorator `_suite` turns it into a runner whose deterministic VerifyReport
-carries the suite's name and the rectangle that ran.
+a generator of rows over its keyword parameters: (params, key, values,
+verdicts), one verdict per cell {**params, key: value}, each True, False, None
+(skipped) or (False, lhs, rhs), a failure with its values.  A row is at most
+one line of the rectangle.  The registering decorator `_suite` turns the
+generator into a runner whose deterministic VerifyReport carries the suite's
+name and the rectangle that ran.
 """
 
 from __future__ import annotations
@@ -396,11 +399,23 @@ def check_alpha0_difference(n: int) -> bool:
     return _alpha0_claim(n, alpha_mantissa(n, 0), alpha_mantissa(n + 1, 0))
 
 
-def check_majorant_summability(P: int) -> float:
-    """Partial sum of the majorant sequence M_p through p = P (float)."""
+def _majorant_partial_sums(P: int, steps: set[int]) -> list[float]:
+    """Partial sums of M_p through each p in steps (ascending; steps above P
+    are never reached), from one running pass over p = 0..P."""
     if P < 1:
         raise ValueError("P must be >= 1")
-    return sum(BoundConstants.majorant(p) for p in range(P + 1))
+    total = 0.0
+    sums = []
+    for p in range(P + 1):
+        total += BoundConstants.majorant(p)
+        if p in steps:
+            sums.append(total)
+    return sums
+
+
+def check_majorant_summability(P: int) -> float:
+    """Partial sum of the majorant sequence M_p through p = P (float)."""
+    return _majorant_partial_sums(P, {P})[0]
 
 
 def check_sum_coefficient_bound(n: int) -> bool:
@@ -487,10 +502,10 @@ def _suite(fn: Callable[..., Iterator[tuple]]) -> Callable[..., VerifyReport]:
     """Register `_suite_<name>` in SUITES as a report-returning runner.
 
     The generator's keyword parameters are the suite's rectangle and their
-    defaults its default rectangle; it yields records (params, verdict[, lhs,
-    rhs]) for VerifyReport.record.  The report's name is <name> and its
-    rectangle is the bound keywords, defaults applied, so it states exactly
-    what ran.
+    defaults its default rectangle; it yields rows (params, key, values,
+    verdicts) for VerifyReport.record_row, whose verdicts are built per row,
+    never for the whole suite.  The report's name is <name> and its rectangle
+    is the bound keywords, defaults applied, so it states exactly what ran.
     """
     name = fn.__name__.removeprefix("_suite_")
     signature = inspect.signature(fn)
@@ -500,8 +515,8 @@ def _suite(fn: Callable[..., Iterator[tuple]]) -> Callable[..., VerifyReport]:
         bound = signature.bind(**rectangle)
         bound.apply_defaults()
         report = VerifyReport(suite=name, rectangle=dict(bound.arguments))
-        for cell in fn(**bound.arguments):
-            report.record(*cell)
+        for row in fn(**bound.arguments):
+            report.record_row(*row)
         return report
 
     SUITES[name] = run
@@ -509,11 +524,11 @@ def _suite(fn: Callable[..., Iterator[tuple]]) -> Callable[..., VerifyReport]:
     return run
 
 
-def _exact(params: dict, lhs: int, rhs: int, shift: int) -> tuple:
-    """Record of lhs == rhs on mantissas over 2^shift; a failure shows both values."""
+def _exact(lhs: int, rhs: int, shift: int) -> bool | tuple:
+    """Verdict of lhs == rhs on mantissas over 2^shift; a failure shows both values."""
     if lhs == rhs:
-        return params, True
-    return params, False, Fraction(lhs, 1 << shift), Fraction(rhs, 1 << shift)
+        return True
+    return False, Fraction(lhs, 1 << shift), Fraction(rhs, 1 << shift)
 
 
 def _row_pairs(n_max: int, p_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
@@ -535,14 +550,15 @@ def _column_sum_rows(N_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
 
 @_suite
 def _suite_oracle(n_max=30, p_max=30, shift_n_max=40, shift_p_max=100):
+    ps = range(p_max + 1)
     pairs = zip(mantissa_rows(n_max, p_max), oracle_mantissa_rows(n_max, p_max))
     for (n, row), (_, want) in pairs:
-        for p in range(p_max + 1):
-            yield _exact({"check": "oracle", "n": n, "p": p}, row[p], want[p], n + 2 * p)
+        yield {"check": "oracle", "n": n}, "p", ps, [
+            _exact(row[p], want[p], n + 2 * p) for p in ps]
+    ps = range(shift_p_max + 1)
     for n, row in mantissa_rows(shift_n_max, shift_p_max):
-        for p in range(shift_p_max + 1):
-            yield _exact({"check": "shift", "n": n, "p": p},
-                         beta_mantissa(n, p + n), row[p], n + 2 * p)
+        yield {"check": "shift", "n": n}, "p", ps, [
+            _exact(beta_mantissa(n, p + n), row[p], n + 2 * p) for p in ps]
 
 
 @_suite
@@ -554,54 +570,57 @@ def _suite_recurrences(n_max=40, beta_p_max=120, alpha_p_max=200):
     beta = {k: [beta_mantissa(k, q) for q in range(beta_p_max + 1)]
             for k in range(1, n_max + 2)}
 
+    beta_ps, alpha_ps = range(beta_p_max + 1), range(alpha_p_max + 1)
     for n in range(2, n_max + 1):
-        for p in range(beta_p_max + 1):
-            lower = beta[n - 1][p - 1] if p else 0
-            yield ({"check": "beta", "N": n, "p": p},
-                   beta[n + 1][p] == beta[n][p] - lower)
-        for p in range(alpha_p_max + 1):
-            yield ({"check": "alpha", "n": n, "p": p},
-                   closed[n + 1][p] == closed[n][p + 1] - closed[n - 1][p + 1])
+        lower, mid, upper = beta[n - 1], beta[n], beta[n + 1]
+        yield {"check": "beta", "N": n}, "p", beta_ps, [
+            upper[p] == mid[p] - (lower[p - 1] if p else 0) for p in beta_ps]
+        lower, mid, upper = closed[n - 1], closed[n], closed[n + 1]
+        yield {"check": "alpha", "n": n}, "p", alpha_ps, [
+            upper[p] == mid[p + 1] - lower[p + 1] for p in alpha_ps]
 
 
 @_suite
 def _suite_monotonicity(n_max=40, p_max=600):
+    ps = range(p_max + 1)
     for n, row, up in _row_pairs(n_max, p_max + 1):
-        for p in range(p_max + 1):
-            yield {"check": "I", "n": n, "p": p}, _I_claim(n, p, row[p], row[p + 1])
-            yield {"check": "J", "n": n, "p": p}, _J_claim(n, p, row[p], up[p])
+        yield {"check": "I", "n": n}, "p", ps, [_I_claim(n, p, row[p], row[p + 1]) for p in ps]
+        yield {"check": "J", "n": n}, "p", ps, [_J_claim(n, p, row[p], up[p]) for p in ps]
 
 
 @_suite
 def _suite_k_regions(n_max=40, p_max=600):
+    ps = range(p_max + 1)
     for n, row, up in _row_pairs(n_max, p_max + 1):
         if n < 2:
             continue
         d = [2 * row[p] - up[p] for p in range(p_max + 2)]
         q = _quartic_q(n)
         A, D = _discriminant(n)
-        for p in range(p_max + 1):
-            yield {"check": "quadratic", "n": n, "p": p}, _K_claim(p, A, q, d[p], d[p + 1])
-            if q >= 0:  # both roots nonnegative, as in roots_exist(n)
-                yield ({"check": "regions", "n": n, "p": p},
-                       _regions_claim(p, A, D, d[p], d[p + 1]))
+        yield {"check": "quadratic", "n": n}, "p", ps, [
+            _K_claim(p, A, q, d[p], d[p + 1]) for p in ps]
+        if q >= 0:  # both roots nonnegative, as in roots_exist(n)
+            yield {"check": "regions", "n": n}, "p", ps, [
+                _regions_claim(p, A, D, d[p], d[p + 1]) for p in ps]
 
 
 @_suite
 def _suite_quotient(n_max=30, p_max=200):
+    ps = range(p_max + 1)
     d_prev = None
     for n, row, up in _row_pairs(n_max, p_max):
         if n == 1:  # d(0, .) from psi^0 = 1, whose only mantissa is a(0, 0) = 1
-            d_prev = [2 * (p == 0) - row[p] for p in range(p_max + 1)]
-        d = [2 * row[p] - up[p] for p in range(p_max + 1)]
-        for p in range(p_max + 1):
-            yield {"n": n, "p": p}, _quotient_claim(n, p, d_prev[p], d[p])
+            d_prev = [2 * (p == 0) - row[p] for p in ps]
+        d = [2 * row[p] - up[p] for p in ps]
+        yield {"n": n}, "p", ps, [_quotient_claim(n, p, d_prev[p], d[p]) for p in ps]
         d_prev = d
 
 
 @_suite
 def _suite_bounds(n_max=60, p_max=400, sean_n_max=100, in_n_max=200):
     ps = range(1, p_max + 1)
+    eq8 = [None] + [_eq8_bound(p) for p in ps]
+    sean = [None] + [_sean_bound(p) for p in ps]
     # C(n+2p, p) = 2 C(n-1+2p, p) - a(n, p), from the central binomials up
     central = [binomial(2 * p, p) for p in range(p_max + 1)]
     a1 = None
@@ -609,46 +628,41 @@ def _suite_bounds(n_max=60, p_max=400, sean_n_max=100, in_n_max=200):
         if n == 1:
             a1 = row[: p_max + 1]
         if n <= n_max:
-            for p in ps:
-                yield ({"check": "uniform", "n": n, "p": p},
-                       _uniform_claim(n, p, 2 * row[p] - up[p], a1[p], _eq8_bound(p)))
+            yield {"check": "uniform", "n": n}, "p", ps, [
+                _uniform_claim(n, p, 2 * row[p] - up[p], a1[p], eq8[p]) for p in ps]
         if n <= sean_n_max:
-            for p in ps:
-                central[p] = 2 * central[p] - row[p]
-                yield ({"check": "stirling", "n": n, "p": p},
-                       _stirling_claim(n, p, central[p], _sean_bound(p)))
+            central = [2 * c - a for c, a in zip(central, row)]
+            yield {"check": "stirling", "n": n}, "p", ps, [
+                _stirling_claim(n, p, central[p], sean[p]) for p in ps]
     # The peak column n -> floor(I(n)) never steps back, so one binomial seeds
     # a walk that reaches every peak cell by exact ratio hops.
     M = _in_bound_M()
     peaks = [(n, (n * n - 3 * n - 4) // 6) for n in range(6, in_n_max + 1)]
-    for (n, i), a in zip(peaks, alpha_mantissa_walk(peaks)):
-        yield {"check": "peak", "n": n}, _peak_claim(n, i, a, M)
+    yield {"check": "peak"}, "n", range(6, in_n_max + 1), [
+        _peak_claim(n, i, a, M) for (n, i), a in zip(peaks, alpha_mantissa_walk(peaks))]
 
 
 @_suite
 def _suite_alpha0(n_max=60):
-    for n in range(1, n_max + 1):
-        yield {"n": n}, check_alpha0_difference(n)
+    ns = range(1, n_max + 1)
+    yield {}, "n", ns, [check_alpha0_difference(n) for n in ns]
 
 
 @_suite
 def _suite_majorant(P=10 ** 4):
-    total = check_majorant_summability(P)
-    yield {"check": "envelope", "P": P}, total <= 3.613, total, 3.613
-    yield {"check": "cap", "P": P}, total <= 4.0, total, 4.0
-    prev = 0.0
-    ok = True
-    for P_step in sorted({s for s in (1, 10, 100, 1000, P) if s <= P}):
-        cur = check_majorant_summability(P_step)
-        ok = ok and cur >= prev
-        prev = cur
-    yield {"check": "monotone", "P": P}, ok
+    partial = _majorant_partial_sums(P, {1, 10, 100, 1000, P})
+    total = partial[-1]
+    yield {"check": "envelope"}, "P", [P], [total <= 3.613 or (False, total, 3.613)]
+    yield {"check": "cap"}, "P", [P], [total <= 4.0 or (False, total, 4.0)]
+    monotone = all(a <= b for a, b in zip([0.0] + partial, partial))
+    yield {"check": "monotone"}, "P", [P], [monotone]
 
 
 @_suite
 def _suite_sum_bound(n_max=40):
-    for n, row, up in _row_pairs(n_max, n_max * (n_max + 1) // 2):
-        yield {"n": n}, _sum_bound_claim(n, row, up)
+    yield {}, "n", range(1, n_max + 1), [
+        _sum_bound_claim(n, row, up)
+        for n, row, up in _row_pairs(n_max, n_max * (n_max + 1) // 2)]
 
 
 @_suite
@@ -658,37 +672,37 @@ def _suite_gamma(n_max=60, K_values=[1, 2, 4]):  # a list prints as "[1, 2, 4]"
     for K in K_values:
         for n in range(1, n_max + 1):
             p_min = max(1, -(-(n * n) // K))
-            ps = list(range(p_min, p_min + 40)) + [p_min * 4, p_min * 16]
-            for p in sorted(set(ps)):
-                yield {"K": K, "n": n, "p": p}, check_gamma_K(n, p, K)
+            ps = sorted(set(range(p_min, p_min + 40)) | {p_min * 4, p_min * 16})
+            yield {"K": K, "n": n}, "p", ps, [check_gamma_K(n, p, K) for p in ps]
 
 
 @_suite
 def _suite_technical(N_max=400):
     C = _technical_C()
     sums = dict(_column_sum_rows(math.isqrt(N_max), N_max))
+    r_over_C = {r: r / C for r in sums}
     for N in range(1, N_max + 1):
         r = math.isqrt(N)
-        r_over_C = r / C
-        row = sums[r]
-        for k in range(N + 1):
-            yield {"N": N, "k": k}, _technical_claim(N, k, r, row[k], r_over_C)
+        row, bound = sums[r], r_over_C[r]
+        ks = range(N + 1)
+        yield {"N": N}, "k", ks, [_technical_claim(N, k, r, row[k], bound) for k in ks]
 
 
 @_suite
 def _suite_s_monotone(N_max=100, k_max=120):
+    ks = range(k_max + 1)
     sums = dict(_column_sum_rows(math.isqrt(N_max), k_max + 1))
     for N in range(1, N_max + 1):
         row = sums[math.isqrt(N)]
-        for k in range(k_max + 1):
-            yield {"N": N, "k": k}, _s_monotone_claim(row[k], row[k + 1])
+        yield {"N": N}, "k", ks, [_s_monotone_claim(row[k], row[k + 1]) for k in ks]
 
 
 @_suite
 def _suite_sums(N_max=40, p_max=100):
+    ps = range(p_max + 1)
     for N, direct in _column_sum_rows(N_max, p_max):
-        for p in range(p_max + 1):
-            yield _exact({"N": N, "p": p}, sum_alpha_mantissa(N, p), direct[p], N + 2 * p)
+        yield {"N": N}, "p", ps, [
+            _exact(sum_alpha_mantissa(N, p), direct[p], N + 2 * p) for p in ps]
 
 
 class UnknownSuiteError(ValueError):

@@ -6,14 +6,24 @@ positive, exact field operations).  Comparisons of an exact rational against a
 transcendental bound (anything containing pi, e, or a square root) go through
 outward-rounded interval arithmetic and `certified_le` / `certified_ge`: the
 check passes only if the rational clears the unfavorable endpoint of the
-interval.  That endpoint is an mpf, itself a dyadic man * 2^exp, so the
+interval.  That endpoint is an mpf, itself a dyadic (-1)^s man * 2^exp, so the
 comparison is exact integer arithmetic and a pass is a proof, never a float
-accident.
+accident.  The common case, an int x against a finite nonzero endpoint, is
+decided inside the call: with e = exp + shift, x / 2^shift against the endpoint
+is x << -e against the signed man when e < 0, and x against man << e
+otherwise.  Every other case (a Fraction x, a zero or infinite endpoint, a NaN
+endpoint, which raises) is first rewritten by `_exact_operands` into integers
+for that same comparison.
+
+Exact values print as decimal digits through `decimal`, whose int conversion
+is exact and, unlike str(int), has no limit on the number of digits.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -35,6 +45,11 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _digits(n: int) -> str:
+    """str(n) for an int of any size: str(int) refuses more than 4300 digits."""
+    return str(Decimal(n))
+
+
 def dyadic_str(man: int, exp: int) -> str:
     """Serialize man / 2^exp exactly, in the form rational_str gives that value.
 
@@ -50,9 +65,9 @@ def dyadic_str(man: int, exp: int) -> str:
     man >>= shift
     exp -= shift
     if exp <= 0:
-        return str(man << -exp)
+        return _digits(man << -exp)
     sign = "-" if man < 0 else ""
-    text = str(abs(man) * 5 ** exp).rjust(exp + 1, "0")
+    text = _digits(abs(man) * 5 ** exp).rjust(exp + 1, "0")
     return f"{sign}{text[:-exp]}.{text[-exp:]}"
 
 
@@ -74,51 +89,52 @@ def rational_str(q: Rational) -> str:
         rest //= 5
         b += 1
     if rest != 1:
-        return f"{num}/{den}"
+        return f"{_digits(num)}/{_digits(den)}"
     digits = max(a, b)
     scaled = (abs(num) << (digits - a)) * 5 ** (digits - b)
     sign = "-" if num < 0 else ""
-    text = str(scaled).rjust(digits + 1, "0")
+    text = _digits(scaled).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:]
     return f"{sign}{whole}.{frac}"
 
 
 def parse_rational(text: str) -> Rational:
-    """Inverse of rational_str (also accepts plain ints and p/q)."""
-    return Fraction(text)
+    """Inverse of rational_str (also accepts plain ints and p/q).
+
+    The text must be one of those forms, else ValueError.  Its digits are read
+    by Decimal, which is exact and, unlike int(str), takes any number of them.
+    """
+    if not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+", text):
+        raise ValueError(f"not a decimal, an integer or p/q: {text!r}")
+    num, _, den = text.partition("/")
+    return Fraction(Decimal(num)) / int(Decimal(den or 1))
 
 
 # ---------------------------------------------------------------------------
 # certified comparisons against transcendental expressions
 # ---------------------------------------------------------------------------
 
-def _cmp_endpoint(x: Rational, shift: int, endpoint: tuple) -> int:
-    """Sign of x/2^shift - e, exactly, for an mpf endpoint e = (-1)^s man 2^exp.
+def _exact_operands(x: Rational, endpoint: tuple) -> tuple[int, int, int, int]:
+    """(num, sign, man, exp) such that x/2^shift against the mpf endpoint orders
+    as num/2^shift against (-1)^sign man 2^exp, for every shift.
 
-    The endpoint is itself a dyadic, so the comparison is one integer
-    cross-multiplication with no rounding step in between.
+    The cases `certified_le` / `certified_ge` do not decide inline: a Fraction
+    x = num/den moves den onto the endpoint's mantissa; a zero endpoint is
+    man = 0; an infinite one is replaced by 0 against a signed 1, which orders
+    the same way against every finite x.  A NaN endpoint raises ValueError.
     """
     sign, man, exp, _ = endpoint
     if not man:
-        if endpoint == mpmath.libmp.fzero:
-            man = exp = 0
-        elif endpoint == mpmath.libmp.finf:
-            return -1
-        elif endpoint == mpmath.libmp.fninf:
-            return 1
-        else:
+        if endpoint == mpmath.libmp.finf:
+            return 0, 0, 1, 0
+        if endpoint == mpmath.libmp.fninf:
+            return 0, 1, 1, 0
+        if endpoint != mpmath.libmp.fzero:
             raise ValueError("cannot compare against a NaN interval endpoint")
+        exp = 0
     if isinstance(x, int):
-        num, den = x, 1
-    else:
-        num, den = x.numerator, x.denominator
-    rhs = -int(man) * den if sign else int(man) * den
-    e = exp + shift
-    if e >= 0:
-        rhs <<= e
-    else:
-        num <<= -e
-    return (num > rhs) - (num < rhs)
+        return x, sign, man, exp
+    return x.numerator, sign, man * x.denominator, exp
 
 
 def certified_le(x: Rational, bound: "iv.mpf", shift: int = 0) -> bool:
@@ -127,12 +143,26 @@ def certified_le(x: Rational, bound: "iv.mpf", shift: int = 0) -> bool:
     x is an int (a dyadic mantissa) or any exact rational; the comparison
     against the interval's exact endpoint is itself exact.
     """
-    return _cmp_endpoint(x, shift, bound._mpi_[0]) <= 0
+    endpoint = bound._mpi_[0]
+    sign, man, exp, _ = endpoint
+    if not man or type(x) is not int:
+        x, sign, man, exp = _exact_operands(x, endpoint)
+    if sign:
+        man = -man
+    e = exp + shift
+    return x << -e <= man if e < 0 else x <= man << e
 
 
 def certified_ge(x: Rational, bound: "iv.mpf", shift: int = 0) -> bool:
     """True only if x/2^shift >= bound is certain: it must clear the upper endpoint."""
-    return _cmp_endpoint(x, shift, bound._mpi_[1]) >= 0
+    endpoint = bound._mpi_[1]
+    sign, man, exp, _ = endpoint
+    if not man or type(x) is not int:
+        x, sign, man, exp = _exact_operands(x, endpoint)
+    if sign:
+        man = -man
+    e = exp + shift
+    return x << -e >= man if e < 0 else x >= man << e
 
 
 def iv_float_down(x: "iv.mpf") -> float:

@@ -50,6 +50,25 @@ class VerifyReport:
                 {"params": dict(params), "lhs": _plain(lhs), "rhs": _plain(rhs)}
             )
 
+    def record_row(self, params: dict[str, Any], key: str, values: Any,
+                   verdicts: list) -> None:
+        """Tally one row: verdicts[i] is the cell {**params, key: values[i]}.
+
+        A verdict is True, False, None (skipped) or (False, lhs, rhs), a
+        failure with its values.  An all-True row only adds to checks; any
+        other row hands each non-True cell to `record`.
+        """
+        if verdicts.count(True) == len(verdicts):
+            self.checks += len(verdicts)
+            return
+        for value, verdict in zip(values, verdicts):
+            if verdict is True:
+                self.checks += 1
+            elif type(verdict) is tuple:
+                self.record({**params, key: value}, *verdict)
+            else:
+                self.record({**params, key: value}, verdict)
+
     def to_dict(self) -> dict[str, Any]:
         failures = sorted(
             self.failures, key=lambda f: sorted(f["params"].items())

@@ -47,6 +47,11 @@ from artifact.coeffs import (
 )
 from artifact.report import VerifyReport
 
+# a suite's cell verdicts: pass, fail, skipped, or a failure with its values
+VERDICTS = st.one_of(
+    st.sampled_from([True, False, None]),
+    st.tuples(st.just(False), st.fractions(max_denominator=50), st.integers()))
+
 
 class TestThresholds:
     def test_J_at_one(self):
@@ -598,6 +603,46 @@ class TestSuites:
         assert run_suite("bounds").passed
         assert calls == [(6, 2)]
 
+    def test_technical_failure_names_its_cell(self, monkeypatch):
+        """A row with one failing cell reports that cell alone, with the row's
+        params and the varying key, and counts every cell of the rectangle."""
+        checks = run_suite("technical", N_max=25).checks
+        claim = analysis._technical_claim
+        monkeypatch.setattr(analysis, "_technical_claim",
+                            lambda N, k, *rest: (N, k) != (10, 3) and claim(N, k, *rest))
+        report = run_suite("technical", N_max=25)
+        assert report.checks == checks
+        assert report.skipped == 0
+        assert report.to_dict()["failures"] == [
+            {"params": {"N": 10, "k": 3}, "lhs": None, "rhs": None}]
+
+    def test_bounds_failure_names_its_cell(self, monkeypatch):
+        rect = dict(n_max=7, p_max=25, sean_n_max=7, in_n_max=10)
+        checks = run_suite("bounds", **rect).checks
+        claim = analysis._uniform_claim
+        monkeypatch.setattr(analysis, "_uniform_claim",
+                            lambda n, p, *rest: (n, p) != (2, 5) and claim(n, p, *rest))
+        report = run_suite("bounds", **rect)
+        assert report.checks == checks
+        assert report.failures == [
+            {"params": {"check": "uniform", "n": 2, "p": 5}, "lhs": None, "rhs": None}]
+        assert list(report.failures[0]["params"]) == ["check", "n", "p"]
+
+    def test_majorant_sums_each_term_once(self, monkeypatch):
+        """The partial sums at 1, 10, 100, 1000 and P come from one pass of
+        P + 1 terms, and equal the per-P sums."""
+        calls = []
+        term = BoundConstants.majorant
+        monkeypatch.setattr(BoundConstants, "majorant",
+                            staticmethod(lambda p: calls.append(p) or term(p)))
+        report = run_suite("majorant", P=1500)
+        assert report.passed and report.checks == 3
+        assert calls == list(range(1501))
+        total = 0.0
+        for p in range(1501):
+            total += term(p)
+        assert check_majorant_summability(1500) == total
+
     def test_registry_fills_rectangle_defaults_from_signature(self):
         assert run_suite("gamma", n_max=2).rectangle == {
             "n_max": 2, "K_values": [1, 2, 4]}
@@ -647,6 +692,25 @@ class TestSuites:
         assert report.skipped == 1
         assert not report.passed
         assert report.failures[0]["lhs"] == "1/3"
+
+    @given(st.lists(st.tuples(st.sampled_from(["I", "J"]), st.lists(VERDICTS)),
+                    max_size=6))
+    @settings(max_examples=200)
+    def test_row_tally_matches_cell_records(self, rows):
+        by_row = VerifyReport(suite="demo", rectangle={})
+        by_cell = VerifyReport(suite="demo", rectangle={})
+        for n, (check, row) in enumerate(rows):
+            values = range(3, 3 + len(row))
+            by_row.record_row({"check": check, "n": n}, "p", values, row)
+            for p, verdict in zip(values, row):
+                cell = {"check": check, "n": n, "p": p}
+                if isinstance(verdict, tuple):
+                    by_cell.record(cell, *verdict)
+                else:
+                    by_cell.record(cell, verdict)
+        assert by_row.checks == by_cell.checks == sum(len(r) for _, r in rows)
+        assert by_row.skipped == by_cell.skipped
+        assert by_row.to_dict()["failures"] == by_cell.to_dict()["failures"]
 
     def test_run_all_suites_smoke(self):
         # default rectangles are exercised by the acceptance tests; here we

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,25 @@ class TestRationalStr:
         assert parse_rational("1/8") == Fraction(1, 8)
         assert parse_rational("-2") == Fraction(-2)
 
+    @pytest.mark.parametrize("text", ["", "abc", "1.5/2", "1/-2", "0x10", "1e5", ".5",
+                                      "1.", "- 1", "NaN", "Infinity"])
+    def test_parse_rejects_other_forms(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("q", [
+        Fraction(1, 5 ** 15000),  # digits 2^15000 (4516) after 15000 places
+        Fraction(-(7 ** 5200), 5 ** 37),  # a 4395-digit numerator
+        Fraction(2 ** 15000 + 1, 5 ** 3 * 2 ** 9),
+        Fraction(7 ** 6000, 3),  # the p/q form
+    ])
+    def test_round_trip_past_the_int_string_limit(self, q):
+        """str(int) refuses more than 4300 digits; the serializer does not."""
+        text = rational_str(q)
+        assert len(text.replace("-", "").replace(".", "").lstrip("0")) > 4300
+        assert parse_rational(text) == q
+        assert text == rational_str(parse_rational(text))
+
     @given(rationals)
     @settings(max_examples=300)
     def test_matches_fraction_oracle(self, a):
@@ -232,6 +252,63 @@ class TestCertifiedComparisons:
             assert certified_ge(m, root2, shift)
             assert not certified_ge(m - 1, root2, shift)
             assert not certified_le(m, root2, shift)
+
+    @pytest.mark.parametrize("shift", [-3, 0, 5])
+    @pytest.mark.parametrize("x", [-2, -1, 0, 1, 3, Fraction(-1, 7), Fraction(0),
+                                   Fraction(5, 3)])
+    def test_zero_endpoint(self, x, shift):
+        zero = iv.mpf(0)
+        assert certified_le(x, zero, shift) == (x <= 0)
+        assert certified_ge(x, zero, shift) == (x >= 0)
+
+    @pytest.mark.parametrize("shift", [-3, 0, 5])
+    @pytest.mark.parametrize("x", [-(2**70), -1, 0, 1, 2**70, Fraction(-1, 3),
+                                   Fraction(10**9, 7)])
+    def test_infinite_endpoints(self, x, shift):
+        """No finite x clears +inf from below or -inf from above."""
+        up = iv.mpf([1, "inf"])
+        assert up._mpi_[1] == mpmath.libmp.finf
+        assert not certified_ge(x, up, shift)
+        down = iv.mpf(["-inf", 1])
+        assert down._mpi_[0] == mpmath.libmp.fninf
+        assert not certified_le(x, down, shift)
+        # the finite endpoints of the same intervals still decide
+        assert certified_le(x, up, shift) == (Fraction(x) / Fraction(2) ** shift <= 1)
+        assert certified_ge(x, down, shift) == (Fraction(x) / Fraction(2) ** shift >= 1)
+
+    @pytest.mark.parametrize("x", [0, 1, Fraction(1, 3)])
+    def test_nan_endpoint_raises(self, x):
+        class NanInterval:
+            _mpi_ = (mpmath.libmp.fnan, mpmath.libmp.fnan)
+
+        with pytest.raises(ValueError, match="NaN"):
+            certified_le(x, NanInterval())
+        with pytest.raises(ValueError, match="NaN"):
+            certified_ge(x, NanInterval(), 4)
+
+    @given(st.integers(min_value=-(2**140), max_value=2**140),
+           st.integers(min_value=-40, max_value=160))
+    @settings(max_examples=300)
+    def test_negative_endpoint_matches_fraction(self, m, shift):
+        """Against -sqrt(2), an int m over 2^shift orders as its Fraction does
+        against the exact endpoints."""
+        bound = -iv.sqrt(2)
+        lo, hi = (Fraction(-man if sign else man) * Fraction(2) ** exp
+                  for sign, man, exp, _ in bound._mpi_)
+        assert lo < hi < 0
+        x = Fraction(m) / Fraction(2) ** shift
+        assert certified_le(m, bound, shift) == (x <= lo)
+        assert certified_ge(m, bound, shift) == (x >= hi)
+        assert certified_le(x, bound) == (x <= lo)
+        assert certified_ge(x, bound) == (x >= hi)
+
+    def test_negative_endpoint_equality(self):
+        bound = -iv.sqrt(2)
+        sign, man, exp, _ = bound._mpi_[0]
+        assert sign == 1 and exp < 0
+        assert certified_le(-man, bound, -exp)
+        assert not certified_le(-man + 1, bound, -exp)
+        assert certified_le(-man << 3, bound, 3 - exp)
 
     def test_rational_alias(self):
         assert Rational is Fraction

@@ -71,6 +71,15 @@ class TestCoeffCommand:
             "kind": "alpha", "n": 1, "p": 1, "value": "0.125", "float": 0.125
         }
 
+    def test_json_value_past_the_int_string_limit(self, capsys):
+        """alpha(1, 2200) has 4392 significant digits, more than the 4300 that
+        str(int) prints by default."""
+        code, out, err = run(capsys, "coeff", "--n", "1", "--p", "2200", "--format", "json")
+        assert code == 0, err
+        value = json.loads(out)["value"]
+        assert Fraction(Decimal(value)) == alpha(1, 2200)
+        assert parse_rational(value) == alpha(1, 2200)
+
     def test_default_kind_is_alpha(self, capsys):
         code, out, _ = run(capsys, "coeff", "--n", "2", "--p", "2")
         assert code == 0
