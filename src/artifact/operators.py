@@ -29,8 +29,10 @@ interval's midpoint, and the reported tail is the float rounding bound,
 rounded up, so it is a proof (0 when the values are exact, as for a in
 {0, 1}).  The derivative diverges at a = 1, which is signalled.
 
-Every loop over T^0, T^1, ... consumes the one generator `_powers`, and each
-evaluation walks it once, in the probe.
+Every loop over T^0, T^1, ... draws from the block source
+`powers._power_blocks`, and each evaluation walks it once, in the probe
+`powers._walk`, which stops at an exact repeat of the float chain; M is that
+of a walk over every power, bit for bit.
 
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination) and the worked
@@ -46,11 +48,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
@@ -58,10 +58,11 @@ import numpy as np
 from .arith import binomial, iv, iv_float_up
 from .coeffs import alpha_mantissa_stream, alternating_dyadic_sum
 from .analysis import BoundConstants, technical_C_down
+from .powers import (PROBE_CUTOFF, MeanBoundProbeError, SpectralExplosionError, _Walk,
+                     _check_positive, _power_blocks, _prefix_sums, _probed, _walk)
 from .report import VerifyReport
 
 LR_STEP_CAP = 21  # most logarithmic-reduction steps the general path takes
-PROBE_CUTOFF = 1e6  # a probed norm above this counts as divergence
 S_WINDOW = 64  # partial sums averaged for the alternating tail of S(n)
 SINKHORN_ITERS = 200  # balancing rounds of random_stochastic(doubly=True)
 
@@ -71,33 +72,21 @@ class Norm(enum.Enum):
     FROBENIUS = "fro"
     MAX = "max"
 
-    def compute(self, arr: np.ndarray) -> float:
+    def compute(self, arr: np.ndarray) -> float | np.ndarray:
+        """The norm of a d x d array as a float, or of each matrix of a
+        stack (..., d, d) as an array; a stacked norm has the bits of the
+        matrix's own."""
         if self is Norm.OPINF:
-            return float(np.abs(arr).sum(axis=1).max())
-        if self is Norm.FROBENIUS:
-            return float(np.sqrt((arr * arr).sum()))
-        return float(np.abs(arr).max())
-
-
-class SpectralExplosionError(RuntimeError):
-    """Powers of T grew past the probe cutoff: T is not usably power-bounded."""
-
-
-class MeanBoundProbeError(RuntimeError):
-    """Cesaro averages of T grew past the probe cutoff."""
+            value = np.abs(arr).sum(axis=-1).max(axis=-1)
+        elif self is Norm.FROBENIUS:
+            value = np.sqrt((arr * arr).sum(axis=(-2, -1)))
+        else:
+            value = np.abs(arr).max(axis=(-2, -1))
+        return float(value) if arr.ndim == 2 else value
 
 
 class NonConvergenceError(RuntimeError):
     """The requested tolerance cannot be certified within the step cap."""
-
-
-def _check_positive(least: int = 1, /, **values: int) -> None:
-    """Each value is an integer >= least; the error names the parameter."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -155,69 +144,22 @@ def load_matrix(path) -> DenseMatrix:
 APPENDIX_T = DenseMatrix.from_rows([[-1.0, 2.0], [0.0, -1.0]])
 
 
-def _powers(T: DenseMatrix) -> Iterator[np.ndarray]:
-    """T^0, T^1, ... without end, each power a fresh array computed on demand."""
-    power = np.eye(T.dim)
-    while True:
-        yield power
-        power = power @ T.array
-
-
 def matrix_power(T: DenseMatrix, k: int) -> DenseMatrix:
     """T^k by iterated multiplication; overflow to non-finite entries errs."""
     _check_positive(0, k=k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for acc in islice(_powers(T), k + 1):
-            if not np.isfinite(acc).all():
-                raise ValueError("matrix power overflowed to non-finite entries")
-    return DenseMatrix(dim=T.dim, array=acc)
+    for block in _power_blocks(T.array, k + 1):
+        if not np.isfinite(block).all():
+            raise ValueError("matrix power overflowed to non-finite entries")
+    return DenseMatrix(dim=T.dim, array=block[-1].copy())
 
 
 def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
     """(I + T + ... + T^(N-1)) / N."""
     _check_positive(N=N)
-    return DenseMatrix(dim=T.dim, array=sum(islice(_powers(T), N)) / N)
-
-
-# ---------------------------------------------------------------------------
-# probes
-# ---------------------------------------------------------------------------
-
-class _Walk(NamedTuple):
-    norms: list[float]
-    means: list[float]
-
-
-def _probed(value: float, name: str, error: type[RuntimeError]) -> float:
-    if not math.isfinite(value) or value > PROBE_CUTOFF:
-        raise error(f"||{name}|| = {value:g} exceeds the probe cutoff {PROBE_CUTOFF:g}")
-    return value
-
-
-def _walk(
-    T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False, norms: bool = True,
-) -> _Walk:
-    """The probe: one walk over T^0..T^probe_len.
-
-    Returns ||T^p|| for p = 1..probe_len (cut after the first zero norm) and,
-    with `means`, ||(T^0 + ... + T^(N-1))/N|| for N = 1..probe_len, cut with
-    the norms, as past a zero power the means only shrink.  Without `norms`
-    the walk takes the means only: a mean-bounded T need not be power-bounded.
-    """
-    _check_positive(probe_len=probe_len)
-    power_norms, mean_norms = [], []
     total = np.zeros((T.dim, T.dim))
-    for p, power in enumerate(islice(_powers(T), probe_len + 1)):
-        if means and p < probe_len:
-            total += power
-            mean_norms.append(_probed(norm.compute(total) / (p + 1),
-                                      f"M_{p + 1}", MeanBoundProbeError))
-        if p == 0 or not norms:
-            continue
-        power_norms.append(_probed(norm.compute(power), f"T^{p}", SpectralExplosionError))
-        if power_norms[-1] == 0.0:
-            break
-    return _Walk(power_norms, mean_norms)
+    for block in _power_blocks(T.array, N):
+        total = _prefix_sums(total, block)[-1]
+    return DenseMatrix(dim=T.dim, array=total / N)
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +439,21 @@ def check_cesaro_domination(
         suite="cesaro_domination",
         rectangle={"N_max": N_max, "eps": eps, "slack": slack, "P": P},
     )
-    rhs, r = np.zeros((T.dim, T.dim)), 0  # rhs = sum_{l<=r} A^l, r = isqrt(N)
-    lhs_sum = np.zeros((T.dim, T.dim))
-    for N, power in enumerate(islice(_powers(T), 1, N_max + 1), start=1):
-        lhs_sum += power
-        if math.isqrt(N) > r:
-            r += 1
-            rhs += powers[r][0]
-        gap = float((lhs_sum / N - (C / r) * rhs).max())
-        report.record({"N": N}, gap <= slack, gap, slack)
+    rhs = np.zeros((r_max + 1, T.dim, T.dim))  # rhs[r] = sum_{l<=r} A^l
+    for r in range(1, r_max + 1):
+        rhs[r] = rhs[r - 1] + powers[r][0]
+    lhs_sum, offset = np.zeros((T.dim, T.dim)), 0  # block[0] is T^offset
+    for block in _power_blocks(T.array, N_max + 1):
+        first = int(offset == 0)  # T^0 is not summed
+        sums = _prefix_sums(lhs_sum, block[first:])
+        lhs_sum, Ns = sums[-1], range(offset + first, offset + len(block))
+        r = [math.isqrt(N) for N in Ns]
+        lhs = sums / np.array(Ns, dtype=float)[:, None, None]
+        rhs_r = np.array([C / x for x in r])[:, None, None] * rhs[r]
+        gaps = (lhs - rhs_r).max(axis=(1, 2)).tolist()
+        report.record_row({}, "N", Ns, [True if gap <= slack else (False, gap, slack)
+                                        for gap in gaps])
+        offset += len(block)
     report.elapsed_s = time.perf_counter() - start
     return report
 

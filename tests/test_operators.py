@@ -10,9 +10,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from artifact import operators
+from artifact import operators, powers
 from artifact.analysis import technical_C_down
 from artifact.coeffs import alpha, psi_eval
+from artifact.powers import _power_blocks
 from artifact.operators import (
     APPENDIX_T,
     AppendixExample,
@@ -24,7 +25,9 @@ from artifact.operators import (
     S_remainder_at_J,
     S_value,
     SpectralExplosionError,
-    _powers,
+    _Walk,
+    _check_positive,
+    _probed,
     _reduce,
     _walk,
     appendix_example,
@@ -42,6 +45,9 @@ from artifact.operators import (
 )
 
 ROOT2 = math.sqrt(2.0)
+CYCLE2 = DenseMatrix.from_rows([[0.0, 2.0], [0.5, 0.0]])  # T^2 = I: norms 2, 1
+CYCLE3 = DenseMatrix.from_rows(  # T^3 = I: norms 2, 4, 1
+    [[0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [0.25, 0.0, 0.0]])
 
 
 def sym3() -> DenseMatrix:
@@ -50,17 +56,57 @@ def sym3() -> DenseMatrix:
     )
 
 
+def plain_powers(T: DenseMatrix):
+    """T^0, T^1, ... without end, each power a fresh array computed on demand:
+    the chain the block source must reproduce bit for bit."""
+    power = np.eye(T.dim)
+    while True:
+        yield power
+        power = power @ T.array
+
+
+def reference_walk(
+    T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False, norms: bool = True,
+) -> _Walk:
+    """The probe as one loop over single powers, kept as the reference the
+    block walk must equal, list for list and error for error."""
+    _check_positive(probe_len=probe_len)
+    power_norms, mean_norms = [], []
+    total = np.zeros((T.dim, T.dim))
+    for p, power in enumerate(islice(plain_powers(T), probe_len + 1)):
+        if means and p < probe_len:
+            total += power
+            mean_norms.append(_probed(norm.compute(total) / (p + 1),
+                                      f"M_{p + 1}", MeanBoundProbeError))
+        if p == 0 or not norms:
+            continue
+        power_norms.append(_probed(norm.compute(power), f"T^{p}", SpectralExplosionError))
+        if power_norms[-1] == 0.0:
+            break
+    return _Walk(power_norms, mean_norms)
+
+
 @pytest.fixture
 def power_draws(monkeypatch):
-    """A one-entry list counting the powers drawn from `operators._powers`."""
+    """A one-entry list counting the powers drawn from `_power_blocks`, by
+    the probe in `powers` and by the loops in `operators`."""
     drawn = [0]
 
-    def counting(T):
-        for power in _powers(T):
-            drawn[0] += 1
-            yield power
+    def counting(T, count):
+        for block in _power_blocks(T, count):
+            drawn[0] += len(block)
+            yield block
 
-    monkeypatch.setattr(operators, "_powers", counting)
+    for module in (operators, powers):
+        monkeypatch.setattr(module, "_power_blocks", counting)
+    return drawn
+
+
+def walk_draws(power_draws, T: DenseMatrix, **kwargs) -> int:
+    """The powers one bare probe over T^0..T^2000 draws; the count is restored."""
+    before = power_draws[0]
+    _walk(T, 2000, Norm.OPINF, **kwargs)
+    drawn, power_draws[0] = power_draws[0] - before, before
     return drawn
 
 
@@ -130,6 +176,18 @@ class TestNorms:
     def test_enum_values_match_cli_flags(self):
         assert {n.value for n in Norm} == {"opinf", "fro", "max"}
 
+    @pytest.mark.parametrize("norm", list(Norm), ids=[n.value for n in Norm])
+    def test_stacked_norms_have_each_matrix_bits(self, norm):
+        """The walk takes its norms a block at a time; each must have the bits
+        of the matrix's own norm (the Frobenius sum of d^2 squares too)."""
+        rng = np.random.default_rng(0)
+        for d in (1, 2, 3, 7, 16, 33, 64):
+            stack = rng.standard_normal((5, d, d)) * 10.0 ** rng.integers(-3, 4, (5, 1, 1))
+            stack[1] = -0.0
+            got = norm.compute(stack)
+            assert got.shape == (5,)
+            assert [x.hex() for x in got.tolist()] == [norm.compute(m).hex() for m in stack]
+
 
 class TestMatrixPower:
     def test_zero_power_is_identity(self):
@@ -155,6 +213,13 @@ class TestMatrixPower:
         with pytest.raises(ValueError):
             matrix_power(APPENDIX_T, -1)
 
+    @pytest.mark.parametrize("T", [random_stochastic(3, 0), CYCLE3, rotation_matrix(1.0),
+                                   APPENDIX_T], ids=["row3", "cycle3", "rotation", "appendix"])
+    def test_matches_plain_chain(self, T):
+        """Bit for bit the chain's T^k, across the blocks of the power source."""
+        for k, power in enumerate(islice(plain_powers(T), 301)):
+            assert matrix_power(T, k).array.tobytes() == power.tobytes(), k
+
 
 class TestCesaro:
     def test_N1_is_identity(self):
@@ -170,6 +235,14 @@ class TestCesaro:
     def test_domain(self):
         with pytest.raises(ValueError):
             cesaro(APPENDIX_T, 0)
+
+    @pytest.mark.parametrize("T", [random_stochastic(3, 5), random_stochastic(32, 5),
+                                   APPENDIX_T], ids=["row3", "row32", "appendix"])
+    def test_equals_plain_sum(self, T):
+        """The blocks' prefix sums add the powers in order, as `sum` does."""
+        for N in (1, 63, 64, 65, 150):
+            want = sum(islice(plain_powers(T), N)) / N
+            assert cesaro(T, N).array.tobytes() == want.tobytes(), N
 
     def test_telescoping(self):
         """(N+1) M_(N+1) - N M_N recovers T^N to float rounding."""
@@ -221,7 +294,7 @@ class TestProbes:
         separate loop the probe once ran."""
         best = 0.0
         acc = np.zeros((T.dim, T.dim))
-        for N, power in enumerate(islice(_powers(T), 2000), start=1):
+        for N, power in enumerate(islice(plain_powers(T), 2000), start=1):
             acc += power
             best = max(best, norm.compute(acc) / N)
         assert max(_walk(T, 2000, norm, means=True, norms=False).means) == best
@@ -243,6 +316,54 @@ class TestProbes:
             acc += power
             assert Norm.OPINF.compute(acc / N) == pytest.approx(1.0, abs=1e-12)
             power = power @ APPENDIX_T.array
+
+
+WALK_INPUTS = {
+    "row3": random_stochastic(3, 1),
+    "row16": random_stochastic(16, 1),
+    "row64": random_stochastic(64, 1),
+    "doubly3": random_stochastic(3, 1, doubly=True),
+    "rotation": rotation_matrix(1.0),
+    "shift": DenseMatrix(dim=4, array=np.eye(4, k=1)),
+    "appendix": APPENDIX_T,
+    "diag": DenseMatrix.from_rows([[2.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.1]]),
+    "jordan1e3": DenseMatrix.from_rows([[-1.0, 1e3], [0.0, -1.0]]),
+    "cycle2": CYCLE2,
+    "cycle3": CYCLE3,
+}
+
+
+def walk_outcome(walk, *args):
+    """The hex bits of a walk's norms and means, or its error's type and text."""
+    try:
+        result = walk(*args)
+    except (SpectralExplosionError, MeanBoundProbeError) as err:
+        return type(err), str(err)
+    return [x.hex() for x in result.norms], [x.hex() for x in result.means]
+
+
+class TestBlockWalk:
+    """The block walk against `reference_walk`, over single powers."""
+
+    @pytest.mark.parametrize("norm", list(Norm), ids=[n.value for n in Norm])
+    @pytest.mark.parametrize("name", list(WALK_INPUTS))
+    def test_matches_reference_walk(self, name, norm):
+        T = WALK_INPUTS[name]
+        for means, norms in ((False, True), (True, True), (True, False)):
+            for probe_len in (1, 2, 63, 64, 65, 2000):
+                args = (T, probe_len, norm, means, norms)
+                assert walk_outcome(_walk, *args) == walk_outcome(reference_walk, *args), \
+                    (means, norms, probe_len)
+
+    @pytest.mark.parametrize("T, cycle", [(CYCLE2, [2.0, 1.0]), (CYCLE3, [2.0, 4.0, 1.0])],
+                             ids=["period2", "period3"])
+    def test_exact_cycle_norms_in_phase(self, power_draws, T, cycle):
+        """The chain repeats exactly, so the walk stops in its second block,
+        against the reference T^63, and fills the norms in phase:
+        ||T^p|| = cycle[(p - 1) mod period]."""
+        norms = _walk(T, 2000, Norm.OPINF).norms
+        assert norms == [cycle[i % len(cycle)] for i in range(2000)]
+        assert power_draws[0] <= 128
 
 
 class TestBrunelFastPaths:
@@ -560,7 +681,7 @@ def sequential_pass(T: DenseMatrix, n_list: list[int], P: int) -> np.ndarray:
     d = T.dim
     rows = alpha_float_rows(n_list, P)
     flat = np.zeros((len(n_list), d * d))
-    powers = _powers(T)
+    powers = plain_powers(T)
     for s in range(0, P + 1, 1024):
         block = np.array([p.reshape(-1) for p in islice(powers, min(1024, P + 1 - s))])
         flat += rows[:, s:s + len(block)] @ block
@@ -607,16 +728,25 @@ class TestStridedPowerPass:
 
     def test_power_budget(self, power_draws):
         """The probe's walk over T^0..T^2000 is the only draw of powers; the
-        truncated series once added P + 1 = 33 845 more."""
+        truncated series once added P + 1 = 33 845 more.  The rotation's
+        chain never repeats, so its walk draws every power."""
         probe_len = 2000
-        _, P = evaluate_powers(random_stochastic(3, 0), [1, 2, 3], 1e-2,
+        _, P = evaluate_powers(rotation_matrix(1.0), [1, 2, 3], 1e-2,
                                probe_len=probe_len)
         assert P == 1022
         assert power_draws[0] == probe_len + 1
 
+    def test_probe_stops_at_repeat(self, power_draws):
+        """This chain first repeats at p = 38 (T^38 == T^37), which the probe
+        sees against its reference T^63 at p = 64, so it stops after two
+        blocks of 64 powers; a walk over every power drew 2 001."""
+        _, P = evaluate_powers(random_stochastic(3, 0), [1, 2, 3], 1e-2)
+        assert P == 1022
+        assert power_draws[0] < 200
+
     def test_peak_memory_is_one_block(self):
-        """The walk keeps no powers and the reduction a few d x d iterates;
-        the half MB covers the probed norms, which do not grow with d."""
+        """The walk keeps one 128 KiB buffer of powers and the reduction a
+        few d x d iterates; the half MB covers these and the probed norms."""
         d = 16
         T = random_stochastic(d, 0)
         tracemalloc.start()
@@ -739,6 +869,28 @@ class TestWorkedExample:
             S_value(0)
 
 
+def assert_domination_gaps(T: DenseMatrix, N_max: int) -> None:
+    """check_cesaro_domination at slack -inf fails every N with the gap a
+    loop over single powers and precomputed r-prefix sums of A^l gives."""
+    report = check_cesaro_domination(T, N_max=N_max, slack=-math.inf)
+    assert report.checks == len(report.failures) == N_max
+    C = technical_C_down()
+    r_max = math.isqrt(N_max)
+    powers, _ = evaluate_powers(T, list(range(1, r_max + 1)), 0.05)
+    prefix = [np.zeros((T.dim, T.dim))]
+    for ell in range(1, r_max + 1):
+        prefix.append(prefix[-1] + powers[ell][0])
+    lhs_sum = np.zeros((T.dim, T.dim))
+    want = []
+    for N, power in enumerate(islice(plain_powers(T), 1, N_max + 1), start=1):
+        lhs_sum += power
+        r = math.isqrt(N)
+        want.append(float((lhs_sum / N - (C / r) * prefix[r]).max()))
+    got = [f["lhs"] for f in report.failures]
+    assert [f["params"] for f in report.failures] == [{"N": N} for N in range(1, N_max + 1)]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+
+
 class TestTheoremChecks:
     def test_power_bound_identity(self):
         report = check_power_bound_theorem(DenseMatrix.identity(2), n_max=12)
@@ -810,24 +962,15 @@ class TestTheoremChecks:
     def test_domination_gaps_bit_for_bit(self, T):
         """At slack -inf every cell fails and records its gap; the gaps equal
         those of a loop over precomputed r-prefix sums of A^l."""
-        N_max = 50
-        report = check_cesaro_domination(T, N_max=N_max, slack=-math.inf)
-        assert report.checks == len(report.failures) == N_max
-        C = technical_C_down()
-        r_max = math.isqrt(N_max)
-        powers, _ = evaluate_powers(T, list(range(1, r_max + 1)), 0.05)
-        prefix = [np.zeros((T.dim, T.dim))]
-        for ell in range(1, r_max + 1):
-            prefix.append(prefix[-1] + powers[ell][0])
-        lhs_sum = np.zeros((T.dim, T.dim))
-        want = []
-        for N, power in enumerate(islice(_powers(T), 1, N_max + 1), start=1):
-            lhs_sum += power
-            r = math.isqrt(N)
-            want.append(float((lhs_sum / N - (C / r) * prefix[r]).max()))
-        got = [f["lhs"] for f in report.failures]
-        assert [f["params"]["N"] for f in report.failures] == list(range(1, N_max + 1))
-        assert [g.hex() for g in got] == [w.hex() for w in want]
+        assert_domination_gaps(T, 50)
+
+    @pytest.mark.parametrize("T, N_max", [(random_stochastic(3, 0), 200),
+                                          (random_stochastic(32, 0), 70)],
+                             ids=["row3-200", "row32-70"])
+    def test_domination_gaps_across_blocks(self, T, N_max):
+        """The left side's sums and gaps run on across power blocks of 64
+        (d = 3) and 16 (d = 32) powers."""
+        assert_domination_gaps(T, N_max)
 
     def test_domination_probe_len_reaches_power_probe(self):
         """The right side's power probe reads probe_len powers, not 2000:
@@ -854,17 +997,18 @@ class TestTheoremChecks:
     def test_power_bound_walks_once(self, power_draws):
         """M and the series come from one walk; probing for M and again for
         the series drew 5 027 powers."""
-        report = check_power_bound_theorem(random_stochastic(3, 1, doubly=True),
-                                           n_max=40)
+        T = random_stochastic(3, 1, doubly=True)
+        report = check_power_bound_theorem(T, n_max=40)
         assert report.passed
-        assert power_draws[0] == 2001
+        assert power_draws[0] == walk_draws(power_draws, T)
 
     def test_mean_bound_walks_once(self, power_draws):
         """M and the series come from one walk; a separate mean probe and the
         evaluation's power walk drew 4 001 powers."""
-        report = check_mean_bound_theorem(random_stochastic(4, 1), n_max=6)
+        T = random_stochastic(4, 1)
+        report = check_mean_bound_theorem(T, n_max=6)
         assert report.passed
-        assert power_draws[0] == 2001
+        assert power_draws[0] == walk_draws(power_draws, T, means=True)
 
     def test_mean_bound_closed_form_walks_once(self, power_draws):
         report = check_mean_bound_theorem(APPENDIX_T, n_max=6)
@@ -897,7 +1041,7 @@ class TestTheoremChecks:
 
     def test_power_bound_closed_form_keeps_no_block(self):
         """A scalar input is evaluated in closed form, so the walk that gives
-        M keeps no powers: a block of POWER_BLOCK + 1 powers is 32 MB here."""
+        M keeps no more than its 128 KiB buffer of powers."""
         T = DenseMatrix(dim=64, array=0.5 * np.eye(64))
         tracemalloc.start()
         try:
@@ -911,9 +1055,10 @@ class TestTheoremChecks:
     def test_domination_walks_once(self, power_draws):
         """One walk for the A^l series plus T^0..T^N_max for the left side;
         a discarded mean probe and a second walk drew 5 227."""
-        report = check_cesaro_domination(random_stochastic(3, 0), N_max=200)
+        T = random_stochastic(3, 0)
+        report = check_cesaro_domination(T, N_max=200)
         assert report.passed
-        assert power_draws[0] == 2001 + 201
+        assert power_draws[0] == walk_draws(power_draws, T) + 201
 
     def test_domination_explosion_caught_by_power_probe(self):
         """Without a mean probe, the power probe rejects growing powers."""
