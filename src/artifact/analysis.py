@@ -8,40 +8,34 @@ their behavior:
     J(n) = (n^2 + n)/2          alpha(n, p) >= alpha(n+1, p)  iff  p <= J(n)
     K(n) = (n^4 - 2n^3 - 13n^2 - 10n) / (12n^2 + 12n - 24)
 
-K(n) is refined by the roots of the exact quadratic
+K(n) is refined by the roots of the exact quadratic f_n(p) = -12 p^2 +
+12 (n^2 + n - 1) p - (n^4 - 2n^3 - 13n^2 - 10n): the differences
+alpha(n, p) - alpha(n+1, p) are nondecreasing in p exactly where f_n(p) <= 0
+(outside the roots) and decrease strictly between them.
 
-    f_n(p) = -12 p^2 + 12 (n^2 + n - 1) p - (n^4 - 2n^3 - 13n^2 - 10n):
+Every claim is one small predicate on the integer mantissas
+a(n, p) = alpha(n, p) 2^(n+2p); d(n,p) = 2 a(n,p) - a(n+1,p) is the mantissa
+of alpha(n,p) - alpha(n+1,p) over 2^(n+1+2p).  The suites feed the predicates
+rows of the kernel `mantissa_rows`; the public per-cell check_* functions, and
+the `bounds` suite's peak column, feed them closed-form mantissas reached by
+the exact ratio hops of `alpha_mantissa_walk`.  The `recurrences`, `sums` and
+`oracle` suites check the kernel against what it does not use: the alpha and
+sum closed forms by remainder-checked hops (from a(n, 0) = 1, and from one
+C(2p, p) per p), beta's by one binomial per cell, and the Catalan oracle.
 
-the successive differences alpha(n, p) - alpha(n+1, p) are nondecreasing in p
-exactly where f_n(p) <= 0 (outside the roots) and decreasing strictly between
-them.
+A transcendental bound is an outward-rounded interval built once per p from
+cached pieces; a mantissa is compared exactly against its unfavorable endpoint
+by `arith.certified_le` / `certified_ge`.  The check_* functions compare in
+every cell.  The suites compare once per row or column, and each cell is then
+one exact integer step that still proves that cell (see `_suite_bounds` and
+`_suite_technical`).
 
-Every claim is decided on the integer mantissas a(n, p) = alpha(n, p) 2^(n+2p)
-by a shifted-integer comparison: I is 4 a(n,p) <= a(n,p+1), J is
-2 a(n,p) >= a(n+1,p), and the difference d(n,p) = 2 a(n,p) - a(n+1,p) is the
-mantissa of alpha(n,p) - alpha(n+1,p) over 2^(n+1+2p).  Each claim has one
-small predicate on mantissas; the suites feed it rows of the integer kernel
-`mantissa_rows`, and the public per-cell check_* functions feed it one
-closed-form mantissa plus its neighbours, reached by the exact ratio hops of
-`alpha_mantissa_walk`.  The `bounds` suite walks its peak column
-n -> floor(I(n)) the same way, from one binomial.  The `recurrences` and
-`oracle` suites stay on the binomial closed forms and the Catalan oracle:
-they are the independent checks that the row kernel and the walk rest on.
-A transcendental bound is an outward-rounded interval, built once per p from
-shared cached pieces, and the mantissa is compared exactly against its
-unfavorable endpoint by `arith.certified_le` / `certified_ge`.
-
-The J threshold holds for every p and sum_p alpha(n, p) = psi(1)^n = 1, so
-sum_p |d(n,p)| / 2^(n+1+2p) = 2 sum_{p<=J(n)} d(n,p) / 2^(n+1+2p): the
-difference sum is J(n)+1 exact terms, with no tail.
-
-The module ends with a registry of named verification suites.  A suite is
-a generator of rows over its keyword parameters: (params, key, values,
-verdicts), one verdict per cell {**params, key: value}, each True, False, None
-(skipped) or (False, lhs, rhs), a failure with its values.  A row is at most
-one line of the rectangle.  The registering decorator `_suite` turns the
-generator into a runner whose deterministic VerifyReport carries the suite's
-name and the rectangle that ran.
+The module ends with a registry of named verification suites.  A suite is a
+generator of rows (params, key, values, verdicts), one verdict per cell
+{**params, key: value}: True, False, None (skipped) or (False, lhs, rhs), a
+failure with its values.  The registering decorator `_suite` turns it into a
+runner whose deterministic VerifyReport names the suite and the rectangle
+that ran.
 """
 
 from __future__ import annotations
@@ -58,6 +52,7 @@ from .arith import (
     Rational,
     binomial,
     certified_ge,
+    certified_ge_threshold,
     certified_le,
     iv,
     iv_float_down,
@@ -308,16 +303,15 @@ def technical_C_down() -> float:
     return iv_float_down(_technical_C())
 
 
-def _uniform_claim(n: int, p: int, d: int, a1: int, bound: "iv.mpf") -> bool:
-    """|alpha(n+1,p) - alpha(n,p)| = |d|/2^(n+1+2p) under all three bounds.
-
-    The bounds are alpha(1,p) = a1/2^(1+2p), p^(-3/2), and the sharp one,
-    certified against the interval `bound`.
-    """
+def _uniform_claim(n: int, p: int, d: int, a1: int, bound: "iv.mpf",
+                   chained: bool = False) -> bool:
+    """|alpha(n+1,p) - alpha(n,p)| = |d|/2^(n+1+2p) under alpha(1,p) = a1/2^(1+2p),
+    p^(-3/2) and the sharp bound, certified against the interval `bound`.
+    `chained` says that a1/2^(1+2p) clears the last two, so the first implies them."""
     d = abs(d)
     shift = n + 1 + 2 * p
-    return (d <= a1 << n and d * d * p ** 3 <= 1 << (2 * shift)
-            and certified_le(d, bound, shift))
+    return d <= a1 << n and (chained or d * d * p ** 3 <= 1 << (2 * shift)
+                             and certified_le(d, bound, shift))
 
 
 def _stirling_claim(n: int, p: int, c: int, bound: "iv.mpf") -> bool:
@@ -363,9 +357,9 @@ def _sum_bound_claim(n: int, row_lo: list[int], row_hi: list[int]) -> bool:
     return 2 * n * num * C.denominator <= C.numerator << (n + 1 + 2 * J)
 
 
-def _technical_claim(N: int, k: int, r: int, s: int, r_over_C: "iv.mpf") -> bool:
-    """1/N <= (C/r) S(r,k), i.e. N s / 2^(r+2k) >= r/C, with s the mantissa of S."""
-    return certified_ge(N * s, r_over_C, r + 2 * k)
+def _technical_claim(N: int, k: int, least: int) -> bool:
+    """1/N <= (C/r) S(r,k): N >= certified_ge_threshold(s, r/C, r + 2k), s = S 2^(r+2k)."""
+    return N >= least
 
 
 def _s_monotone_claim(s: int, s_next: int) -> bool:
@@ -374,13 +368,9 @@ def _s_monotone_claim(s: int, s_next: int) -> bool:
 
 
 def check_uniform_p_estimate(n: int, p: int) -> bool:
-    """|alpha(n+1,p) - alpha(n,p)| against its three upper bounds.
-
-    The sharp one is e^(1/(24p)) / (2(1+p) sqrt(pi p)); the intermediate one
-    is alpha(1, p); the weak one is p^(-3/2).  All three must hold; the
-    transcendental bound is compared against its interval's lower endpoint,
-    so a pass is a certificate.
-    """
+    """|alpha(n+1,p) - alpha(n,p)| against alpha(1, p), p^(-3/2) and the sharp
+    e^(1/(24p)) / (2(1+p) sqrt(pi p)), each compared in this cell; the sharp one
+    against its interval's lower endpoint, so a pass is a certificate."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1, p >= 1")
     a1, a, a_up = alpha_mantissa_walk([(1, p), (n, p), (n + 1, p)])
@@ -466,17 +456,13 @@ def check_gamma_K(n: int, p: int, K: float) -> Optional[bool]:
 
 
 def check_technical_lemma(N: int) -> bool:
-    """1/N <= (C/r) sum_{j=1}^{r} alpha(j, k) for every k in [0, N], r = isqrt(N).
-
-    C = 6 e^(7/12) sqrt(2 pi)/(2 - sqrt(2)) enters as an interval, and the
-    comparison must clear its unfavorable endpoint, so a pass certifies the
-    inequality with the true constant.
-    """
+    """1/N <= (C/r) sum_{j=1}^{r} alpha(j, k) for every k in [0, N], r = isqrt(N),
+    each k compared against the unfavorable endpoint of C's interval."""
     if N < 1:
         raise ValueError("N must be >= 1")
     r = math.isqrt(N)
     r_over_C = r / _technical_C()
-    return all(_technical_claim(N, k, r, sum_alpha_mantissa(r, k), r_over_C)
+    return all(certified_ge(N * sum_alpha_mantissa(r, k), r_over_C, r + 2 * k)
                for k in range(N + 1))
 
 
@@ -564,9 +550,8 @@ def _suite_oracle(n_max=30, p_max=30, shift_n_max=40, shift_p_max=100):
 @_suite
 def _suite_recurrences(n_max=40, beta_p_max=120, alpha_p_max=200):
     # Each coefficient's own closed form, never rows built by the recurrence
-    # under test.
-    closed = {k: [alpha_mantissa(k, p) for p in range(alpha_p_max + 2)]
-              for k in range(1, n_max + 2)}
+    # under test: alpha's by its checked ratio hops along p, beta's by binomials.
+    closed = {k: alpha_mantissa_row(k, alpha_p_max + 1) for k in range(1, n_max + 2)}
     beta = {k: [beta_mantissa(k, q) for q in range(beta_p_max + 1)]
             for k in range(1, n_max + 2)}
 
@@ -621,19 +606,23 @@ def _suite_bounds(n_max=60, p_max=400, sean_n_max=100, in_n_max=200):
     ps = range(1, p_max + 1)
     eq8 = [None] + [_eq8_bound(p) for p in ps]
     sean = [None] + [_sean_bound(p) for p in ps]
-    # C(n+2p, p) = 2 C(n-1+2p, p) - a(n, p), from the central binomials up
-    central = [binomial(2 * p, p) for p in range(p_max + 1)]
-    a1 = None
+    stirling = [False] * p_max
     for n, row, up in _row_pairs(max(n_max, sean_n_max), p_max):
         if n == 1:
             a1 = row[: p_max + 1]
+            # alpha(1, p) under p^(-3/2) and the sharp bound: the claim at n = 0, d = a1
+            chain = [None] + [_uniform_claim(0, p, a1[p], a1[p], eq8[p]) for p in ps]
         if n <= n_max:
             yield {"check": "uniform", "n": n}, "p", ps, [
-                _uniform_claim(n, p, 2 * row[p] - up[p], a1[p], eq8[p]) for p in ps]
+                _uniform_claim(n, p, 2 * row[p] - up[p], a1[p], eq8[p], chain[p])
+                for p in ps]
         if n <= sean_n_max:
-            central = [2 * c - a for c, a in zip(central, row)]
-            yield {"check": "stirling", "n": n}, "p", ps, [
-                _stirling_claim(n, p, central[p], sean[p]) for p in ps]
+            # x_n = C(n+2p, p)/2^(n+2p) = x_(n-1) - a(n, p)/2^(n+2p), so a pass
+            # carries down the column while a(n, p) >= 0
+            stirling = [passed and row[p] >= 0
+                        or _stirling_claim(n, p, binomial(n + 2 * p, p), sean[p])
+                        for p, passed in zip(ps, stirling)]
+            yield {"check": "stirling", "n": n}, "p", ps, stirling
     # The peak column n -> floor(I(n)) never steps back, so one binomial seeds
     # a walk that reaches every peak cell by exact ratio hops.
     M = _in_bound_M()
@@ -679,13 +668,16 @@ def _suite_gamma(n_max=60, K_values=[1, 2, 4]):  # a list prints as "[1, 2, 4]"
 @_suite
 def _suite_technical(N_max=400):
     C = _technical_C()
-    sums = dict(_column_sum_rows(math.isqrt(N_max), N_max))
-    r_over_C = {r: r / C for r in sums}
-    for N in range(1, N_max + 1):
-        r = math.isqrt(N)
-        row, bound = sums[r], r_over_C[r]
-        ks = range(N + 1)
-        yield {"N": N}, "k", ks, [_technical_claim(N, k, r, row[k], bound) for k in ks]
+    # The N with isqrt(N) = r share the row S(r, .) and the bound r/C, so each
+    # column k certifies once the least N that clears it.
+    for r, row in _column_sum_rows(math.isqrt(N_max), N_max):
+        bound = r / C
+        Ns = range(r * r, min((r + 1) ** 2, N_max + 1))
+        least = [certified_ge_threshold(s, bound, r + 2 * k)
+                 for k, s in enumerate(row[: Ns[-1] + 1])]
+        for N in Ns:
+            ks = range(N + 1)
+            yield {"N": N}, "k", ks, [_technical_claim(N, k, least[k]) for k in ks]
 
 
 @_suite
@@ -700,9 +692,17 @@ def _suite_s_monotone(N_max=100, k_max=120):
 @_suite
 def _suite_sums(N_max=40, p_max=100):
     ps = range(p_max + 1)
+    # The closed form (C(2p, p) << N) - C(N+2p, p), with C(N+2p, p) one exact
+    # hop x (N+2p)/(N+p) from C(N-1+2p, p).
+    central = [binomial(2 * p, p) for p in ps]
+    top = central[:]
     for N, direct in _column_sum_rows(N_max, p_max):
+        for p in ps:
+            top[p], rest = divmod(top[p] * (N + 2 * p), N + p)
+            if rest:
+                raise AssertionError(f"C({N + 2 * p}, {p}) is not an integer")
         yield {"N": N}, "p", ps, [
-            _exact(sum_alpha_mantissa(N, p), direct[p], N + 2 * p) for p in ps]
+            _exact((central[p] << N) - top[p], direct[p], N + 2 * p) for p in ps]
 
 
 class UnknownSuiteError(ValueError):

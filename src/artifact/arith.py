@@ -13,7 +13,9 @@ decided inside the call: with e = exp + shift, x / 2^shift against the endpoint
 is x << -e against the signed man when e < 0, and x against man << e
 otherwise.  Every other case (a Fraction x, a zero or infinite endpoint, a NaN
 endpoint, which raises) is first rewritten by `_exact_operands` into integers
-for that same comparison.
+for that same comparison.  `certified_ge_threshold` solves the ge comparison
+of N x for N: the least integer multiple of an int x > 0 that clears the
+upper endpoint, so one division certifies a whole column of N.
 
 Exact values print as decimal digits through `decimal`, whose int conversion
 is exact and, unlike str(int), has no limit on the number of digits.
@@ -163,6 +165,31 @@ def certified_ge(x: Rational, bound: "iv.mpf", shift: int = 0) -> bool:
         man = -man
     e = exp + shift
     return x << -e >= man if e < 0 else x >= man << e
+
+
+def certified_ge_threshold(x: int, bound: "iv.mpf", shift: int = 0) -> int | float:
+    """The least integer N with certified_ge(N * x, bound, shift), for an int x > 0.
+
+    With the upper endpoint (-1)^s man 2^exp and e = exp + shift, N x / 2^shift
+    clears it iff N >= man 2^e / x, so N is ceil(man << e, x), or
+    ceil(man, x << -e) when e < 0.  A +inf endpoint is cleared by no N and
+    gives inf; a -inf endpoint by every N and gives -inf.  A NaN endpoint
+    raises ValueError, as in certified_ge.
+    """
+    if type(x) is not int or x <= 0:
+        raise ValueError(f"the threshold needs an int x > 0, got {x!r}")
+    endpoint = bound._mpi_[1]
+    sign, man, exp, _ = endpoint
+    if not man:
+        if endpoint == mpmath.libmp.finf:
+            return math.inf
+        if endpoint == mpmath.libmp.fninf:
+            return -math.inf
+        _, sign, man, exp = _exact_operands(x, endpoint)
+    if sign:
+        man = -man
+    e = exp + shift
+    return -(-man // (x << -e)) if e < 0 else -(-(man << e) // x)
 
 
 def iv_float_down(x: "iv.mpf") -> float:

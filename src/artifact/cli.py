@@ -14,13 +14,15 @@ A flag with a library counterpart is passed on only when given, so the library
 signature is the one home of its default.  Exit codes: 0 success/pass; 1
 failures, or an operator's runtime error as JSON on stdout; 2 bad usage (an
 unread flag, an unknown suite, an out-of-range value) on stderr, with nothing
-on stdout.  Output is deterministic apart from the elapsed_s of reports.
+on stdout.  A reader that closes stdout early (`| head`) ends the command
+quietly with exit 1.  Output is deterministic apart from the elapsed_s of reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from itertools import chain
@@ -218,6 +220,8 @@ def cmd_operator(call, render, args) -> int:
             given["T"] = APPENDIX_T if path is None else load_matrix(path)
         text, code = render(call(**given))
         _emit(text, args.out)
+    except BrokenPipeError:
+        raise  # stdout is gone: no JSON error can reach it
     except (SpectralExplosionError, MeanBoundProbeError, NonConvergenceError,
             ValueError, OSError) as exc:
         _emit(_json({"error": type(exc).__name__, "message": str(exc)}), None)
@@ -320,7 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (say `| head`); point it at devnull so the
+        # flush at exit stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -67,15 +67,19 @@ def alpha_mantissa(n: int, p: int) -> int:
 def alpha_mantissa_stream(n: int) -> Iterator[int]:
     """a(n, 0), a(n, 1), ... without end, by the exact ratio recurrence.
 
-    a(n, p+1) = a(n, p) * (n+2p+1)(n+2p) / ((p+1)(n+p+1)); the division is
-    exact at every step, so each entry costs one big-int multiply and divmod.
+    a(n, p+1) = a(n, p) * (n+2p+1)(n+2p) / ((p+1)(n+p+1)); each entry costs
+    one big-int multiply and divmod, and a division that leaves a remainder is
+    an error.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     a = 1
     for p in count():
         yield a
-        a = a * ((n + 2 * p + 1) * (n + 2 * p)) // ((p + 1) * (n + p + 1))
+        den = (p + 1) * (n + p + 1)
+        a, r = divmod(a * ((n + 2 * p + 1) * (n + 2 * p)), den)
+        if r:
+            raise AssertionError(f"a({n}, {p + 1}) = {a} + {r}/{den} is not an integer")
 
 
 def alpha_mantissa_walk(

@@ -44,7 +44,9 @@ from artifact.coeffs import (
     alpha_mantissa_row,
     psi_eval,
     psi_partial_sum,
+    sum_alpha_mantissa,
 )
+from artifact.arith import certified_ge
 from artifact.report import VerifyReport
 
 # a suite's cell verdicts: pass, fail, skipped, or a failure with its values
@@ -603,6 +605,39 @@ class TestSuites:
         assert run_suite("bounds").passed
         assert calls == [(6, 2)]
 
+    def test_recurrences_take_no_alpha_binomial(self, monkeypatch):
+        """The alpha closed forms come from the checked ratio hops of
+        alpha_mantissa_row, not from one binomial per cell."""
+        calls = []
+        right = alpha_mantissa
+        counted = lambda n, p: calls.append((n, p)) or right(n, p)
+        monkeypatch.setattr(analysis, "alpha_mantissa", counted)
+        monkeypatch.setattr(coeffs, "alpha_mantissa", counted)
+        assert run_suite("recurrences").passed
+        assert calls == []
+
+    def test_sums_take_one_binomial_per_p(self, monkeypatch):
+        """C(2p, p) once per p; every C(N+2p, p) is a hop from C(N-1+2p, p)."""
+        calls = []
+        right = analysis.binomial
+        counted = lambda n, k: calls.append((n, k)) or right(n, k)
+        monkeypatch.setattr(analysis, "binomial", counted)
+        monkeypatch.setattr(coeffs, "binomial", counted)
+        report = run_suite("sums")
+        assert report.passed and report.checks == 40 * 101
+        assert calls == [(2 * p, p) for p in range(101)]
+
+    def test_technical_certifies_once_per_column(self, monkeypatch):
+        """One threshold per (r, k) with k <= min((r+1)^2 - 1, N_max): 3 270
+        divisions for the 80 600 cells at N_max = 400."""
+        calls = []
+        right = analysis.certified_ge_threshold
+        monkeypatch.setattr(analysis, "certified_ge_threshold",
+                            lambda *args: calls.append(args) or right(*args))
+        report = run_suite("technical")
+        assert report.passed and report.checks == 80600
+        assert len(calls) <= 3270
+
     def test_technical_failure_names_its_cell(self, monkeypatch):
         """A row with one failing cell reports that cell alone, with the row's
         params and the varying key, and counts every cell of the rectangle."""
@@ -627,6 +662,57 @@ class TestSuites:
         assert report.failures == [
             {"params": {"check": "uniform", "n": 2, "p": 5}, "lhs": None, "rhs": None}]
         assert list(report.failures[0]["params"]) == ["check", "n", "p"]
+
+    @staticmethod
+    def tighten(monkeypatch, name, factors):
+        """Replace the interval bound analysis.<name>(p) by factors[p] times it."""
+        right = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda p: right(p) * factors.get(p, 1))
+
+    def test_bounds_fallbacks_match_per_cell_checks(self, monkeypatch):
+        """With bounds tightened until the per-p certificates break, the suite
+        reports what the per-cell checks report.  At p = 5, 9, 15 and 25
+        alpha(1, p) no longer clears the sharp bound, so every uniform cell
+        there runs the full claim: the first three columns fail in part, p = 25
+        passes.  At p = 2 and 10 the Stirling bound lies between x_100 and x_1,
+        so the column fails and then passes."""
+        self.tighten(monkeypatch, "_eq8_bound", {5: 0.2, 9: 0.2, 15: 0.2, 25: 0.9})
+        self.tighten(monkeypatch, "_sean_bound", {2: 0.3, 10: 0.6})
+        rect = dict(n_max=12, p_max=30, sean_n_max=100, in_n_max=10)
+        want = VerifyReport(suite="bounds", rectangle=rect)
+        for n in range(1, 101):
+            if n <= 12:
+                for p in range(1, 31):
+                    want.record({"check": "uniform", "n": n, "p": p},
+                                check_uniform_p_estimate(n, p))
+            for p in range(1, 31):
+                want.record({"check": "stirling", "n": n, "p": p}, check_sean_lemma(n, p))
+        for n in range(6, 11):
+            want.record({"check": "peak", "n": n}, check_In_bound(n))
+        got = run_suite("bounds", **rect)
+        assert (got.checks, got.skipped) == (want.checks, want.skipped)
+        assert got.failures == want.failures
+        assert {(f["params"]["check"], f["params"]["p"]) for f in got.failures} == {
+            ("uniform", 5), ("uniform", 9), ("uniform", 15), ("stirling", 2), ("stirling", 10)}
+        assert [f["params"]["n"] for f in got.failures
+                if f["params"]["check"] == "stirling" and f["params"]["p"] == 2] == [1, 2, 3]
+
+    def test_technical_thresholds_match_per_cell_checks(self, monkeypatch):
+        """With C shrunk until some cells fail, the per-column thresholds
+        report the cells of the direct comparison N s / 2^(r+2k) >= r/C."""
+        right = analysis._technical_C
+        monkeypatch.setattr(analysis, "_technical_C", lambda: right() / 5.8)
+        want = VerifyReport(suite="technical", rectangle={"N_max": 40})
+        for N in range(1, 41):
+            r = math.isqrt(N)
+            for k in range(N + 1):
+                want.record({"N": N, "k": k}, certified_ge(
+                    N * sum_alpha_mantissa(r, k), r / analysis._technical_C(), r + 2 * k))
+        got = run_suite("technical", N_max=40)
+        assert (got.checks, got.skipped) == (want.checks, want.skipped)
+        assert got.failures == want.failures
+        failed = {f["params"]["N"] for f in got.failures}
+        assert failed and failed != set(range(1, 41))
 
     def test_majorant_sums_each_term_once(self, monkeypatch):
         """The partial sums at 1, 10, 100, 1000 and P come from one pass of

@@ -12,6 +12,7 @@ from artifact.arith import (
     Rational,
     binomial,
     certified_ge,
+    certified_ge_threshold,
     certified_le,
     dyadic_str,
     iv,
@@ -309,6 +310,45 @@ class TestCertifiedComparisons:
         assert certified_le(-man, bound, -exp)
         assert not certified_le(-man + 1, bound, -exp)
         assert certified_le(-man << 3, bound, 3 - exp)
+
+    @given(st.integers(min_value=1, max_value=2**80),
+           st.integers(min_value=-(2**50), max_value=2**50),
+           st.integers(min_value=-120, max_value=120),
+           st.integers(min_value=-120, max_value=120))
+    @settings(max_examples=400)
+    def test_threshold_is_the_least_certified_multiple(self, x, man, exp, shift):
+        """Against an upper endpoint man 2^exp of either sign or zero, N = t
+        clears it and N = t - 1 does not, and t is the exact ceiling."""
+        hi = mpmath.mpf((man, exp))
+        bound = iv.mpf([hi - 1, hi])
+        assert bound._mpi_[1] == hi._mpf_
+        t = certified_ge_threshold(x, bound, shift)
+        assert certified_ge(t * x, bound, shift)
+        assert not certified_ge((t - 1) * x, bound, shift)
+        assert t == math.ceil(Fraction(man) * Fraction(2) ** (exp + shift) / x)
+
+    @pytest.mark.parametrize("shift", [-3, 0, 5])
+    def test_threshold_at_infinite_endpoints(self, shift):
+        """No N clears +inf, which gives inf; every N clears -inf, which gives
+        -inf; so N >= t reads the same as certified_ge(N x, ...)."""
+        up, down = iv.mpf([1, "inf"]), iv.mpf(["-inf", "-inf"])
+        assert certified_ge_threshold(3, up, shift) == math.inf
+        assert certified_ge_threshold(3, down, shift) == -math.inf
+        for N in (-(2**70), -1, 0, 1, 2**70):
+            assert not certified_ge(N * 3, up, shift)
+            assert certified_ge(N * 3, down, shift)
+
+    @pytest.mark.parametrize("x", [0, -2, Fraction(1, 3), 1.0])
+    def test_threshold_needs_a_positive_int(self, x):
+        with pytest.raises(ValueError, match="int x > 0"):
+            certified_ge_threshold(x, iv.pi)
+
+    def test_threshold_nan_endpoint_raises(self):
+        class NanInterval:
+            _mpi_ = (mpmath.libmp.fnan, mpmath.libmp.fnan)
+
+        with pytest.raises(ValueError, match="NaN"):
+            certified_ge_threshold(1, NanInterval(), 4)
 
     def test_rational_alias(self):
         assert Rational is Fraction

@@ -623,3 +623,20 @@ class TestParser:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: artifact")
+
+    @pytest.mark.parametrize("argv, first", [
+        (["table", "--n-max", "40", "--p-max", "300"], "n,p,value\n"),
+        (["operator", "random-stochastic", "--dim", "100"], "{\n")])
+    def test_closed_stdout_ends_quietly(self, argv, first):
+        """A reader that stops after one line, as `| head -1` does: exit 1 and
+        no traceback, also from the operator path that reports errors as JSON."""
+        src = str(Path(artifact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-m", "artifact", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err, err

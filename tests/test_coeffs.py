@@ -120,6 +120,11 @@ class TestMantissa:
             for p in range(61):
                 assert row[p] == alpha_mantissa(n, p)
 
+    def test_rows_match_closed_form_on_the_recurrences_rectangle(self):
+        """The recurrences suite reads its alpha closed forms from these rows."""
+        for n in range(1, 42):
+            assert alpha_mantissa_row(n, 201) == [alpha_mantissa(n, p) for p in range(202)], n
+
     def test_mantissas_are_positive(self):
         for n in range(1, 30):
             assert all(a > 0 for a in alpha_mantissa_row(n, 50))
