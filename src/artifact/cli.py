@@ -12,10 +12,12 @@ Subcommands (each declares only the flags it reads; see --help):
 
 A flag with a library counterpart is passed on only when given, so the library
 signature is the one home of its default.  Exit codes: 0 success/pass; 1
-failures, or an operator's runtime error as JSON on stdout; 2 bad usage (an
-unread flag, an unknown suite, an out-of-range value) on stderr, with nothing
-on stdout.  A reader that closes stdout early (`| head`) ends the command
-quietly with exit 1.  Output is deterministic apart from the elapsed_s of reports.
+failures, an operator's runtime error as JSON on stdout, or any other
+command's file error (an --out path that cannot be written) as an `error:`
+line on stderr; 2 bad usage (an unread flag, an unknown suite, an
+out-of-range value) on stderr, with nothing on stdout.  A reader that closes
+stdout early (`| head`) ends the command quietly with exit 1.  Output is
+deterministic apart from the elapsed_s of reports.
 """
 
 from __future__ import annotations
@@ -331,6 +333,9 @@ def main(argv=None) -> int:
         # The reader closed stdout (say `| head`); point it at devnull so the
         # flush at exit stays quiet too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 1
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

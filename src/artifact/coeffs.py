@@ -37,13 +37,11 @@ series sum_k Cat(k-1) y^k, a(n, p) = [y^(n+p)] C(y)^n, and the powers of C
 come from packed big-integer multiplication (Kronecker substitution).  Float
 helpers evaluate psi(x)^n and its truncated series.
 
-`alternating_dyadic_sum` sums a conditionally convergent alternating series
-of dyadic terms +-m_p / 4^p: an exact partial sum, then iterated
-averaging of a window of partial sums for the tail, all carried as one
-integer over a power of two and rounded once to float.  Only the worked
-example's S(n) in `operators` uses it, streaming its numerators from the
-ratio recurrence; psi(a)^n and (psi^n)'(a) on scalar and Jordan matrices are
-evaluated by `operators` from their closed forms instead.
+The worked example's boundary sum S(n) = sum_p (-1/4)^p C(n+2p-1, p-1) at
+x = -1 is not summed here: it is -(2^n/n) (psi^n)'(-1).  `operators.S_value`
+evaluates that closed form exactly in Z[sqrt(2)], and `operators` encloses
+psi(a)^n and (psi^n)'(a) on scalar and Jordan matrices, a = -1 included, in
+128-bit intervals.
 """
 
 from __future__ import annotations
@@ -341,40 +339,3 @@ def psi_partial_sum(x: float, n: int, P: int) -> float:
         total += a / (1 << (n + 2 * p)) * xp
         xp *= x
     return total
-
-
-# ---------------------------------------------------------------------------
-# alternating series at the boundary x = -1
-# ---------------------------------------------------------------------------
-
-def alternating_dyadic_sum(
-    numerators: Iterable[int], start: int, window: int
-) -> float:
-    """sum_p (-1)^p m_p / 4^p over the integers m_0, m_1, ... .
-
-    Terms p < start are summed exactly.  The alternating tail from p = start
-    is collapsed by iterated averaging of the window partial sums s_0..s_(w-1)
-    (s_k runs through term start+k), i.e. the classical acceleration for an
-    alternating series with smooth, decreasing term magnitudes.  Averaging
-    neighbours w-1 times is exactly the binomial combination
-    sum_k C(w-1, k) s_k / 2^(w-1), so everything is one integer over
-    2^(2*last + w - 1), last = start + w - 1, built by Horner-style
-    left shifts, and the only rounding is the final correctly rounded
-    int / int division.
-    """
-    if start < 0 or window < 1:
-        raise ValueError(f"need start >= 0 and window >= 1, got ({start}, {window})")
-    last = start + window - 1
-    acc = 0       # partial sum through term p, times 4^p
-    weighted = 0  # sum_k C(w-1, k) s_k over the window so far, same scale
-    c = 1         # C(w-1, k) for the next window index k
-    p = -1
-    for p, m in enumerate(islice(numerators, last + 1)):
-        acc = (acc << 2) + (-m if p & 1 else m)
-        if p >= start:
-            k = p - start
-            weighted = (weighted << 2) + c * acc
-            c = c * (window - 1 - k) // (k + 1)
-    if p != last:
-        raise ValueError(f"need {last + 1} numerators, got {p + 1}")
-    return weighted / (1 << (2 * last + window - 1))

@@ -36,8 +36,9 @@ of a walk over every power, bit for bit.
 
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination) and the worked
-2x2 example with its alternating series S(n), the one sum still taken on the
-integer kernel `coeffs.alternating_dyadic_sum`.  Each difference check walks
+2x2 example with its alternating series S(n), which is the Jordan closed form
+at a = -1 again: `S_value` evaluates it exactly in Z[sqrt(2)] and rounds once,
+and `brunel` evaluates it in 128-bit intervals.  Each difference check walks
 T^p once: the mean-bounded check reads the sup of the Cesaro means
 ||(T^0 + ... + T^(N-1))/N|| from the same walk that gives the general path
 its norms, and on closed-form inputs its walk takes the means only.
@@ -56,14 +57,13 @@ import mpmath
 import numpy as np
 
 from .arith import binomial, iv, iv_float_up
-from .coeffs import alpha_mantissa_stream, alternating_dyadic_sum
 from .analysis import BoundConstants, technical_C_down
 from .powers import (PROBE_CUTOFF, MeanBoundProbeError, SpectralExplosionError, _Walk,
                      _check_positive, _power_blocks, _prefix_sums, _probed, _walk)
 from .report import VerifyReport
 
 LR_STEP_CAP = 21  # most logarithmic-reduction steps the general path takes
-S_WINDOW = 64  # partial sums averaged for the alternating tail of S(n)
+S_GUARD_BITS = 64  # first fraction bits of the enclosure of |u| sqrt(2) in S_value
 SINKHORN_ITERS = 200  # balancing rounds of random_stochastic(doubly=True)
 
 
@@ -173,19 +173,24 @@ def _enclose(x: "iv.mpf") -> tuple[float, float]:
 
 
 def _jordan_values(
-    a: float, b: float, n: int
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """psi(a)^n and b (psi^n)'(a) from their closed forms, each with its bound.
+    a: float, b: float, n_list: Sequence[int]
+) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """psi(a)^n and b (psi^n)'(a) for each n of n_list from their closed
+    forms, each with its bound.
 
     With s = sqrt(1-a), psi(a)^n = (1+s)^(-n) and
-    (psi^n)'(a) = n psi(a)^(n+1) / (2s), enclosed in 128-bit intervals; the
-    derivative is only formed for b != 0, and needs a < 1.
+    (psi^n)'(a) = n psi(a)^(n+1) / (2s), enclosed in 128-bit intervals; s,
+    1+s and 2s are formed once.  The derivative is only formed for b != 0,
+    and needs a < 1.
     """
     s = iv.sqrt(1 - iv.mpf(a))
-    diag = _enclose((1 + s) ** -n)
-    if not b:
-        return diag, (0.0, 0.0)
-    return diag, _enclose(iv.mpf(b) * n * (1 + s) ** -(n + 1) / (2 * s))
+    one_s, two_s, b_iv = 1 + s, 2 * s, iv.mpf(b)
+    values = []
+    for n in n_list:
+        diag = _enclose(one_s ** -n)
+        off = _enclose(b_iv * n * one_s ** -(n + 1) / two_s) if b else (0.0, 0.0)
+        values.append((diag, off))
+    return values
 
 
 def _as_jordan(T: DenseMatrix) -> Optional[tuple[float, float]]:
@@ -277,8 +282,7 @@ def _evaluate(
         if a == 1.0 and b:
             raise NonConvergenceError("(psi^n)'(a) diverges at a = 1")
         out = {}
-        for n in n_list:
-            (diag, e1), (off, e2) = _jordan_values(a, b, n)
+        for n, ((diag, e1), (off, e2)) in zip(n_list, _jordan_values(a, b, n_list)):
             mat = diag * np.eye(d)
             if b:
                 mat[0, 1] = off
@@ -463,17 +467,43 @@ def check_cesaro_domination(
 # ---------------------------------------------------------------------------
 
 def S_value(n: int) -> float:
-    """S(n) = sum_p (-1/4)^p C(n+2p-1, p-1), summed exactly then accelerated.
+    """S(n) = sum_(p>=1) (-1/4)^p C(n+2p-1, p-1), the float nearest its value
+    -2^(n-1) (sqrt(2)-1)^(n+1) / sqrt(2), computed exactly in Z[sqrt(2)].
 
-    Terms decrease in magnitude exactly for p > J(n) = (n^2+n)/2, so the
-    exact partial sum runs just past J(n) and the remaining alternating tail
-    is collapsed by iterated averaging, all on the integer kernel
-    `coeffs.alternating_dyadic_sum` with C(n+2p-1, p-1) = p a(n,p) / n.
+    The value, for every n >= 1.  With C(n+2p-1, p-1) = p a(n,p) / n and
+    alpha(n,p) = a(n,p) / 2^(n+2p), the terms are t_p = (2^n/n) p alpha(n,p)
+    (-1)^p, so S(n) = -(2^n/n) sum_p p alpha(n,p) (-1)^(p-1), the series of
+    (psi^n)' at x = -1.  That series converges: its terms alternate; by
+    |t_(p+1)/t_p| = (n+2p+1)(n+2p) / (4p(n+p+1)), which is <= 1 exactly when
+    p >= J(n) = (n^2+n)/2, they decrease from p = J(n) on; and they tend to 0,
+    since C(m, k) <= 2^m sqrt(2/(pi m)) (Stirling with Robbins' bounds, Amer.
+    Math. Monthly 62, 1955) gives |t_p| <= 2^(n-1) sqrt(2/(pi (n+2p-1))).
+    By Abel's theorem its sum is the limit of (psi^n)'(x) as x -> -1 from
+    above, and (psi^n)' = n psi^(n+1) / (2 sqrt(1-x)) is continuous on [-1, 1),
+    so S(n) = -(2^n/n) (psi^n)'(-1) with psi(-1) = 1/(1+sqrt(2)) = sqrt(2)-1.
+
+    The rounding.  (sqrt(2)-1)^(n+1) = u + v sqrt(2) with integers from
+    (u, v) = (-1, 1) by (u, v) -> (2v - u, u - v).  The norm
+    u^2 - 2v^2 = (-1)^(n+1) and u, v of opposite signs give
+    S(n) = -2^(n-1) / (2|v| + |u| sqrt(2)), a sum without cancellation.
+    With r = isqrt(2 u^2 4^K), |u| sqrt(2) 2^K lies strictly between r and
+    r + 1, so S(n) lies strictly between -2^(n-1+K) / (2|v| 2^K + r) and
+    -2^(n-1+K) / (2|v| 2^K + r + 1); int / int division rounds each correctly,
+    and when the two floats agree that float is S(n) correctly rounded.
+    Otherwise K doubles, from S_GUARD_BITS on.
     """
     _check_positive(n=n)
-    start = (n * n + n) // 2 + 8
-    terms = (p * a // n for p, a in enumerate(alpha_mantissa_stream(n)))
-    return alternating_dyadic_sum(terms, start, S_WINDOW)
+    u, v = -1, 1
+    for _ in range(n):
+        u, v = 2 * v - u, u - v
+    K = S_GUARD_BITS
+    while True:
+        top = 1 << (n - 1 + K)
+        den = (abs(v) << (K + 1)) + math.isqrt(2 * u * u << 2 * K)
+        value = -top / den
+        if value == -top / (den + 1):
+            return value
+        K *= 2
 
 
 def S_remainder_at_J(n: int) -> float:
@@ -485,12 +515,16 @@ def S_remainder_at_J(n: int) -> float:
 
 @dataclass
 class AppendixExample:
-    """Two independent evaluations of A^n for T = [[-1, 2], [0, -1]].
+    """A^n for T = [[-1, 2], [0, -1]] by one formula, evaluated two ways.
 
-    `closed_form` is built from the alternating series S(n); `series_matrix`
-    is `brunel`, which on this Jordan block evaluates the closed forms of
-    psi(-1)^n and (psi^n)'(-1).  The field names predate that swap and are
-    kept so that reports keep their keys.
+    The off-diagonal entry 2 (psi^n)'(-1) is -2^(1-n) n S(n), so both sides
+    are the closed form of `S_value`'s docstring.  `closed_form` takes S(n)
+    exactly in Z[sqrt(2)], rounded once, and a float diagonal
+    (sqrt(2)-1)^n; `series_matrix` is `brunel`, which on this Jordan block
+    evaluates psi(-1)^n and (psi^n)'(-1) in 128-bit intervals.
+    `remainder_at_J` is the term |t_(J+1)| of S(n)'s series, J = (n^2+n)/2.
+    The field names predate these evaluations and are kept so that reports
+    keep their keys.
     """
 
     n: int
@@ -505,8 +539,8 @@ class AppendixExample:
 
 
 def appendix_example(n: int, eps: float = 1e-10) -> AppendixExample:
-    """A^n(T) twice: from the series S(n) (diag (sqrt(2)-1)^n, off-diag
-    -2^(1-n) n S(n)) and from `brunel`'s interval closed form."""
+    """A^n(T) twice: from S(n) (diag (sqrt(2)-1)^n, off-diag -2^(1-n) n S(n))
+    and from `brunel`'s interval closed form."""
     S_n = S_value(n)
     diag = (math.sqrt(2.0) - 1.0) ** n
     off = -(2.0 ** (1 - n)) * n * S_n

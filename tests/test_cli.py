@@ -640,3 +640,22 @@ class TestParser:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err, err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "alpha0"],
+        ["table", "--n-max", "2", "--p-max", "2"],
+        ["coeff", "--n", "1", "--p", "1"],
+        ["figure", "fig1", "--n", "1", "--p-max", "2"]])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, argv):
+        """An --out path in a missing directory: exit 1, one `error:` line on
+        stderr naming the path, no traceback and nothing on stdout."""
+        src = str(Path(artifact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = str(tmp_path / "missing" / "x.json")
+        proc = subprocess.run([sys.executable, "-m", "artifact", *argv, "--out", out],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith("error: ") and out in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""

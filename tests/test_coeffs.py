@@ -3,7 +3,6 @@
 import math
 from decimal import Context, Inexact, Rounded, getcontext, localcontext
 from fractions import Fraction
-from itertools import count, repeat
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from artifact.coeffs import (
     alpha_mantissa_stream,
     alpha_mantissa_walk,
     alpha_recurrence_check,
-    alternating_dyadic_sum,
     beta,
     beta_mantissa,
     beta_recurrence_check,
@@ -38,7 +36,8 @@ ROOT2 = math.sqrt(2.0)
 
 
 def fraction_alternating_sum(numerator, start, window):
-    """The Fraction algorithm the integer kernel replaced, kept as reference.
+    """The averaged alternating sum that S(n)'s closed form replaced, in
+    Fractions, kept as a reference.
 
     Exact partial sum of (-1)^p numerator(p) / 4^p for p < start,
     plus the window partial sums averaged pairwise down to one value.
@@ -361,39 +360,11 @@ class TestPsiEval:
 
 
 class TestBoundarySeries:
-    """The alternating-series kernel at x = -1 and S(n) on it."""
-
-    def test_kernel_geometric_series(self):
-        # sum_p (-1/4)^p = 4/5
-        assert alternating_dyadic_sum(repeat(1), 0, 40) == pytest.approx(
-            0.8, abs=1e-15
-        )
-
-    def test_kernel_central_binomial_series(self):
-        # sum_p (-1)^p C(2p, p) / 4^p = (1 + 1)^(-1/2), conditionally convergent
-        value = alternating_dyadic_sum(
-            (math.comb(2 * p, p) for p in count()), 8, 40
-        )
-        assert value == pytest.approx(1 / ROOT2, abs=1e-15)
-
-    def test_kernel_domain(self):
-        with pytest.raises(ValueError):
-            alternating_dyadic_sum(repeat(1), 0, 0)
-        with pytest.raises(ValueError):
-            alternating_dyadic_sum(repeat(1), -1, 4)
-        with pytest.raises(ValueError, match="need 8 numerators, got 7"):
-            alternating_dyadic_sum([1] * 7, 4, 4)
+    """S(n) against the averaged alternating sum it replaced."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 32, 60])
     def test_bit_identical_to_fraction_reference(self, n):
         assert S_value(n) == reference_S_value(n)
-
-    def test_bit_identical_with_other_window(self):
-        """The kernel under S(n) with a 40-term window instead of S_WINDOW."""
-        n, window = 7, 40
-        terms = (p * a // n for p, a in enumerate(alpha_mantissa_stream(n)))
-        value = alternating_dyadic_sum(terms, (n * n + n) // 2 + 8, window)
-        assert value == reference_S_value(n, window)
 
 
 class TestMonotonicityInN:

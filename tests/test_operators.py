@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from artifact import operators, powers
+from artifact import coeffs, operators, powers
 from artifact.analysis import technical_C_down
 from artifact.coeffs import alpha, psi_eval
 from artifact.powers import _power_blocks
@@ -489,6 +489,27 @@ class TestClosedFormEnclosure:
             brunel(APPENDIX_T, 7, eps=1e-30, norm=Norm.FROBENIUS)
 
 
+BATCHED = [(-1.0, 2.0, 2), (0.999, 1.5, 2), (0.999, 0.0, 3), (-0.3, -2.0, 2),
+           (0.5, -1e3, 2), (-1.0, 0.0, 1), (1.0, 0.0, 2), (0.25, 0.0, 4)]
+
+
+class TestJordanBatch:
+    """One closed-form pass over n_list equals one call per n, bit for bit."""
+
+    @pytest.mark.parametrize("norm", list(Norm), ids=[n.value for n in Norm])
+    @pytest.mark.parametrize("a, b, d", BATCHED,
+                             ids=[f"a{a}-b{b}-d{d}" for a, b, d in BATCHED])
+    def test_batched_equals_single_calls(self, a, b, d, norm):
+        T = DenseMatrix(dim=d, array=a * np.eye(d) + b * np.eye(d, k=1))
+        batched, P = evaluate_powers(T, range(1, 41), 1e-6, norm)
+        assert P == 0 and sorted(batched) == list(range(1, 41))
+        for n in range(1, 41):
+            single, tail = evaluate_powers(T, [n], 1e-6, norm)[0][n]
+            mat, batched_tail = batched[n]
+            assert [x.hex() for x in mat.ravel()] == [x.hex() for x in single.ravel()], n
+            assert batched_tail.hex() == tail.hex(), n
+
+
 class TestBrunelGeneralPath:
     def test_explosion_signal(self):
         with pytest.raises(SpectralExplosionError):
@@ -818,6 +839,15 @@ class TestLogarithmicReduction:
         row = _reduce(S, k, 1.0, Norm.OPINF)[0]
         assert np.abs(row - [float(g) for g in G]).max() <= 1e-16
 
+
+def reference_S(n: int) -> float:
+    """S(n) = -2^(n-1) (sqrt(2)-1)^(n+1) / sqrt(2) at 400 bits, to the nearest float."""
+    with mpmath.workprec(400):
+        root2 = mpmath.sqrt(2)
+        value = -mpmath.mpf(2) ** (n - 1) * (root2 - 1) ** (n + 1) / root2
+        return mpmath.libmp.to_float(value._mpf_, rnd="n")
+
+
 class TestWorkedExample:
     def test_S_values_match_closed_form(self):
         dpsi1 = ROOT2 - 1.0 - 1.0 / (2.0 * ROOT2)
@@ -827,6 +857,41 @@ class TestWorkedExample:
 
     def test_S1(self):
         assert S_value(1) == pytest.approx(-0.1213203435596426, abs=1e-13)
+
+    def test_S_values_match_closed_form_at_400_bits(self):
+        """Bit for bit against -2^(n-1) (sqrt(2)-1)^(n+1) / sqrt(2) in
+        400-bit mpmath, rounded to the nearest float."""
+        for n in range(1, 201):
+            assert S_value(n).hex() == reference_S(n).hex(), n
+
+    def test_S_value_reads_no_coefficient(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("S_value read a coefficient")
+
+        for module in (coeffs, operators):
+            monkeypatch.setattr(module, "alpha_mantissa_stream", refuse, raising=False)
+        assert S_value(2000) == reference_S(2000) < 0
+
+    def test_S_value_retry_path(self, monkeypatch):
+        """From a 1-bit enclosure S_value doubles K until both quotients
+        round alike, and returns the float it returns from 64 bits.  The
+        enclosure is one unit in 2|v| 2^K + |u| sqrt(2) 2^K, which grows
+        like (1+sqrt(2))^n, so the small n are the ones that retry."""
+        want = [S_value(n) for n in range(1, 61)]
+        isqrt, rounds = math.isqrt, []
+
+        def counting_isqrt(x):
+            rounds[-1] += 1
+            return isqrt(x)
+
+        monkeypatch.setattr(operators, "S_GUARD_BITS", 1)
+        monkeypatch.setattr(operators.math, "isqrt", counting_isqrt)
+        got = []
+        for n in range(1, 61):
+            rounds.append(0)
+            got.append(S_value(n))
+        assert got == want
+        assert min(rounds[:30]) > 1
 
     def test_remainder_bound_is_loose_but_positive(self):
         for n in (1, 3, 8):
