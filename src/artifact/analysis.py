@@ -23,10 +23,10 @@ the exact ratio hops of `alpha_mantissa_walk`.  The `recurrences`, `sums` and
 sum closed forms by remainder-checked hops (from a(n, 0) = 1, and from one
 C(2p, p) per p), beta's by one binomial per cell, and the Catalan oracle.
 
-A transcendental bound is an outward-rounded interval built once per p from
-cached pieces; a mantissa is compared exactly against its unfavorable endpoint
-by `arith.certified_le` / `certified_ge`.  The check_* functions compare in
-every cell.  The suites compare once per row or column, and each cell is then
+A transcendental bound is an `arith.Enclosure`, a pair of integers over 2^128
+built once per p from cached pieces of integer series; a mantissa is compared
+exactly against its unfavorable end by `arith.certified_le` / `certified_ge`.
+The check_* functions compare in every cell.  The suites compare once per row or column, and each cell is then
 one exact integer step that still proves that cell (see `_suite_bounds` and
 `_suite_technical`).
 
@@ -49,13 +49,13 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .arith import (
+    BITS,
+    Enclosure,
     Rational,
     binomial,
     certified_ge,
     certified_ge_threshold,
     certified_le,
-    iv,
-    iv_float_down,
 )
 from .coeffs import (
     alpha_mantissa,
@@ -255,58 +255,62 @@ def check_quotient_identity(n: int, p: int) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# bound checks (exact mantissa vs outward-rounded transcendental bound)
+# bound checks (exact mantissa vs integer enclosure of a transcendental bound)
 # ---------------------------------------------------------------------------
 
 # The bounds are built from shared pieces and cached, so that the suites and the
-# per-cell checks read one definition and a sweep evaluates each interval once.
-# The caches hold intervals at the fixed `iv.prec` set by `arith`.
+# per-cell checks read one definition and a sweep evaluates each enclosure once.
 
 @functools.cache
-def _e_twelfth() -> "iv.mpf":
-    """e^(1/12) as an outward-rounded interval."""
-    return iv.exp(iv.mpf(1) / 12)
+def _e_twelfth() -> Enclosure:
+    """e^(1/12) as an integer enclosure."""
+    return Enclosure.exp(Fraction(1, 12))
 
 
 @functools.lru_cache(maxsize=4096)
-def _sqrt_pi_p(p: int) -> "iv.mpf":
-    """sqrt(pi p) as an outward-rounded interval."""
-    return iv.sqrt(iv.pi * p)
+def _sqrt_pi_p(p: int) -> Enclosure:
+    """sqrt(pi p) as an integer enclosure."""
+    return (Enclosure.pi() * p).sqrt()
 
 
 @functools.lru_cache(maxsize=4096)
-def _eq8_bound(p: int) -> "iv.mpf":
-    """e^(1/(24p)) / (2(1+p) sqrt(pi p)) as an outward-rounded interval."""
-    return iv.exp(iv.mpf(1) / (24 * p)) / (2 * (1 + p) * _sqrt_pi_p(p))
+def _eq8_bound(p: int) -> Enclosure:
+    """e^(1/(24p)) / (2(1+p) sqrt(pi p)) as an integer enclosure."""
+    return Enclosure.exp(Fraction(1, 24 * p)) / (2 * (1 + p) * _sqrt_pi_p(p))
 
 
 @functools.lru_cache(maxsize=4096)
-def _sean_bound(p: int) -> "iv.mpf":
-    """e^(1/12) / sqrt(pi p) as an outward-rounded interval."""
+def _sean_bound(p: int) -> Enclosure:
+    """e^(1/12) / sqrt(pi p) as an integer enclosure."""
     return _e_twelfth() / _sqrt_pi_p(p)
 
 
 @functools.cache
-def _in_bound_M() -> "iv.mpf":
-    """6 sqrt(2/pi) e^(1/12) as an outward-rounded interval."""
-    return 6 * iv.sqrt(iv.mpf(2) / iv.pi) * _e_twelfth()
+def _in_bound_M() -> Enclosure:
+    """6 sqrt(2/pi) e^(1/12) as an integer enclosure."""
+    return 6 * (2 / Enclosure.pi()).sqrt() * _e_twelfth()
 
 
 @functools.cache
-def _technical_C() -> "iv.mpf":
-    """6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2)) as an outward-rounded interval."""
-    return 6 * iv.exp(iv.mpf(7) / 12) * iv.sqrt(2 * iv.pi) / (2 - iv.sqrt(iv.mpf(2)))
+def _technical_C() -> Enclosure:
+    """6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2)) as an integer enclosure."""
+    return (6 * Enclosure.exp(Fraction(7, 12)) * (2 * Enclosure.pi()).sqrt()
+            / (2 - Enclosure(2).sqrt()))
 
 
 def technical_C_down() -> float:
-    """A float at or below 6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2))."""
-    return iv_float_down(_technical_C())
+    """A float at or below 6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2)): the float
+    nearest lo / 2^BITS, stepped down once if it lies above."""
+    lo = _technical_C().lo
+    value = lo / (1 << BITS)  # int / int rounds correctly
+    num, den = value.as_integer_ratio()
+    return math.nextafter(value, 0.0) if num << BITS > lo * den else value
 
 
-def _uniform_claim(n: int, p: int, d: int, a1: int, bound: "iv.mpf",
+def _uniform_claim(n: int, p: int, d: int, a1: int, bound: Enclosure,
                    chained: bool = False) -> bool:
     """|alpha(n+1,p) - alpha(n,p)| = |d|/2^(n+1+2p) under alpha(1,p) = a1/2^(1+2p),
-    p^(-3/2) and the sharp bound, certified against the interval `bound`.
+    p^(-3/2) and the sharp bound, certified against the enclosure `bound`.
     `chained` says that a1/2^(1+2p) clears the last two, so the first implies them."""
     d = abs(d)
     shift = n + 1 + 2 * p
@@ -314,12 +318,12 @@ def _uniform_claim(n: int, p: int, d: int, a1: int, bound: "iv.mpf",
                              and certified_le(d, bound, shift))
 
 
-def _stirling_claim(n: int, p: int, c: int, bound: "iv.mpf") -> bool:
+def _stirling_claim(n: int, p: int, c: int, bound: Enclosure) -> bool:
     """C(n+2p, p) / 2^(n+2p) <= bound, with c = C(n+2p, p)."""
     return certified_le(c, bound, n + 2 * p)
 
 
-def _peak_claim(n: int, i: int, a: int, M: "iv.mpf") -> bool:
+def _peak_claim(n: int, i: int, a: int, M: Enclosure) -> bool:
     """alpha(n, i) <= M / i, i.e. i a(n,i) / 2^(n+2i) <= M."""
     return certified_le(i * a, M, n + 2 * i)
 
@@ -370,7 +374,7 @@ def _s_monotone_claim(s: int, s_next: int) -> bool:
 def check_uniform_p_estimate(n: int, p: int) -> bool:
     """|alpha(n+1,p) - alpha(n,p)| against alpha(1, p), p^(-3/2) and the sharp
     e^(1/(24p)) / (2(1+p) sqrt(pi p)), each compared in this cell; the sharp one
-    against its interval's lower endpoint, so a pass is a certificate."""
+    against its enclosure's lower end, so a pass is a certificate."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1, p >= 1")
     a1, a, a_up = alpha_mantissa_walk([(1, p), (n, p), (n + 1, p)])
@@ -457,7 +461,7 @@ def check_gamma_K(n: int, p: int, K: float) -> Optional[bool]:
 
 def check_technical_lemma(N: int) -> bool:
     """1/N <= (C/r) sum_{j=1}^{r} alpha(j, k) for every k in [0, N], r = isqrt(N),
-    each k compared against the unfavorable endpoint of C's interval."""
+    each k compared against the unfavorable end of C's enclosure."""
     if N < 1:
         raise ValueError("N must be >= 1")
     r = math.isqrt(N)

@@ -33,21 +33,6 @@ from typing import Iterable, Iterator
 from .arith import rational_str
 from .analysis import run_all_suites, run_suite, thresholds
 from .coeffs import alpha, alpha_mantissa_row, beta, decimal_rows, psi_eval
-from .operators import (
-    APPENDIX_T,
-    MeanBoundProbeError,
-    NonConvergenceError,
-    Norm,
-    SpectralExplosionError,
-    appendix_example,
-    brunel,
-    cesaro,
-    check_cesaro_domination,
-    check_mean_bound_theorem,
-    check_power_bound_theorem,
-    load_matrix,
-    random_stochastic,
-)
 
 FIGURE_DEFAULT_N = {"fig1": [10, 20], "fig2": [1, 5, 10, 20, 40],
                     "fig3": [1, 5, 10, 20, 40]}
@@ -190,7 +175,23 @@ def cmd_verify(args) -> int:
 
 
 # Operator actions call one library function and render its result as
-# (text, exit code).
+# (text, exit code).  `operators` (numpy, mpmath) loads only when an action
+# runs: the action's function is looked up on this module by name, which
+# `__getattr__` answers from `operators`, so a test can replace it here.
+
+OPERATOR_CALLS = frozenset({
+    "appendix_example", "brunel", "cesaro", "check_cesaro_domination",
+    "check_mean_bound_theorem", "check_power_bound_theorem", "random_stochastic"})
+NORMS = ("opinf", "fro", "max")  # the values of operators.Norm, in its order
+
+
+def __getattr__(name: str):
+    if name in OPERATOR_CALLS:
+        from . import operators
+
+        return getattr(operators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _matrix_text(mat):
     return _json(mat.to_dict()), 0
@@ -212,20 +213,26 @@ def _appendix_text(ex):
                   "remainder_at_J": ex.remainder_at_J}), 0
 
 
-def cmd_operator(call, render, args) -> int:
-    """Run one operator action; a runtime error is reported as JSON, exit 1."""
+def cmd_operator(name, render, args) -> int:
+    """Run the operator action that calls `name`; a runtime error is reported
+    as JSON, exit 1."""
+    from . import operators
+
     given = _given(args)
+    if "norm" in given:
+        given["norm"] = operators.Norm(given["norm"])
     try:
         if "matrix" in given:
             # optional only for check-mean-bound: its demo is the 2x2 example
             path = given.pop("matrix")
-            given["T"] = APPENDIX_T if path is None else load_matrix(path)
-        text, code = render(call(**given))
+            given["T"] = (operators.APPENDIX_T if path is None
+                          else operators.load_matrix(path))
+        text, code = render(getattr(sys.modules[__name__], name)(**given))
         _emit(text, args.out)
     except BrokenPipeError:
         raise  # stdout is gone: no JSON error can reach it
-    except (SpectralExplosionError, MeanBoundProbeError, NonConvergenceError,
-            ValueError, OSError) as exc:
+    except (operators.SpectralExplosionError, operators.MeanBoundProbeError,
+            operators.NonConvergenceError, ValueError, OSError) as exc:
         _emit(_json({"error": type(exc).__name__, "message": str(exc)}), None)
         return 1
     return code
@@ -245,9 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = _flag("--kind", choices=("alpha", "beta"), default="alpha")
     matrix = _flag("--matrix", metavar="PATH", required=True)
     eps = _flag("--eps", type=float, default=library)
-    norm = _flag("--norm", type=Norm, choices=list(Norm),
-                 metavar="{" + ",".join(n.value for n in Norm) + "}",
-                 default=library)
+    norm = _flag("--norm", choices=NORMS, default=library)
     n_max = _flag("--n-max", type=int, default=library)
 
     parser = argparse.ArgumentParser(
@@ -296,25 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
         a.set_defaults(fn=partial(cmd_operator, call, render))
         return a
 
-    a = action("brunel-power", brunel, _brunel_text, matrix, eps, norm,
+    a = action("brunel-power", "brunel", _brunel_text, matrix, eps, norm,
                help="truncated A^n(T) with its certified tail bound")
     a.add_argument("--n", dest="n_power", metavar="N", type=int, default=library)
-    a = action("cesaro", cesaro, _matrix_text, matrix,
+    a = action("cesaro", "cesaro", _matrix_text, matrix,
                help="(I + T + ... + T^(N-1)) / N")
     a.add_argument("--N", type=int, default=8)
-    action("check-power-bound", check_power_bound_theorem, _report_text,
+    action("check-power-bound", "check_power_bound_theorem", _report_text,
            matrix, n_max, eps, norm, help="power-bounded difference theorem")
-    a = action("check-mean-bound", check_mean_bound_theorem, _report_text,
+    a = action("check-mean-bound", "check_mean_bound_theorem", _report_text,
                n_max, eps, norm, help="mean-bounded difference theorem")
     a.add_argument("--matrix", metavar="PATH",
                    help="defaults to the worked 2x2 example")
-    a = action("check-domination", check_cesaro_domination, _report_text,
+    a = action("check-domination", "check_cesaro_domination", _report_text,
                matrix, eps, help="entrywise Cesaro square-root domination")
     a.add_argument("--N-max", type=int, default=library)
-    a = action("appendix-demo", appendix_example, _appendix_text, eps,
+    a = action("appendix-demo", "appendix_example", _appendix_text, eps,
                help="the worked 2x2 example, series against closed form")
     a.add_argument("--n", type=int, default=5)
-    a = action("random-stochastic", random_stochastic, _matrix_text,
+    a = action("random-stochastic", "random_stochastic", _matrix_text,
                help="a seeded random stochastic matrix")
     a.add_argument("--dim", type=int, default=3)
     a.add_argument("--seed", type=int, default=0)

@@ -24,7 +24,7 @@ Scalar matrices a*I and 2x2 Jordan blocks [[a, b], [0, a]] with |a| <= 1
 (a scalar matrix is the case b = 0) take no reduction at all: A^n has
 psi(a)^n = (1 + sqrt(1-a))^(-n) on the diagonal and b (psi^n)'(a) =
 b n psi(a)^(n+1) / (2 sqrt(1-a)) above it.  Both closed forms are enclosed
-in 128-bit `arith.iv` intervals; each entry is the float nearest its
+in 128-bit mpmath intervals (`iv`); each entry is the float nearest its
 interval's midpoint, and the reported tail is the float rounding bound,
 rounded up, so it is a proof (0 when the values are exact, as for a in
 {0, 1}).  The derivative diverges at a = 1, which is signalled.
@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
-from .arith import binomial, iv, iv_float_up
+from .arith import binomial
 from .analysis import BoundConstants, technical_C_down
 from .powers import (PROBE_CUTOFF, MeanBoundProbeError, SpectralExplosionError, _Walk,
                      _check_positive, _power_blocks, _prefix_sums, _probed, _walk)
@@ -65,6 +65,11 @@ from .report import VerifyReport
 LR_STEP_CAP = 21  # most logarithmic-reduction steps the general path takes
 S_GUARD_BITS = 64  # first fraction bits of the enclosure of |u| sqrt(2) in S_value
 SINKHORN_ITERS = 200  # balancing rounds of random_stochastic(doubly=True)
+
+# Interval context of the Jordan closed forms: 128 binary digits of working
+# precision, endpoints outward-rounded by mpmath.
+iv = mpmath.iv
+iv.prec = 128
 
 
 class Norm(enum.Enum):
@@ -165,6 +170,11 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+def iv_float_up(x: "iv.mpf") -> float:
+    """Float at or above the interval's upper endpoint (ceiling rounding)."""
+    return mpmath.libmp.to_float(x._mpi_[1], rnd="c")
+
 
 def _enclose(x: "iv.mpf") -> tuple[float, float]:
     """The float nearest the middle of x and its distance to x's far end, rounded up."""

@@ -68,12 +68,11 @@ def _first(mask: np.ndarray) -> int:
 
 def _prefix_sums(total: np.ndarray, block: np.ndarray) -> np.ndarray:
     """total + block[0], then + block[1], ...: the sums a loop
-    `total += power` forms, added in the same order."""
+    `total += power` forms, added in the same order (`np.cumsum` along an
+    axis is `np.add.accumulate`, which adds in sequence)."""
     sums = block.copy()
     sums[0] += total
-    for i in range(1, len(sums)):
-        sums[i] += sums[i - 1]
-    return sums
+    return np.cumsum(sums, axis=0, out=sums)
 
 
 class _Walk(NamedTuple):

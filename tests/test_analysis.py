@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,7 @@ from artifact.coeffs import (
     psi_partial_sum,
     sum_alpha_mantissa,
 )
-from artifact.arith import certified_ge
+from artifact.arith import BITS, certified_ge
 from artifact.report import VerifyReport
 
 # a suite's cell verdicts: pass, fail, skipped, or a failure with its values
@@ -802,3 +803,39 @@ class TestSuites:
         # default rectangles are exercised by the acceptance tests; here we
         # only pin the registry order contract on names
         assert sorted(SUITES) == [r for r in sorted(SUITES)]
+
+
+class TestBoundEnclosures:
+    """Each suite bound's integer enclosure contains the value computed in
+    300-bit mpmath, and is at most 2^-120 wide relative to it, or 4 units of
+    2^-BITS where the value is so small that the fixed scale dominates."""
+
+    @staticmethod
+    def encloses(bound, value) -> bool:
+        lo, hi = mpmath.ldexp(bound.lo, -BITS), mpmath.ldexp(bound.hi, -BITS)
+        return lo <= value <= hi and bound.hi - bound.lo <= max(4, value * 2 ** (BITS - 120))
+
+    def test_uniform_and_stirling_bounds(self):
+        with mpmath.workprec(300):
+            e12 = mpmath.exp(mpmath.mpf(1) / 12)
+            for p in range(1, 401):
+                root = mpmath.sqrt(mpmath.pi * p)
+                eq8 = mpmath.exp(mpmath.mpf(1) / (24 * p)) / (2 * (1 + p) * root)
+                assert self.encloses(analysis._eq8_bound(p), eq8), p
+                assert self.encloses(analysis._sean_bound(p), e12 / root), p
+
+    def test_peak_and_technical_constants(self):
+        with mpmath.workprec(300):
+            M = 6 * mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(mpmath.mpf(1) / 12)
+            C = (6 * mpmath.exp(mpmath.mpf(7) / 12) * mpmath.sqrt(2 * mpmath.pi)
+                 / (2 - mpmath.sqrt(2)))
+            assert self.encloses(analysis._in_bound_M(), M)
+            assert self.encloses(analysis._technical_C(), C)
+
+    def test_technical_C_down_bits(self):
+        """The float at or below the lower end, pinned."""
+        C = technical_C_down()
+        assert C.hex() == "0x1.7011e52b47e34p+5"
+        assert Fraction(C) <= Fraction(analysis._technical_C().lo, 2 ** BITS)
+        assert Fraction(math.nextafter(C, math.inf)) > Fraction(
+            analysis._technical_C().lo, 2 ** BITS)

@@ -1,6 +1,7 @@
 """Tests for exact rational arithmetic, binomials, and certified comparisons."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,18 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.arith import (
+    BITS,
+    GUARD_BITS,
+    Enclosure,
     Rational,
     binomial,
     certified_ge,
     certified_ge_threshold,
     certified_le,
     dyadic_str,
-    iv,
-    iv_float_down,
-    iv_float_up,
     parse_rational,
     rational_str,
 )
+from artifact.arith import _atan_inv, _exp_series
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
@@ -185,40 +187,138 @@ class TestDyadicStr:
         assert dyadic_str(5, 1) == "2.5"
 
 
+positives = st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6),
+                         max_denominator=10**6)
+
+
+def contains(bound: Enclosure, value: Fraction) -> bool:
+    return bound.lo <= value * 2 ** BITS <= bound.hi
+
+
+def mp_contains(bound: Enclosure, value) -> bool:
+    """lo / 2^BITS <= value <= hi / 2^BITS for a 300-bit mpf value (the ends
+    convert exactly), with a width of at most 2^-120 relative, or 4 units of
+    2^-BITS where the value is so small that the fixed scale dominates."""
+    with mpmath.workprec(300):
+        lo, hi = mpmath.ldexp(bound.lo, -BITS), mpmath.ldexp(bound.hi, -BITS)
+        return lo <= value <= hi and bound.hi - bound.lo <= max(4, value * 2 ** (BITS - 120))
+
+
+class TestEnclosure:
+    def test_pi_against_300_bits(self):
+        with mpmath.workprec(300):
+            assert mp_contains(Enclosure.pi(), +mpmath.pi)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 12), Fraction(7, 12), Fraction(1),
+                                   *(Fraction(1, 24 * p) for p in (1, 2, 3, 10, 99, 400))])
+    def test_exp_against_300_bits(self, q):
+        with mpmath.workprec(300):
+            assert mp_contains(Enclosure.exp(q),
+                               mpmath.exp(mpmath.mpf(q.numerator) / q.denominator))
+
+    def test_exp_of_every_uniform_bound_against_300_bits(self):
+        with mpmath.workprec(300):
+            for p in range(1, 401):
+                assert mp_contains(Enclosure.exp(Fraction(1, 24 * p)),
+                                   mpmath.exp(mpmath.mpf(1) / (24 * p))), p
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 239])
+    def test_atan_series_counts_its_error(self, k):
+        """Before the final rounding: the guarded ends contain 2^W atan(1/k)."""
+        lo, hi = _atan_inv(k)
+        with mpmath.workprec(400):
+            assert lo <= mpmath.ldexp(mpmath.atan(mpmath.mpf(1) / k), BITS + GUARD_BITS) <= hi
+
+    def test_exp_series_counts_its_error(self):
+        """Before the final rounding: the guarded ends contain 2^W e^q."""
+        qs = [Fraction(1), Fraction(7, 12), Fraction(1, 12), Fraction(2, 3),
+              *(Fraction(1, 24 * p) for p in range(1, 401))]
+        with mpmath.workprec(400):
+            for q in qs:
+                lo, hi = _exp_series(q)
+                true = mpmath.exp(mpmath.mpf(q.numerator) / q.denominator)
+                assert lo <= mpmath.ldexp(true, BITS + GUARD_BITS) <= hi, q
+
+    @pytest.mark.parametrize("q", [0, -1, Fraction(13, 12), 2])
+    def test_exp_domain(self, q):
+        with pytest.raises(ValueError, match="0 < q <= 1"):
+            Enclosure.exp(q)
+
+    @given(positives, positives)
+    @settings(max_examples=300)
+    def test_operations_round_outward(self, a, b):
+        """Each operation contains the exact result, from exact operands and
+        from inexact ones (a / 7 and b / 3 enclose non-dyadic values)."""
+        for A, B, x, y in ((Enclosure(a), Enclosure(b), a, b),
+                           (Enclosure(a) / 7, Enclosure(b) / 3, a / 7, b / 3)):
+            assert contains(A, x) and contains(B, y)
+            assert contains(A * B, x * y)
+            assert contains(A * b, x * b) and contains(b * A, x * b)
+            assert contains(A / B, x / y)
+            assert contains(A / b, x / b) and contains(b / A, b / x)
+            top = math.ceil(x) + 1
+            assert contains(top - A, top - x)
+            root = A.sqrt()
+            assert root.lo ** 2 <= x * 2 ** (2 * BITS) <= root.hi ** 2
+
+    @given(positives, st.floats(min_value=1e-6, max_value=1e6))
+    def test_float_operands_are_exact(self, a, f):
+        A = Enclosure(a)
+        exact = Fraction(f)
+        assert contains(Enclosure(f), exact)
+        assert contains(A * f, a * exact) and contains(A / f, a / exact)
+        assert contains(f / A, exact / a)
+
+    def test_ends_are_one_unit_apart_after_one_rounding(self):
+        third = Enclosure(1) / 3
+        assert third.hi - third.lo == 1
+
+    def test_refuses_what_it_cannot_enclose(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            Enclosure(Fraction(-1, 3))
+        with pytest.raises(ValueError, match=">= 0"):
+            Enclosure.pi() * -2
+        with pytest.raises(ValueError, match="not certainly >= 0"):
+            3 - Enclosure.pi()
+        with pytest.raises(ZeroDivisionError):
+            Enclosure(1) / Enclosure(0)
+        with pytest.raises(ZeroDivisionError):
+            1 / Enclosure(0)
+        with pytest.raises(ZeroDivisionError):
+            Enclosure(1) / 0
+        with pytest.raises(TypeError):
+            Enclosure(1) * "2"
+
+
 class TestCertifiedComparisons:
     def test_le_requires_clearing_the_pessimistic_endpoint(self):
-        third = iv.mpf(1) / 3
+        third = Enclosure(1) / 3
         assert certified_le(Fraction(1, 4), third)
         assert not certified_le(Fraction(1, 2), third)
         # 1/3 vs its own enclosure is not certain in either direction
         assert not certified_le(Fraction(1, 3), third)
 
     def test_ge(self):
-        pi = iv.pi
+        pi = Enclosure.pi()
         assert certified_ge(Fraction(4), pi)
         assert not certified_ge(Fraction(3), pi)
 
     def test_tightness_at_128_bits(self):
         """The enclosure of pi is narrower than 2^-120."""
-        width = iv_float_up(iv.pi) - iv_float_down(iv.pi)
-        assert 0 <= width < 1e-15
-
-    def test_float_rounding_directions(self):
-        x = iv.mpf(1) / 3
-        lo, hi = iv_float_down(x), iv_float_up(x)
-        assert lo <= 1 / 3 <= hi
-        x = iv.exp(iv.mpf(1) / 12)
-        assert iv_float_down(x) <= math.exp(1 / 12) <= iv_float_up(x)
+        pi = Enclosure.pi()
+        assert 0 <= pi.hi - pi.lo < 2 ** (BITS - 120)
 
     def test_exact_rationals_round_trip_through_intervals(self):
-        x = iv.mpf(3) / 8
-        assert iv_float_down(x) == 0.375 == iv_float_up(x)
+        """A dyadic with at most BITS fraction bits is enclosed exactly."""
+        for x in (Fraction(3, 8), 0.375, 3):
+            bound = Enclosure(x)
+            assert bound.lo == bound.hi == int(Fraction(x) * 2 ** BITS)
 
     @given(rationals)
     @settings(max_examples=100)
     def test_certified_le_is_sound(self, a):
         """certified_le never affirms a false inequality against sqrt(2)."""
-        root2 = iv.sqrt(2)
+        root2 = Enclosure(2).sqrt()
         if certified_le(a, root2):
             assert a * a <= 2 or a < 0
         if certified_ge(a, root2):
@@ -229,7 +329,7 @@ class TestCertifiedComparisons:
     @settings(max_examples=300)
     def test_dyadic_comparisons_are_sound(self, m, shift):
         """m/2^shift against sqrt(2): an affirmed inequality is true."""
-        root2 = iv.sqrt(2)
+        root2 = Enclosure(2).sqrt()
         x = Fraction(m) / Fraction(2) ** shift
         if certified_le(m, root2, shift):
             assert x <= 0 or x * x <= 2
@@ -238,18 +338,17 @@ class TestCertifiedComparisons:
 
     @given(st.sampled_from([0, 1]), st.integers(min_value=-8, max_value=8))
     def test_dyadic_equal_to_an_endpoint(self, end, extra):
-        """A dyadic equal to an endpoint compares as equal, exactly."""
-        root2 = iv.sqrt(2)
-        sign, man, exp, _ = root2._mpi_[end]
-        assert sign == 0
-        # man * 2^exp written as (man << extra) / 2^(extra - exp)
-        m, shift = man << max(extra, 0), max(extra, 0) - exp
-        assert Fraction(m, 2 ** shift) == Fraction(man) * Fraction(2) ** exp
-        if end == 0:  # the lower endpoint: le holds with equality, ge fails
+        """A dyadic equal to an end compares as equal, exactly."""
+        root2 = Enclosure(2).sqrt()
+        man = (root2.lo, root2.hi)[end]
+        # man / 2^BITS written as (man << extra) / 2^(extra + BITS)
+        m, shift = man << max(extra, 0), max(extra, 0) + BITS
+        assert Fraction(m, 2 ** shift) == Fraction(man, 2 ** BITS)
+        if end == 0:  # the lower end: le holds with equality, ge fails
             assert certified_le(m, root2, shift)
             assert not certified_le(m + 1, root2, shift)
             assert not certified_ge(m, root2, shift)
-        else:  # the upper endpoint: ge holds with equality, le fails
+        else:  # the upper end: ge holds with equality, le fails
             assert certified_ge(m, root2, shift)
             assert not certified_ge(m - 1, root2, shift)
             assert not certified_le(m, root2, shift)
@@ -258,7 +357,7 @@ class TestCertifiedComparisons:
     @pytest.mark.parametrize("x", [-2, -1, 0, 1, 3, Fraction(-1, 7), Fraction(0),
                                    Fraction(5, 3)])
     def test_zero_endpoint(self, x, shift):
-        zero = iv.mpf(0)
+        zero = Enclosure(0)
         assert certified_le(x, zero, shift) == (x <= 0)
         assert certified_ge(x, zero, shift) == (x >= 0)
 
@@ -266,89 +365,74 @@ class TestCertifiedComparisons:
     @pytest.mark.parametrize("x", [-(2**70), -1, 0, 1, 2**70, Fraction(-1, 3),
                                    Fraction(10**9, 7)])
     def test_infinite_endpoints(self, x, shift):
-        """No finite x clears +inf from below or -inf from above."""
-        up = iv.mpf([1, "inf"])
-        assert up._mpi_[1] == mpmath.libmp.finf
-        assert not certified_ge(x, up, shift)
-        down = iv.mpf(["-inf", 1])
-        assert down._mpi_[0] == mpmath.libmp.fninf
-        assert not certified_le(x, down, shift)
-        # the finite endpoints of the same intervals still decide
-        assert certified_le(x, up, shift) == (Fraction(x) / Fraction(2) ** shift <= 1)
-        assert certified_ge(x, down, shift) == (Fraction(x) / Fraction(2) ** shift >= 1)
+        """An infinite bound has no enclosure, so nothing is certified against
+        it; the largest float has an exact one, which decides exactly."""
+        for inf in (math.inf, -math.inf):
+            with pytest.raises(OverflowError):
+                certified_ge(x, Enclosure(inf), shift)
+        big = Enclosure(sys.float_info.max)
+        assert big.lo == big.hi
+        value = Fraction(x) / Fraction(2) ** shift
+        assert certified_le(x, big, shift) == (value <= Fraction(sys.float_info.max))
+        assert not certified_ge(x, big, shift)
 
     @pytest.mark.parametrize("x", [0, 1, Fraction(1, 3)])
     def test_nan_endpoint_raises(self, x):
-        class NanInterval:
-            _mpi_ = (mpmath.libmp.fnan, mpmath.libmp.fnan)
-
         with pytest.raises(ValueError, match="NaN"):
-            certified_le(x, NanInterval())
+            certified_le(x, Enclosure(math.nan))
         with pytest.raises(ValueError, match="NaN"):
-            certified_ge(x, NanInterval(), 4)
+            certified_ge(x, Enclosure(math.nan), 4)
 
     @given(st.integers(min_value=-(2**140), max_value=2**140),
            st.integers(min_value=-40, max_value=160))
     @settings(max_examples=300)
-    def test_negative_endpoint_matches_fraction(self, m, shift):
-        """Against -sqrt(2), an int m over 2^shift orders as its Fraction does
-        against the exact endpoints."""
-        bound = -iv.sqrt(2)
-        lo, hi = (Fraction(-man if sign else man) * Fraction(2) ** exp
-                  for sign, man, exp, _ in bound._mpi_)
-        assert lo < hi < 0
+    def test_ends_match_fraction(self, m, shift):
+        """Against sqrt(2), an int m over 2^shift, and its Fraction, order as
+        the Fraction does against the exact ends."""
+        bound = Enclosure(2).sqrt()
+        lo, hi = Fraction(bound.lo, 2 ** BITS), Fraction(bound.hi, 2 ** BITS)
+        assert 0 < lo < hi
         x = Fraction(m) / Fraction(2) ** shift
         assert certified_le(m, bound, shift) == (x <= lo)
         assert certified_ge(m, bound, shift) == (x >= hi)
         assert certified_le(x, bound) == (x <= lo)
         assert certified_ge(x, bound) == (x >= hi)
 
-    def test_negative_endpoint_equality(self):
-        bound = -iv.sqrt(2)
-        sign, man, exp, _ = bound._mpi_[0]
-        assert sign == 1 and exp < 0
-        assert certified_le(-man, bound, -exp)
-        assert not certified_le(-man + 1, bound, -exp)
-        assert certified_le(-man << 3, bound, 3 - exp)
-
     @given(st.integers(min_value=1, max_value=2**80),
-           st.integers(min_value=-(2**50), max_value=2**50),
+           st.integers(min_value=0, max_value=2**50),
            st.integers(min_value=-120, max_value=120),
            st.integers(min_value=-120, max_value=120))
     @settings(max_examples=400)
     def test_threshold_is_the_least_certified_multiple(self, x, man, exp, shift):
-        """Against an upper endpoint man 2^exp of either sign or zero, N = t
-        clears it and N = t - 1 does not, and t is the exact ceiling."""
-        hi = mpmath.mpf((man, exp))
-        bound = iv.mpf([hi - 1, hi])
-        assert bound._mpi_[1] == hi._mpf_
+        """Against an upper end man 2^exp >= 0, N = t clears it and N = t - 1
+        does not, and t is the exact ceiling."""
+        hi = Fraction(man) * Fraction(2) ** exp
+        bound = Enclosure(hi)
+        assert Fraction(bound.hi, 2 ** BITS) == hi
         t = certified_ge_threshold(x, bound, shift)
         assert certified_ge(t * x, bound, shift)
         assert not certified_ge((t - 1) * x, bound, shift)
-        assert t == math.ceil(Fraction(man) * Fraction(2) ** (exp + shift) / x)
+        assert t == math.ceil(hi * Fraction(2) ** shift / x)
 
     @pytest.mark.parametrize("shift", [-3, 0, 5])
     def test_threshold_at_infinite_endpoints(self, shift):
-        """No N clears +inf, which gives inf; every N clears -inf, which gives
-        -inf; so N >= t reads the same as certified_ge(N x, ...)."""
-        up, down = iv.mpf([1, "inf"]), iv.mpf(["-inf", "-inf"])
-        assert certified_ge_threshold(3, up, shift) == math.inf
-        assert certified_ge_threshold(3, down, shift) == -math.inf
-        for N in (-(2**70), -1, 0, 1, 2**70):
-            assert not certified_ge(N * 3, up, shift)
-            assert certified_ge(N * 3, down, shift)
+        """An infinite bound has no enclosure; against the largest float,
+        N >= t reads the same as certified_ge(N x, ...)."""
+        with pytest.raises(OverflowError):
+            certified_ge_threshold(3, Enclosure(math.inf), shift)
+        big = Enclosure(sys.float_info.max)
+        t = certified_ge_threshold(3, big, shift)
+        for N in (-(2**70), -1, 0, 1, t - 1, t, t + 1):
+            assert certified_ge(N * 3, big, shift) == (N >= t)
 
     @pytest.mark.parametrize("x", [0, -2, Fraction(1, 3), 1.0])
     def test_threshold_needs_a_positive_int(self, x):
         with pytest.raises(ValueError, match="int x > 0"):
-            certified_ge_threshold(x, iv.pi)
+            certified_ge_threshold(x, Enclosure.pi())
 
     def test_threshold_nan_endpoint_raises(self):
-        class NanInterval:
-            _mpi_ = (mpmath.libmp.fnan, mpmath.libmp.fnan)
-
         with pytest.raises(ValueError, match="NaN"):
-            certified_ge_threshold(1, NanInterval(), 4)
+            certified_ge_threshold(1, Enclosure(math.nan), 4)
 
     def test_rational_alias(self):
         assert Rational is Fraction

@@ -659,3 +659,47 @@ class TestParser:
         assert proc.stderr.startswith("error: ") and out in proc.stderr
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+
+class TestImportGraph:
+    """The coefficient and verification commands load neither numpy nor
+    mpmath: the package resolves the matrix names, and `cli` the operator
+    actions, from `operators` on first use."""
+
+    PROBE = ("import json, runpy, sys\n"
+             "sys.argv = ['artifact', *sys.argv[1:]]\n"
+             "try:\n"
+             "    runpy.run_module('artifact', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "names = ('mpmath', 'numpy', 'artifact.operators')\n"
+             "sys.stderr.write(json.dumps([code, [m for m in names if m in sys.modules]]))\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "alpha0", "--n-max", "8"],
+        ["table", "--n-max", "2", "--p-max", "3"]])
+    def test_command_leaves_operators_unloaded(self, argv):
+        src = str(Path(artifact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert json.loads(proc.stderr) == [0, []], proc.stderr
+        assert proc.stdout
+
+    def test_package_names_resolve(self):
+        from artifact import Norm as norm, brunel as fn
+        from artifact import operators
+
+        assert fn is operators.brunel and norm is operators.Norm
+        for name in artifact.__all__:
+            assert getattr(artifact, name) is not None, name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            artifact.no_such_name  # noqa: B018
+
+    def test_cli_resolves_only_operator_actions(self):
+        assert cli.brunel is artifact.brunel
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name  # noqa: B018
+
+    def test_norm_choices_are_the_norm_values(self):
+        assert cli.NORMS == tuple(n.value for n in Norm)

@@ -366,6 +366,24 @@ class TestBlockWalk:
         assert power_draws[0] <= 128
 
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_prefix_sums_match_the_loop(self, d):
+        """The walk's prefix sums are bit for bit the loop `total += power`."""
+        rng = np.random.default_rng(d)
+        for scale in (1e-5, 1.0, 1e5):
+            for count in (1, 2, 64):
+                total = rng.standard_normal((d, d)) * scale
+                block = rng.standard_normal((count, d, d)) * scale
+                kept = block.copy()
+                want = block.copy()
+                want[0] += total
+                for i in range(1, count):
+                    want[i] += want[i - 1]
+                got = powers._prefix_sums(total, block)
+                assert (got.view(np.int64) == want.view(np.int64)).all()
+                assert (block == kept).all()
+
+
 class TestBrunelFastPaths:
     def test_zero_matrix(self):
         r = brunel(DenseMatrix.from_rows([[0.0, 0.0], [0.0, 0.0]]), 1, eps=1e-12)
@@ -481,6 +499,15 @@ class TestClosedFormEnclosure:
                 assert tail <= eps
                 if b == 0.0 and a in (0.0, 1.0):
                     assert tail == 0.0
+
+    def test_float_rounding_directions(self):
+        """iv_float_up gives the least float at or above the upper endpoint."""
+        iv = operators.iv
+        for x, value in ((iv.mpf(1) / 3, 1 / 3), (iv.exp(iv.mpf(1) / 12), math.exp(1 / 12))):
+            up = operators.iv_float_up(x)
+            assert value <= up and mpmath.mpf(up) >= x.b
+            assert mpmath.mpf(math.nextafter(up, -math.inf)) < x.b
+        assert operators.iv_float_up(iv.mpf(3) / 8) == 0.375
 
     def test_eps_below_rounding_bound_raises(self):
         with pytest.raises(NonConvergenceError, match="rounding bound"):
