@@ -1,14 +1,13 @@
 """Exact Taylor coefficients of powers of psi(x) = (1 - sqrt(1-x))/x as
 integer mantissas over powers of two, finite-matrix evaluation of
 A(T) = sum_p alpha(1,p) T^p with a reported tail bound (scalar and 2x2
-Jordan inputs take interval enclosures of the closed forms of psi(a)^n and
-(psi^n)'(a) instead), and machine verification suites for the coefficient
-inequalities.
+Jordan inputs take exact integer enclosures of the closed forms of psi(a)^n
+and (psi^n)'(a) instead), and machine verification suites for the
+coefficient inequalities.
 
 The matrix names of `operators` are resolved on first use by the module
 `__getattr__` (PEP 562), so that importing the package, and the coefficient
-and verification commands, load neither numpy nor mpmath: only `operators`
-needs them.
+and verification commands, do not load numpy: only `operators` needs it.
 """
 
 from .arith import Rational, binomial, parse_rational, rational_str

@@ -175,7 +175,7 @@ def cmd_verify(args) -> int:
 
 
 # Operator actions call one library function and render its result as
-# (text, exit code).  `operators` (numpy, mpmath) loads only when an action
+# (text, exit code).  `operators` (and numpy) loads only when an action
 # runs: the action's function is looked up on this module by name, which
 # `__getattr__` answers from `operators`, so a test can replace it here.
 

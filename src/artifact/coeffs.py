@@ -38,10 +38,9 @@ come from packed big-integer multiplication (Kronecker substitution).  Float
 helpers evaluate psi(x)^n and its truncated series.
 
 The worked example's boundary sum S(n) = sum_p (-1/4)^p C(n+2p-1, p-1) at
-x = -1 is not summed here: it is -(2^n/n) (psi^n)'(-1).  `operators.S_value`
-evaluates that closed form exactly in Z[sqrt(2)], and `operators` encloses
-psi(a)^n and (psi^n)'(a) on scalar and Jordan matrices, a = -1 included, in
-128-bit intervals.
+x = -1 is not summed here: it is -(2^n/n) (psi^n)'(-1).  `operators` rounds
+that closed form, and psi(a)^n and (psi^n)'(a) on scalar and Jordan matrices,
+a = -1 included, by one exact routine in Z[sqrt(1-a)].
 """
 
 from __future__ import annotations

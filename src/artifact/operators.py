@@ -22,12 +22,14 @@ enough steps to reach its last nonzero power exactly, with tail 0.
 
 Scalar matrices a*I and 2x2 Jordan blocks [[a, b], [0, a]] with |a| <= 1
 (a scalar matrix is the case b = 0) take no reduction at all: A^n has
-psi(a)^n = (1 + sqrt(1-a))^(-n) on the diagonal and b (psi^n)'(a) =
-b n psi(a)^(n+1) / (2 sqrt(1-a)) above it.  Both closed forms are enclosed
-in 128-bit mpmath intervals (`iv`); each entry is the float nearest its
-interval's midpoint, and the reported tail is the float rounding bound,
-rounded up, so it is a proof (0 when the values are exact, as for a in
-{0, 1}).  The derivative diverges at a = 1, which is signalled.
+psi(a)^n = (1 + s)^(-n), s = sqrt(1-a), on the diagonal and b (psi^n)'(a) =
+(b n / 2) / ((1 + s)^(n+1) s) above it.  `_closed_form` evaluates both
+exactly in Z[s] over powers of two: each entry is the float nearest its
+value, with the least float at or above its distance to that value, and the
+reported tail combines those in `norm`, rounded up, so it is a proof (0 when
+the values are exact, as for a in {0, 1}; 5e-324 or more when an entry
+underflows to 0).  The derivative diverges at a = 1, and an entry past the
+float range has an infinite bound; both are signalled.
 
 Every loop over T^0, T^1, ... draws from the block source
 `powers._power_blocks`, and each evaluation walks it once, in the probe
@@ -37,8 +39,8 @@ of a walk over every power, bit for bit.
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination) and the worked
 2x2 example with its alternating series S(n), which is the Jordan closed form
-at a = -1 again: `S_value` evaluates it exactly in Z[sqrt(2)] and rounds once,
-and `brunel` evaluates it in 128-bit intervals.  Each difference check walks
+at a = -1 again: `S_value` and `brunel` both take it from `_closed_form`, in
+Z[sqrt(2)].  Each difference check walks
 T^p once: the mean-bounded check reads the sup of the Cesaro means
 ||(T^0 + ... + T^(N-1))/N|| from the same walk that gives the general path
 its norms, and on closed-form inputs its walk takes the means only.
@@ -47,13 +49,14 @@ its norms, and on closed-form inputs its walk takes the means only.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .arith import binomial
@@ -63,13 +66,8 @@ from .powers import (PROBE_CUTOFF, MeanBoundProbeError, SpectralExplosionError, 
 from .report import VerifyReport
 
 LR_STEP_CAP = 21  # most logarithmic-reduction steps the general path takes
-S_GUARD_BITS = 64  # first fraction bits of the enclosure of |u| sqrt(2) in S_value
+CLOSED_FORM_BITS = 128  # first bits of the closed forms' enclosures, past those of 1 - a
 SINKHORN_ITERS = 200  # balancing rounds of random_stochastic(doubly=True)
-
-# Interval context of the Jordan closed forms: 128 binary digits of working
-# precision, endpoints outward-rounded by mpmath.
-iv = mpmath.iv
-iv.prec = 128
 
 
 class Norm(enum.Enum):
@@ -171,36 +169,157 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def iv_float_up(x: "iv.mpf") -> float:
-    """Float at or above the interval's upper endpoint (ceiling rounding)."""
-    return mpmath.libmp.to_float(x._mpi_[1], rnd="c")
+def _to_float(num: int, den: int) -> float:
+    """num / den correctly rounded; inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
 
 
-def _enclose(x: "iv.mpf") -> tuple[float, float]:
-    """The float nearest the middle of x and its distance to x's far end, rounded up."""
-    value = mpmath.libmp.to_float(x.mid._mpi_[0], rnd="n")
-    return value, iv_float_up(abs(x - value))
+def float_up(num: int, den: int = 1) -> float:
+    """The least float at or above num / den >= 0 (inf past the float range)."""
+    f = _to_float(num, den)
+    if f < math.inf:
+        fn, fd = f.as_integer_ratio()
+        if fn * den < num * fd:
+            f = math.nextafter(f, math.inf)
+    return f
 
 
-def _jordan_values(
-    a: float, b: float, n_list: Sequence[int]
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """psi(a)^n and b (psi^n)'(a) for each n of n_list from their closed
-    forms, each with its bound.
+def _hypot_up(d: int, e1: float, e2: float) -> float:
+    """The least float at or above sqrt(d e1^2 + e2^2), stepped both ways
+    from the float estimate."""
+    (p1, q1), (p2, q2) = e1.as_integer_ratio(), e2.as_integer_ratio()
+    num, den = d * (p1 * q2) ** 2 + (p2 * q1) ** 2, (q1 * q2) ** 2
 
-    With s = sqrt(1-a), psi(a)^n = (1+s)^(-n) and
-    (psi^n)'(a) = n psi(a)^(n+1) / (2s), enclosed in 128-bit intervals; s,
-    1+s and 2s are formed once.  The derivative is only formed for b != 0,
-    and needs a < 1.
+    def covers(g: float) -> bool:
+        gn, gd = g.as_integer_ratio()
+        return gn * gn * den >= num * gd * gd
+
+    f = math.hypot(math.sqrt(d) * e1, e2)
+    while f < math.inf and not covers(f):
+        f = math.nextafter(f, math.inf)
+    while f > 0 and covers(g := math.nextafter(f, 0.0)):
+        f = g
+    return f
+
+
+def _mul(f: tuple[int, int, int], g: tuple[int, int, int], an: int, e: int, K: int,
+         up: bool) -> tuple[int, int, int]:
+    """f g in Z[s] over powers of two, s^2 = 1 - an / 2^e, rounded up or down.
+
+    An element (P, Q, E) is (P + Q s) / 2^E.  (P1 + Q1 s)(P2 + Q2 s) =
+    P1 P2 + Q1 Q2 (1 - a) + (P1 Q2 + P2 Q1) s, with Q1 Q2 a rounded to an
+    integer, so a product has the bits of its factors whatever e is; then
+    P is cut to K bits, and Q shifted alike.  Every coefficient is >= 0 and
+    1 - a >= 0, so rounding both up (down) bounds the product from above
+    (below) when the factors are so bounded.
     """
-    s = iv.sqrt(1 - iv.mpf(a))
-    one_s, two_s, b_iv = 1 + s, 2 * s, iv.mpf(b)
-    values = []
-    for n in n_list:
-        diag = _enclose(one_s ** -n)
-        off = _enclose(b_iv * n * one_s ** -(n + 1) / two_s) if b else (0.0, 0.0)
-        values.append((diag, off))
-    return values
+    (P1, Q1, E1), (P2, Q2, E2) = f, g
+    PP, QQ = P1 * P2, Q1 * Q2
+    P, Q = PP + QQ - _times_a(QQ, an, e, up), (P1 + Q1) * (P2 + Q2) - PP - QQ
+    x = max(P.bit_length() - K, 0)
+    if up:
+        return -(-P >> x), -(-Q >> x), E1 + E2 - x
+    return P >> x, Q >> x, E1 + E2 - x
+
+
+def _times_a(Q: int, an: int, e: int, up: bool) -> int:
+    """Q a, a = an / 2^e, rounded so that Q minus it is Q (1 - a) rounded up
+    when `up`, else down."""
+    return Q * an >> e if up else -(-Q * an >> e)
+
+
+@functools.lru_cache(maxsize=256)
+def _square(an: int, e: int, K: int, up: bool, i: int) -> tuple[int, int, int]:
+    """(1+s)^(2^i), s = sqrt(1 - an / 2^e), by i squarings of (2^K, 2^K, K),
+    each a `_mul`; cached, so the entries and the powers n of one matrix,
+    and the S(n) of one run, share them."""
+    if not i:
+        return 1 << K, 1 << K, K
+    f = _square(an, e, K, up, i - 1)
+    return _mul(f, f, an, e, K, up)
+
+
+def _power(an: int, e: int, k: int, j: int, K: int, up: bool) -> tuple[int, int, int]:
+    """(P, Q, E) with (P + Q s) / 2^E at or above (`up`) or at or below
+    (1+s)^k s^j, where s = sqrt(1 - an / 2^e): the product of the
+    `_square`s of k's binary digits, times s, which maps P + Q s to
+    Q (1 - a) + P s."""
+    acc = None
+    for i in range(k.bit_length()):
+        if k >> i & 1:
+            f = _square(an, e, K, up, i)
+            acc = f if acc is None else _mul(acc, f, an, e, K, up)
+    P, Q, E = acc
+    return (Q - _times_a(Q, an, e, up), P, E) if j else (P, Q, E)
+
+
+# A positive end below 2^-1076 stands as 2^-1076 itself: it rounds to 0.0 like
+# every positive value there, 5e-324 is the least float above it, and no
+# float lies between them, so no decision of `_closed_form` changes.
+_UNDERFLOW_BITS = 1076
+
+
+def _end(c: Fraction, power: tuple[int, int, int], K: int, t: int) -> tuple[int, int]:
+    """c 2^E / (P + Q t/2^K) = c 2^(E+K) / (P 2^K + Q t) as (num, den), for
+    power = (P, Q, E).
+
+    Underflow is decided from bit lengths before 2^(E+K) is formed: a power
+    of (1+sqrt(2)) of exponent 10^9 has |E| near 1.3 10^9.
+    """
+    P, Q, E = power
+    D = (P << K) + Q * t
+    num, den, shift = c.numerator, c.denominator, E + K
+    if num.bit_length() - den.bit_length() + shift - D.bit_length() + 2 <= -_UNDERFLOW_BITS:
+        return 1, 1 << _UNDERFLOW_BITS
+    if shift >= 0:
+        return num << shift, den * D
+    return num, den * D << -shift
+
+
+def _closed_form(c: Fraction, a: float, k: int, j: int) -> tuple[float, float]:
+    """c / ((1+s)^k s^j), s = sqrt(1-a), correctly rounded, and the least
+    float at or above its distance to the exact value: a proof of its
+    rounding, 0 when the value is a float.  Needs c > 0, a <= 1, k >= 1,
+    j in {0, 1}, and a < 1 when j = 1.
+
+    With 1 - a = m / 2^e and r = isqrt(floor(m 4^K / 2^e)), s 2^K lies in
+    [r, r + 1], and is r when r^2 = m 4^K / 2^e.  `_power` bounds
+    (1+s)^k s^j = (P + Q s) / 2^E from both sides; the value decreases in P, Q
+    and s, so it lies between the two `_end`s, which int / int division
+    rounds correctly.  When both round to one float v, v is the value
+    correctly rounded; when, besides, v lies outside the open enclosure and
+    its distances to both ends round up to one float, that float is the
+    least one at or above v's distance to the value.  Otherwise K doubles,
+    deepening s and every cut; an irrational value leaves any float, and a
+    float value becomes exact, so this ends (integer enclosures as in Brent
+    and Zimmermann, Modern Computer Arithmetic, CUP 2010).  K starts at
+    CLOSED_FORM_BITS + e: a small |a| has many fraction bits e, and the value
+    c 2^-k (1 + O(k a)) (times 1 + O(a) when j = 1) then lies within about
+    2^(52-e) of c 2^-k, a distance the tail has to resolve.
+    A value past the float range gives inf twice.
+    """
+    an, den = a.as_integer_ratio()
+    e = den.bit_length() - 1
+    m = den - an
+    K = CLOSED_FORM_BITS + e
+    while True:
+        r = math.isqrt(m << 2 * K >> e)
+        t = r + (r * r << e != m << 2 * K)
+        (ln, ld), (hn, hd) = (_end(c, _power(an, e, k, j, K, True), K, t),
+                              _end(c, _power(an, e, k, j, K, False), K, r))
+        value = _to_float(ln, ld)
+        if value == _to_float(hn, hd):
+            if value == math.inf:
+                return value, value
+            vn, vd = value.as_integer_ratio()
+            below, above = vn * ld - ln * vd, vn * hd - hn * vd  # signs of v - lo, v - hi
+            tail = float_up(abs(below), vd * ld)
+            if (below <= 0 or above >= 0) and tail == float_up(abs(above), vd * hd):
+                return value, tail
+        K *= 2
 
 
 def _as_jordan(T: DenseMatrix) -> Optional[tuple[float, float]]:
@@ -292,16 +411,20 @@ def _evaluate(
         if a == 1.0 and b:
             raise NonConvergenceError("(psi^n)'(a) diverges at a = 1")
         out = {}
-        for n, ((diag, e1), (off, e2)) in zip(n_list, _jordan_values(a, b, n_list)):
+        for n in n_list:
+            diag, e1 = _closed_form(Fraction(1), a, n, 0)
             mat = diag * np.eye(d)
+            off, e2 = 0.0, 0.0
             if b:
-                mat[0, 1] = off
-            if norm is Norm.MAX:
+                off, e2 = _closed_form(Fraction(abs(b)) * n / 2, a, n + 1, 1)
+                mat[0, 1] = math.copysign(off, b)
+            if norm is Norm.MAX or math.inf in (e1, e2):
                 tail = max(e1, e2)
             elif norm is Norm.FROBENIUS:
-                tail = iv_float_up(iv.sqrt(d * iv.mpf(e1) ** 2 + iv.mpf(e2) ** 2))
+                tail = _hypot_up(d, e1, e2)
             else:
-                tail = iv_float_up(iv.mpf(e1) + e2)
+                (p1, q1), (p2, q2) = e1.as_integer_ratio(), e2.as_integer_ratio()
+                tail = float_up(p1 * q2 + p2 * q1, q1 * q2)
             if tail > eps:
                 raise NonConvergenceError(
                     f"rounding bound {tail:g} of the closed form exceeds {eps:g}"
@@ -478,7 +601,7 @@ def check_cesaro_domination(
 
 def S_value(n: int) -> float:
     """S(n) = sum_(p>=1) (-1/4)^p C(n+2p-1, p-1), the float nearest its value
-    -2^(n-1) (sqrt(2)-1)^(n+1) / sqrt(2), computed exactly in Z[sqrt(2)].
+    -2^(n-1) (sqrt(2)-1)^(n+1) / sqrt(2) = -2^(n-1) / ((1+sqrt(2))^(n+1) sqrt(2)).
 
     The value, for every n >= 1.  With C(n+2p-1, p-1) = p a(n,p) / n and
     alpha(n,p) = a(n,p) / 2^(n+2p), the terms are t_p = (2^n/n) p alpha(n,p)
@@ -492,28 +615,11 @@ def S_value(n: int) -> float:
     above, and (psi^n)' = n psi^(n+1) / (2 sqrt(1-x)) is continuous on [-1, 1),
     so S(n) = -(2^n/n) (psi^n)'(-1) with psi(-1) = 1/(1+sqrt(2)) = sqrt(2)-1.
 
-    The rounding.  (sqrt(2)-1)^(n+1) = u + v sqrt(2) with integers from
-    (u, v) = (-1, 1) by (u, v) -> (2v - u, u - v).  The norm
-    u^2 - 2v^2 = (-1)^(n+1) and u, v of opposite signs give
-    S(n) = -2^(n-1) / (2|v| + |u| sqrt(2)), a sum without cancellation.
-    With r = isqrt(2 u^2 4^K), |u| sqrt(2) 2^K lies strictly between r and
-    r + 1, so S(n) lies strictly between -2^(n-1+K) / (2|v| 2^K + r) and
-    -2^(n-1+K) / (2|v| 2^K + r + 1); int / int division rounds each correctly,
-    and when the two floats agree that float is S(n) correctly rounded.
-    Otherwise K doubles, from S_GUARD_BITS on.
+    The rounding is `_closed_form`'s at c = 2^(n-1), a = -1, k = n+1, j = 1,
+    the Jordan closed form of `brunel` in Z[sqrt(2)].
     """
     _check_positive(n=n)
-    u, v = -1, 1
-    for _ in range(n):
-        u, v = 2 * v - u, u - v
-    K = S_GUARD_BITS
-    while True:
-        top = 1 << (n - 1 + K)
-        den = (abs(v) << (K + 1)) + math.isqrt(2 * u * u << 2 * K)
-        value = -top / den
-        if value == -top / (den + 1):
-            return value
-        K *= 2
+    return -_closed_form(Fraction(1 << (n - 1)), -1.0, n + 1, 1)[0]
 
 
 def S_remainder_at_J(n: int) -> float:
@@ -528,10 +634,11 @@ class AppendixExample:
     """A^n for T = [[-1, 2], [0, -1]] by one formula, evaluated two ways.
 
     The off-diagonal entry 2 (psi^n)'(-1) is -2^(1-n) n S(n), so both sides
-    are the closed form of `S_value`'s docstring.  `closed_form` takes S(n)
-    exactly in Z[sqrt(2)], rounded once, and a float diagonal
+    are the closed form of `S_value`'s docstring.  `closed_form` takes S(n),
+    correctly rounded, times the float -2^(1-n) n, and a float diagonal
     (sqrt(2)-1)^n; `series_matrix` is `brunel`, which on this Jordan block
-    evaluates psi(-1)^n and (psi^n)'(-1) in 128-bit intervals.
+    rounds psi(-1)^n and (psi^n)'(-1) each once, through the same
+    `_closed_form` as S(n).
     `remainder_at_J` is the term |t_(J+1)| of S(n)'s series, J = (n^2+n)/2.
     The field names predate these evaluations and are kept so that reports
     keep their keys.
@@ -550,7 +657,7 @@ class AppendixExample:
 
 def appendix_example(n: int, eps: float = 1e-10) -> AppendixExample:
     """A^n(T) twice: from S(n) (diag (sqrt(2)-1)^n, off-diag -2^(1-n) n S(n))
-    and from `brunel`'s interval closed form."""
+    in float arithmetic, and from `brunel`'s correctly rounded entries."""
     S_n = S_value(n)
     diag = (math.sqrt(2.0) - 1.0) ** n
     off = -(2.0 ** (1 - n)) * n * S_n

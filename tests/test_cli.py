@@ -38,6 +38,34 @@ REPORT_PINS = [
      "f387a5afac7f21a3f8fe5af6f97993409aa0fcb47d5584850c0f8894a942533d"),
 ]
 
+# sha256 of the closed-form outputs, tails included, which REPORT_PINS do not
+# print: `brunel-power` on the worked example's T and on [[0.5]], and
+# `appendix-demo`.
+CLOSED_FORM_PINS = [
+    ("brunel-power", [[-1.0, 2.0], [0.0, -1.0]], ["--n", "5", "--norm", "opinf"],
+     "2b4d39cbe83bedfcf96d8c958d6cf334e84eff596b3dfd809e7661b7c18c372c"),
+    ("brunel-power", [[-1.0, 2.0], [0.0, -1.0]], ["--n", "5", "--norm", "fro"],
+     "72c456f8c00f58a1029339e9e50fa6c25ea7fe83f2e849586a7a30f9fa6e2b2a"),
+    ("brunel-power", [[-1.0, 2.0], [0.0, -1.0]], ["--n", "5", "--norm", "max"],
+     "3c38fc7c28856a6ae6bbe684189095c814751fde18dd3433c554e21d3dc18807"),
+    ("brunel-power", [[-1.0, 2.0], [0.0, -1.0]], ["--n", "40", "--norm", "opinf"],
+     "54c1834b29f40ad430d626f2f4b0d5aafb05a68628d949d012cc1392f726c429"),
+    ("brunel-power", [[-1.0, 2.0], [0.0, -1.0]], ["--n", "40", "--norm", "fro"],
+     "5a1ca26d7745a65ce3d0da4f11b4ec38053b57402a50f4acbe2bbd1c134304af"),
+    ("brunel-power", [[-1.0, 2.0], [0.0, -1.0]], ["--n", "40", "--norm", "max"],
+     "b5c64c8657c896bad99a5b4f9b486953d6900f2047c1df3fcaa40715079c6835"),
+    ("brunel-power", [[0.5]], ["--n", "5", "--norm", "opinf"],
+     "41b8b78e964cbf39704f20c6f6bef23aaf8a738ff3a06c88ef5de6cc1d9347a9"),
+    ("brunel-power", [[0.5]], ["--n", "5", "--norm", "fro"],
+     "43b988fd24416860306b6836c06c91c1507f11b34cd5bb7f190d1a445ef2741e"),
+    ("brunel-power", [[0.5]], ["--n", "5", "--norm", "max"],
+     "8323810d981c9abf0305fef73eca14da9e8d37715d57bd196dc2d826739450a0"),
+    ("appendix-demo", None, ["--n", "5"],
+     "4b3eca4172809a9aba765844907bf9f456c23a505c2fbd38713f774222bb4a0f"),
+    ("appendix-demo", None, ["--n", "40"],
+     "3e7239dcf141a590674140317655e6f449b18645e1a083f4071e6c35128dd8a4"),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -434,6 +462,16 @@ class TestOperatorCommand:
         text = json.dumps(doc, indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
+    @pytest.mark.parametrize("action, rows, flags, digest", CLOSED_FORM_PINS,
+                             ids=[f"{pin[0]}-{i}" for i, pin in enumerate(CLOSED_FORM_PINS)])
+    def test_closed_form_pinned(self, capsys, tmp_path, action, rows, flags, digest):
+        argv = ["operator", action, *flags]
+        if rows is not None:
+            argv += ["--matrix", self.write(tmp_path, rows)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
     def test_matrix_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["operator", "brunel-power", "--n", "1"])
@@ -512,6 +550,18 @@ class TestOperatorCommand:
         )
         assert code == 1
         assert json.loads(out)["error"] == "NonConvergenceError"
+
+    def test_closed_form_overflow_structured_error(self, capsys, tmp_path):
+        """A closed-form entry past the float range is a signalled failure."""
+        path = self.write(tmp_path, [[0.99, 1e308], [0.0, 0.99]])
+        code, out, _ = run(
+            capsys, "operator", "brunel-power", "--matrix", path,
+            "--n", "1", "--eps", "1e300",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "NonConvergenceError"
+        assert "rounding bound inf" in doc["message"]
 
     def test_malformed_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -664,7 +714,7 @@ class TestParser:
 class TestImportGraph:
     """The coefficient and verification commands load neither numpy nor
     mpmath: the package resolves the matrix names, and `cli` the operator
-    actions, from `operators` on first use."""
+    actions, from `operators` on first use.  No command loads mpmath."""
 
     PROBE = ("import json, runpy, sys\n"
              "sys.argv = ['artifact', *sys.argv[1:]]\n"
@@ -685,6 +735,23 @@ class TestImportGraph:
                               capture_output=True, text=True, env=env, timeout=60)
         assert json.loads(proc.stderr) == [0, []], proc.stderr
         assert proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["operator", "brunel-power", "--n", "5"],
+        ["operator", "appendix-demo", "--n", "5"]])
+    def test_operator_command_leaves_mpmath_unloaded(self, tmp_path, argv):
+        """The closed forms are exact integer arithmetic: the operator
+        commands load numpy and `operators`, never mpmath."""
+        if argv[1] == "brunel-power":
+            path = tmp_path / "T.json"
+            path.write_text(json.dumps({"dim": 2, "rows": [[-1.0, 2.0], [0.0, -1.0]]}))
+            argv = [*argv, "--matrix", str(path)]
+        src = str(Path(artifact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert json.loads(proc.stderr) == [0, ["numpy", "artifact.operators"]], proc.stderr
+        assert json.loads(proc.stdout)
 
     def test_package_names_resolve(self):
         from artifact import Norm as norm, brunel as fn

@@ -501,13 +501,39 @@ class TestClosedFormEnclosure:
                     assert tail == 0.0
 
     def test_float_rounding_directions(self):
-        """iv_float_up gives the least float at or above the upper endpoint."""
-        iv = operators.iv
-        for x, value in ((iv.mpf(1) / 3, 1 / 3), (iv.exp(iv.mpf(1) / 12), math.exp(1 / 12))):
-            up = operators.iv_float_up(x)
-            assert value <= up and mpmath.mpf(up) >= x.b
-            assert mpmath.mpf(math.nextafter(up, -math.inf)) < x.b
-        assert operators.iv_float_up(iv.mpf(3) / 8) == 0.375
+        """float_up gives the least float at or above num / den."""
+        for x in (0.375, 0.1, 1.0, 5e-324, 1.7976931348623157e308):
+            assert operators.float_up(*x.as_integer_ratio()) == x
+        up = operators.float_up(1, 3)
+        assert up > 1 / 3 and Fraction(up) > Fraction(1, 3)
+        assert Fraction(math.nextafter(up, 0.0)) < Fraction(1, 3)
+        assert operators.float_up(1, 1 << 1074) == 5e-324
+        assert operators.float_up(1, 1 << 1075) == 5e-324
+        assert operators.float_up(1, 3 << 1074) == 5e-324
+        assert operators.float_up(0) == 0.0
+        assert operators.float_up(1 << 1024) == math.inf
+
+    @pytest.mark.parametrize("a, b", [(a, b) for a in (-1.0, 0.0, 0.5) for b in (0.0, 2.0)])
+    def test_tail_below_the_float_range(self, a, b):
+        """At n = 3000 every entry underflows to 0.0 (psi(0.5)^3000 is about
+        1.7e-697), so a tail of 0 would claim exactness: each tail is > 0
+        and at least the 200-bit distance."""
+        T = DenseMatrix(dim=2, array=a * np.eye(2) + b * np.eye(2, k=1))
+        R = reference_jordan(a, b, 2, 3000)
+        for norm in Norm:
+            mat, tail = evaluate_powers(T, [3000], 1e-10, norm)[0][3000]
+            assert not mat.any()
+            with mpmath.workprec(200):
+                E = [[mpmath.mpf(float(x)) - y for x, y in zip(row, ref)]
+                     for row, ref in zip(mat, R)]
+                assert 0 < tail and reference_norm(E, norm) <= tail, norm
+
+    def test_overflow_is_signalled(self):
+        """A value past the float range has an infinite rounding bound."""
+        T = DenseMatrix.from_rows([[0.99, 1e308], [0.0, 0.99]])
+        for norm in Norm:
+            with pytest.raises(NonConvergenceError, match="rounding bound inf"):
+                brunel(T, 1, eps=1e300, norm=norm)
 
     def test_eps_below_rounding_bound_raises(self):
         with pytest.raises(NonConvergenceError, match="rounding bound"):
@@ -900,25 +926,37 @@ class TestWorkedExample:
         assert S_value(2000) == reference_S(2000) < 0
 
     def test_S_value_retry_path(self, monkeypatch):
-        """From a 1-bit enclosure S_value doubles K until both quotients
-        round alike, and returns the float it returns from 64 bits.  The
-        enclosure is one unit in 2|v| 2^K + |u| sqrt(2) 2^K, which grows
-        like (1+sqrt(2))^n, so the small n are the ones that retry."""
-        want = [S_value(n) for n in range(1, 61)]
+        """From 1 + e bits (1 - a = m / 2^e) the closed form doubles K until
+        both ends round alike and v's distances to them round up alike, and
+        returns the floats it returns from CLOSED_FORM_BITS + e: S(n), and on
+        a Jordan block every entry and tail.  The small n are the ones that
+        retry: the ends differ by about one unit of 2^-K in a value near
+        2^-(1.27 n)."""
+        T = DenseMatrix.from_rows([[0.5, 0.7], [0.0, 0.5]])
+        ns = range(1, 61)
+
+        def jordan():
+            return [(mat.tobytes(), tail.hex()) for norm in Norm
+                    for mat, tail in evaluate_powers(T, ns, 1.0, norm)[0].values()]
+
+        want_S, want_T = [S_value(n) for n in ns], jordan()
         isqrt, rounds = math.isqrt, []
 
         def counting_isqrt(x):
             rounds[-1] += 1
             return isqrt(x)
 
-        monkeypatch.setattr(operators, "S_GUARD_BITS", 1)
+        monkeypatch.setattr(operators, "CLOSED_FORM_BITS", 1)
         monkeypatch.setattr(operators.math, "isqrt", counting_isqrt)
         got = []
-        for n in range(1, 61):
+        for n in ns:
             rounds.append(0)
             got.append(S_value(n))
-        assert got == want
+        assert got == want_S
         assert min(rounds[:30]) > 1
+        rounds.append(0)
+        assert jordan() == want_T
+        assert rounds[-1] > 2 * 2 * len(ns) * len(Norm)  # two entries per n and norm
 
     def test_remainder_bound_is_loose_but_positive(self):
         for n in (1, 3, 8):
