@@ -41,9 +41,11 @@ mean-bounded difference bounds, Cesaro square-root domination) and the worked
 2x2 example with its alternating series S(n), which is the Jordan closed form
 at a = -1 again: `S_value` and `brunel` both take it from `_closed_form`, in
 Z[sqrt(2)].  Each difference check walks
-T^p once: the mean-bounded check reads the sup of the Cesaro means
-||(T^0 + ... + T^(N-1))/N|| from the same walk that gives the general path
-its norms, and on closed-form inputs its walk takes the means only.
+T^p at most once.  On the general path the mean-bounded check probes the sup
+M of the Cesaro means ||(T^0 + ... + T^(N-1))/N|| in the same float walk that
+gives the path its power norms.  On closed-form inputs it walks no power:
+`_mean_bound` sums the means exactly and rounds M up, so M is certified over
+the window, and at a = -1, the worked example, it holds for every N.
 """
 
 from __future__ import annotations
@@ -187,17 +189,20 @@ def float_up(num: int, den: int = 1) -> float:
     return f
 
 
-def _hypot_up(d: int, e1: float, e2: float) -> float:
-    """The least float at or above sqrt(d e1^2 + e2^2), stepped both ways
-    from the float estimate."""
-    (p1, q1), (p2, q2) = e1.as_integer_ratio(), e2.as_integer_ratio()
-    num, den = d * (p1 * q2) ** 2 + (p2 * q1) ** 2, (q1 * q2) ** 2
-
+def _sqrt_up(num: int, den: int) -> float:
+    """The least float whose square is at or above num / den >= 0 (inf past
+    the float range), stepped both ways from the float estimate, which is
+    taken at a scale 4^s where num / den fits the float range."""
     def covers(g: float) -> bool:
         gn, gd = g.as_integer_ratio()
         return gn * gn * den >= num * gd * gd
 
-    f = math.hypot(math.sqrt(d) * e1, e2)
+    s = (num.bit_length() - den.bit_length()) // 2
+    x = _to_float(num, den << 2 * s) if s >= 0 else _to_float(num << -2 * s, den)
+    try:
+        f = math.ldexp(math.sqrt(x), s)
+    except OverflowError:
+        f = math.inf  # the downward steps below decide whether a float covers it
     while f < math.inf and not covers(f):
         f = math.nextafter(f, math.inf)
     while f > 0 and covers(g := math.nextafter(f, 0.0)):
@@ -420,11 +425,12 @@ def _evaluate(
                 mat[0, 1] = math.copysign(off, b)
             if norm is Norm.MAX or math.inf in (e1, e2):
                 tail = max(e1, e2)
-            elif norm is Norm.FROBENIUS:
-                tail = _hypot_up(d, e1, e2)
             else:
                 (p1, q1), (p2, q2) = e1.as_integer_ratio(), e2.as_integer_ratio()
-                tail = float_up(p1 * q2 + p2 * q1, q1 * q2)
+                if norm is Norm.FROBENIUS:
+                    tail = _sqrt_up(d * (p1 * q2) ** 2 + (p2 * q1) ** 2, (q1 * q2) ** 2)
+                else:
+                    tail = float_up(p1 * q2 + p2 * q1, q1 * q2)
             if tail > eps:
                 raise NonConvergenceError(
                     f"rounding bound {tail:g} of the closed form exceeds {eps:g}"
@@ -491,6 +497,109 @@ def brunel(
 MEAN_NORM_FACTOR = 4 * math.sqrt(6 / math.pi) + 2
 
 
+def _mean_bound(a: float, b: float, d: int, norm: Norm, probe_len: int) -> float:
+    """M = max(1, R) for a closed-form input T = a I + b E, |a| <= 1 (E the
+    2x2 superdiagonal unit; b = 0 unless d = 2): R is the least float at or
+    above an upper end of every ||C_N||, N <= probe_len, where
+    C_N = (T^0 + ... + T^(N-1)) / N, from exact sums; no power is drawn.
+
+    T^p = a^p I + p a^(p-1) b E, so N C_N = u_N I + b v_N E with
+    u_N = sum_(p<N) a^p and v_N = sum_(p<N) p a^(p-1), and ||C_N|| is
+    (|u| + |b||v|)/N in OPINF, sqrt(d u^2 + b^2 v^2)/N in FRO (R then the
+    least float whose square is at or above the end) and max(|u|, |b||v|)/N
+    in MAX.  b enters as its exact ratio.
+
+    At a in {-1, 0, 1} the sums are small integers, and only N in
+    {1, 2, probe_len} are read.  At a = 1, u_N = N and v_N = N(N-1)/2, so the
+    means never decrease in N.  At a = 0, u_N = 1 and v_N = 1 past N = 1, so
+    they decrease past N = 2.  At a = -1, u_N = N mod 2 and
+    |v_N| = floor(N/2): an even-N mean is +-(b/2) E, of the norm of C_2, and
+    an odd N = 2k+1 > 1 has N C_N = C_1 +- 2k C_2, so
+    ||C_N|| <= (||C_1|| + 2k ||C_2||)/(2k+1) <= max(||C_1||, ||C_2||).  So at
+    a = -1 (and 0), M bounds the mean of every N >= 1, not only of the
+    window: the parity argument that proves M = 1 for the worked example in
+    OPINF and MAX (sqrt(2) in FRO).
+
+    Otherwise a^p is carried over 2^F, F = CLOSED_FORM_BITS, as
+    w_p = floor(w_(p-1) a), which lies within e_p of a^p 2^F, e_p counting
+    the inexact floors so far (|a| < 1 shrinks the earlier errors).  u and v
+    sum the w's and u_err and v_err the matching e's, so |u| + u_err and
+    |v| + v_err are upper ends of 2^F |u_N| and 2^F |v_N|.  Every ||N C_N||
+    is at most B = d (1/(1-|a|) + |b|/(1-|a|)^2) in all three norms, so the
+    sums stop once B/N is at most the largest mean so far (or 1), checked
+    every 16 sums: no later N can raise M, which then bounds the mean of
+    every N >= 1.
+
+    A mean past PROBE_CUTOFF raises MeanBoundProbeError naming the first
+    such N, as the float walk does; at a = 1 bisection finds it.
+    """
+    _check_positive(probe_len=probe_len)
+    (bn, bd), (cn, cd) = abs(b).as_integer_ratio(), PROBE_CUTOFF.as_integer_ratio()
+    an, den = a.as_integer_ratio()
+    S = bd << (0 if den == 1 else CLOSED_FORM_BITS)  # sums are over S = bd 2^F
+    k = 2 if norm is Norm.FROBENIUS else 1
+    if norm is Norm.OPINF:
+        def key(U: int, V: int) -> int:  # (S N ||C_N||)^k for U >= 2^F |u|, V >= 2^F |v|
+            return U * bd + bn * V
+    elif norm is Norm.MAX:
+        def key(U: int, V: int) -> int:
+            return max(U * bd, bn * V)
+    else:
+        def key(U: int, V: int) -> int:
+            return d * (U * bd) ** 2 + (bn * V) ** 2
+
+    def up(x: int, N: int) -> float:
+        return float_up(x, (N * S) ** k) if k == 1 else _sqrt_up(x, (N * S) ** k)
+
+    def passes(x: int, N: int) -> bool:  # the mean of key x at N is past the cutoff
+        return x * cd ** k > (cn * N * S) ** k
+
+    def fail(x: int, N: int) -> None:
+        _probed(up(x, N), f"M_{N}", MeanBoundProbeError)
+
+    best, best_N = S ** k, 1  # the mean 1
+    if den == 1:
+        def at(N: int) -> int:
+            if a:
+                return key(N, N * (N - 1) // 2) if a > 0 else key(N % 2, N // 2)
+            return key(1, min(N - 1, 1))
+
+        last = 0
+        for N in sorted({1, min(2, probe_len), probe_len}):
+            x = at(N)
+            if passes(x, N):  # N <= 2 unless a = 1, whose means never decrease
+                while N - last > 1:
+                    mid = (last + N) // 2
+                    last, N = (last, mid) if passes(at(mid), mid) else (mid, N)
+                fail(at(N), N)
+            if x * best_N ** k > best * N ** k:
+                best, best_N = x, N
+            last = N
+        return up(best, best_N)
+
+    e, m = den.bit_length() - 1, den - abs(an)  # a = an / 2^e, 1 - |a| = m / 2^e
+    Bn, Bd = d * den * (m * bd + bn * den), m * m * bd  # B = Bn / Bd
+    w, w_prev, low = S // bd, 0, den - 1  # a^p and a^(p-1) over 2^F, p = N - 1
+    w_err = w_prev_err = u = v = u_err = v_err = 0
+    for N in range(1, probe_len + 1):
+        p = N - 1
+        u += w
+        u_err += w_err
+        v += p * w_prev
+        v_err += p * w_prev_err
+        x = key(abs(u) + u_err, abs(v) + v_err)
+        if x * best_N ** k > best * N ** k:
+            if passes(x, N):
+                fail(x, N)
+            best, best_N = x, N
+        elif not N % 16 and (Bn * best_N * S) ** k <= best * (Bd * N) ** k:
+            break  # B/N is at most the largest mean so far
+        w_prev, w_prev_err, w = w, w_err, w * an
+        w_err += w & low != 0  # floor(w a) is within 1 of w a, and exact when w a is
+        w >>= e
+    return up(best, best_N)
+
+
 def _difference_theorem(
     T: DenseMatrix, suite: str, means: bool, norm_factor: float, diff_factor: float,
     n_max: int, eps: float, norm: Norm, probe_len: int,
@@ -498,7 +607,9 @@ def _difference_theorem(
     """||A^n|| <= norm_factor M and n ||A^n - A^(n+1)|| <= diff_factor M, n <= n_max.
 
     M is the larger of 1 and the sup of the Cesaro means (with `means`) or of
-    the power norms, taken in the one walk the general path then reads.
+    the power norms, taken in the one walk the general path then reads; a
+    mean check on a closed-form input takes M from `_mean_bound`'s exact
+    sums and walks no power.
     Truncation slack is carried explicitly: each comparison allows the
     certified tail bounds plus 1e-9, so a pass is sound for the truncated
     quantities standing in for the true ones.
@@ -507,9 +618,12 @@ def _difference_theorem(
     n_list = list(range(1, n_max + 2))
     _check_request(n_list, eps, probe_len)
     start = time.perf_counter()
-    # the closed forms read no power norms, so the mean check's walk skips them
-    walk = _walk(T, probe_len, norm, means, norms=not (means and _as_jordan(T)))
-    M = max([1.0] + (walk.means if means else walk.norms))
+    jordan = _as_jordan(T) if means else None
+    if jordan is not None:  # the closed forms read no power norms
+        M, walk = _mean_bound(*jordan, T.dim, norm, probe_len), None
+    else:
+        walk = _walk(T, probe_len, norm, means)
+        M = max([1.0] + (walk.means if means else walk.norms))
     norm_bound, diff_bound = norm_factor * M, diff_factor * M
     powers, P = _evaluate(T, n_list, eps, norm, probe_len, walk)
     report = VerifyReport(
@@ -544,7 +658,13 @@ def check_mean_bound_theorem(
     T: DenseMatrix, n_max: int = 30, eps: float = 0.1,
     norm: Norm = Norm.OPINF, probe_len: int = 2000,
 ) -> VerifyReport:
-    """Mean-bounded variant: ||A^n|| <= M(4 sqrt(6/pi) + 2), n||A^(n+1)-A^n|| <= 99M/2."""
+    """Mean-bounded variant: ||A^n|| <= M(4 sqrt(6/pi) + 2), n||A^(n+1)-A^n|| <= 99M/2.
+
+    M is at least the sup of the Cesaro means over N <= probe_len: probed
+    by the float walk on the general path, and certified from exact sums on
+    the closed-form inputs (`_mean_bound`), where at a = -1 it bounds the
+    mean of every N >= 1.
+    """
     return _difference_theorem(T, "mean_bound", True, MEAN_NORM_FACTOR,
                                float(BoundConstants.C_meanbound), n_max, eps, norm,
                                probe_len)
@@ -623,10 +743,35 @@ def S_value(n: int) -> float:
 
 
 def S_remainder_at_J(n: int) -> float:
-    """Alternating-series remainder bound for truncation at p = J(n)."""
+    """Alternating-series remainder bound for truncation at p = J(n): the term
+    |t_(J+1)| = C(m, k) / 4^p at p = J(n) + 1, m = n+2p-1, k = p-1, correctly
+    rounded, or inf past the float range.
+
+    C(m, k) < 2^m bounds the term by 2^(n-1), so only n > 1024 can leave the
+    range, and there the binomial has about n^2 bits (n = 1030 took 12 s).
+    So the overflow is decided first, from a lower bound on log2 of the term.
+    With j = m - k = n + p, Robbins' bounds (see `S_value`) give
+    ln C(m, k) > k ln(m/k) + j ln(m/j) + ln(m/(2 pi k j))/2 + 1/(12m+1)
+    - 1/(12k) - 1/(12j); m/k = 2(1+x) and m/j = 2(1-y) with x = (n+1)/(2k),
+    y = (n+1)/(2j), and ln(1+x) >= x - x^2/2, ln(1-y) >= -y - y^2/(2(1-y)),
+    so ln(term) > (n-1) ln 2 - k x^2/2 - j y^2/(2(1-y)) + ln(m/(2 pi k j))/2
+    + 1/(12m+1) - 1/(12k) - 1/(12j).  The negative terms are divided by
+    0.693 < ln 2, and log2(m/(k j)) is bounded by bit lengths and log2(2 pi)
+    by 2.66, all in exact rationals; a bound of 1024 or more means the term
+    is at least 2^1024.
+    """
     _check_positive(n=n)
     p = (n * n + n) // 2 + 1
-    return binomial(n + 2 * p - 1, p - 1) / (1 << (2 * p))
+    m, k, j = n + 2 * p - 1, p - 1, n + p
+    if n > 1024:
+        x, y = Fraction(n + 1, 2 * k), Fraction(n + 1, 2 * j)
+        loss = (k * x * x / 2 + j * y * y / (2 * (1 - y)) + Fraction(1, 12 * k)
+                + Fraction(1, 12 * j) - Fraction(1, 12 * m + 1))
+        log2_low = (n - 1 + Fraction(m.bit_length() - 1 - k.bit_length() - j.bit_length()
+                                     - Fraction(266, 100), 2) - loss / Fraction(693, 1000))
+        if log2_low >= 1024:
+            return math.inf
+    return _to_float(binomial(m, k), 1 << (2 * p))
 
 
 @dataclass

@@ -6,11 +6,13 @@ powers where d > 90).  Each power is fl(T^(p-1) @ T), computed into the
 buffer by `np.matmul(..., out=...)`: the bits of a fresh `power @ T`, so
 the blocks leave the chain as a loop over single powers forms it.
 
-The probe `_walk` reads ||T^p|| and the Cesaro means a block at a time, and
-stops once the float chain repeats a power exactly, past which the norms are
-known: M = sup_p ||T^p|| and the probed norms are those of a walk over every
-power, bit for bit.  Its errors are the probe's: a power or a mean past
-PROBE_CUTOFF.
+The probe `_walk` reads ||T^p|| and, for the mean check on the general path,
+the Cesaro means a block at a time, and stops once the float chain repeats a
+power exactly, past which the norms are known: M = sup_p ||T^p|| and the
+probed norms are those of a walk over every power, bit for bit.  Its errors
+are the probe's: a power or a mean past PROBE_CUTOFF.  The closed-form
+inputs of `operators` take the sup of their means from exact sums, not from
+this walk.
 """
 
 from __future__ import annotations
@@ -86,15 +88,15 @@ def _probed(value: float, name: str, error: type[RuntimeError]) -> float:
     return value
 
 
-def _walk(
-    T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False, norms: bool = True,
-) -> _Walk:
+def _walk(T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False) -> _Walk:
     """The probe: one walk over T^0..T^probe_len.
 
     Returns ||T^p|| for p = 1..probe_len (cut after the first zero norm) and,
     with `means`, ||(T^0 + ... + T^(N-1))/N|| for N = 1..probe_len, cut with
-    the norms, as past a zero power the means only shrink.  Without `norms`
-    the walk takes the means only: a mean-bounded T need not be power-bounded.
+    the norms, as past a zero power the means only shrink.  The means are
+    those of the general path's mean check, whose series truncation reads
+    the power norms too; they are probed, not proved, as float sums may land
+    on either side of the exact means.
 
     Norms and prefix sums are taken a block at a time, and each power is
     still judged in order: its mean, then its norm, then the zero cut.  A
@@ -115,15 +117,14 @@ def _walk(
         for b, block in enumerate(_power_blocks(T.array, probe_len + 1), start=1):
             size, first = len(block), int(start == 0)  # T^0 has no norm
             ends = np.zeros(size, dtype=bool)  # powers that end the walk
-            mvals = pvals = np.empty(0)
+            mvals = np.empty(0)
             if means and start < probe_len:
                 sums = _prefix_sums(total, block[:probe_len - start])
                 total = sums[-1]
                 mvals = norm.compute(sums) / np.arange(start + 1.0, start + len(sums) + 1)
                 ends[:len(mvals)] = ~(mvals <= PROBE_CUTOFF)
-            if norms:
-                pvals = norm.compute(block)
-                ends |= ~((pvals > 0.0) & (pvals <= PROBE_CUTOFF))
+            pvals = norm.compute(block)
+            ends |= ~((pvals > 0.0) & (pvals <= PROBE_CUTOFF))
             stop = _first(ends)
             hit = size if ref is None else _first((block == ref).all(axis=(1, 2)))
             if hit < stop:
@@ -141,6 +142,6 @@ def _walk(
                 _probed(float(pvals[stop]), f"T^{start + stop}", SpectralExplosionError)
                 break  # a zero norm
             start += size
-            if norms and not means and b & (b - 1) == 0:
+            if not means and b & (b - 1) == 0:
                 q, ref = start - 1, block[-1].copy()
     return _Walk(power_norms, mean_norms)

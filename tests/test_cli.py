@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -409,6 +410,15 @@ class TestOperatorCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["n"] == 3
+        assert doc["max_abs_difference"] < 1e-8
+
+    def test_appendix_demo_past_float_range(self, capsys):
+        """Past n = 1030 the remainder term leaves the float range; it is
+        reported as Infinity, where an OverflowError once ended the run."""
+        code, out, _ = run(capsys, "operator", "appendix-demo", "--n", "1100")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["remainder_at_J"] == math.inf
         assert doc["max_abs_difference"] < 1e-8
 
     def test_random_stochastic_deterministic(self, capsys):

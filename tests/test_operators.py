@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -29,6 +30,7 @@ from artifact.operators import (
     _check_positive,
     _probed,
     _reduce,
+    _mean_bound,
     _walk,
     appendix_example,
     brunel,
@@ -65,9 +67,7 @@ def plain_powers(T: DenseMatrix):
         power = power @ T.array
 
 
-def reference_walk(
-    T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False, norms: bool = True,
-) -> _Walk:
+def reference_walk(T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False) -> _Walk:
     """The probe as one loop over single powers, kept as the reference the
     block walk must equal, list for list and error for error."""
     _check_positive(probe_len=probe_len)
@@ -78,7 +78,7 @@ def reference_walk(
             total += power
             mean_norms.append(_probed(norm.compute(total) / (p + 1),
                                       f"M_{p + 1}", MeanBoundProbeError))
-        if p == 0 or not norms:
+        if p == 0:
             continue
         power_norms.append(_probed(norm.compute(power), f"T^{p}", SpectralExplosionError))
         if power_norms[-1] == 0.0:
@@ -269,8 +269,10 @@ class TestProbes:
         assert norms == [1.0, 0.0]
 
     def test_mean_probe_appendix_is_one(self):
-        means = _walk(APPENDIX_T, 500, Norm.OPINF, means=True, norms=False).means
+        """The float walk's means and the exact sums agree on M = 1."""
+        means = _walk(APPENDIX_T, 500, Norm.OPINF, means=True).means
         assert max(means) == pytest.approx(1.0)
+        assert _mean_bound(-1.0, 2.0, 2, Norm.OPINF, 500) == 1.0
 
     @pytest.mark.parametrize("probe_len", [0, -1])
     def test_probe_len_must_be_positive(self, probe_len):
@@ -278,7 +280,7 @@ class TestProbes:
         T = random_stochastic(3, 0)
         for evaluate in (
             lambda: _walk(T, probe_len, Norm.OPINF),
-            lambda: _walk(T, probe_len, Norm.OPINF, means=True, norms=False),
+            lambda: _mean_bound(-1.0, 2.0, 2, Norm.OPINF, probe_len),
             lambda: evaluate_powers(T, [1], 0.1, probe_len=probe_len),
             lambda: evaluate_powers(DenseMatrix.identity(2), [1], 0.1, probe_len=probe_len),
         ):
@@ -289,21 +291,32 @@ class TestProbes:
     @pytest.mark.parametrize("T", [random_stochastic(4, 1), rotation_matrix(1.0),
                                    APPENDIX_T], ids=["row4", "rotation", "appendix"])
     def test_mean_probe_matches_separate_loop(self, T, norm):
-        """The means taken by the walk, alone (without `norms`) or beside
-        the power norms (the general-path mean check), equal those of the
-        separate loop the probe once ran."""
+        """The mean check's M against the separate float loop the probe once
+        ran: on the general path the walk's means equal the loop's, and on
+        the worked example, a closed-form input, the exact sums give the same
+        M (its means are small integers over N, and in FRO the largest is
+        sqrt(2), whose float is the least above it)."""
         best = 0.0
         acc = np.zeros((T.dim, T.dim))
         for N, power in enumerate(islice(plain_powers(T), 2000), start=1):
             acc += power
             best = max(best, norm.compute(acc) / N)
-        assert max(_walk(T, 2000, norm, means=True, norms=False).means) == best
+        if T is APPENDIX_T:
+            assert _mean_bound(-1.0, 2.0, 2, norm, 2000) == max(1.0, best)
+        else:
+            assert max(_walk(T, 2000, norm, means=True).means) == best
         report = check_mean_bound_theorem(T, n_max=1, norm=norm)
         assert report.rectangle["M"] == max(1.0, best)
 
     def test_mean_probe_explodes_on_expansion(self):
-        with pytest.raises(MeanBoundProbeError):
-            _walk(DenseMatrix.from_rows([[2.0]]), 200, Norm.OPINF, means=True, norms=False)
+        """A mean past the cutoff is judged before the power that enters it:
+        on the general path M_2 = (1 + 4e6)/2 stops the walk before
+        ||T^1|| = 4e6, and the exact sums of a Jordan block stop at its
+        first mean past the cutoff, M_2 = ||(b/2) E||."""
+        with pytest.raises(MeanBoundProbeError, match=r"^\|\|M_2\|\| = 2e\+06 "):
+            _walk(DenseMatrix.from_rows([[4e6]]), 200, Norm.OPINF, means=True)
+        with pytest.raises(MeanBoundProbeError, match=r"^\|\|M_2\|\| = 2e\+06 "):
+            _mean_bound(-1.0, 4e6, 2, Norm.OPINF, 200)
 
     def test_appendix_power_growth_vs_mean_boundedness(self):
         """Powers grow linearly while Cesaro averages stay at norm one."""
@@ -349,11 +362,11 @@ class TestBlockWalk:
     @pytest.mark.parametrize("name", list(WALK_INPUTS))
     def test_matches_reference_walk(self, name, norm):
         T = WALK_INPUTS[name]
-        for means, norms in ((False, True), (True, True), (True, False)):
+        for means in (False, True):
             for probe_len in (1, 2, 63, 64, 65, 2000):
-                args = (T, probe_len, norm, means, norms)
+                args = (T, probe_len, norm, means)
                 assert walk_outcome(_walk, *args) == walk_outcome(reference_walk, *args), \
-                    (means, norms, probe_len)
+                    (means, probe_len)
 
     @pytest.mark.parametrize("T, cycle", [(CYCLE2, [2.0, 1.0]), (CYCLE3, [2.0, 4.0, 1.0])],
                              ids=["period2", "period3"])
@@ -962,6 +975,22 @@ class TestWorkedExample:
         for n in (1, 3, 8):
             assert S_remainder_at_J(n) > 0
 
+    def test_remainder_is_the_rounded_quotient(self):
+        """Below the float range the term is C(m, k) / 4^p correctly rounded."""
+        for n in [*range(1, 300, 13), 300]:
+            p = (n * n + n) // 2 + 1
+            assert S_remainder_at_J(n) == float(Fraction(math.comb(n + 2 * p - 1, p - 1),
+                                                          4 ** p)), n
+
+    @pytest.mark.parametrize("n", [1100, 10 ** 6])
+    def test_remainder_past_float_range_is_inf(self, n):
+        """Past the float range the overflow is decided from Robbins' bounds
+        before the binomial of about n^2 bits is formed: n = 1100 once took
+        15 s to end in an OverflowError."""
+        start = time.perf_counter()
+        assert S_remainder_at_J(n) == math.inf
+        assert time.perf_counter() - start < 1.0
+
     def test_appendix_example_agreement(self):
         for n in (1, 2, 5, 9, 12):
             ex = appendix_example(n)
@@ -1141,13 +1170,15 @@ class TestTheoremChecks:
         assert power_draws[0] == walk_draws(power_draws, T, means=True)
 
     def test_mean_bound_closed_form_walks_once(self, power_draws):
+        """M comes from exact sums and A^n from the closed form, so the
+        check draws no power; the means-only walk drew 2 001."""
         report = check_mean_bound_theorem(APPENDIX_T, n_max=6)
         assert report.passed
-        assert power_draws[0] <= 2001
+        assert power_draws[0] == 0
 
     def test_mean_bound_needs_no_power_bound(self):
         """The means of this Jordan block peak at 500 while ||T^1000|| is
-        about 1e6, so its walk, on the closed-form path, takes means only."""
+        about 1e6; on the closed-form path no power is drawn or probed."""
         T = DenseMatrix.from_rows([[-1.0, 1e3], [0.0, -1.0]])
         report = check_mean_bound_theorem(T, n_max=6)
         assert report.passed, report.failures[:2]
@@ -1199,6 +1230,118 @@ class TestTheoremChecks:
     def test_domination_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             check_cesaro_domination(APPENDIX_T, N_max=10)
+
+
+def reference_means(a: float, b: float, d: int, L: int) -> list[dict[Norm, mpmath.mpf]]:
+    """||(T^0 + ... + T^(N-1))/N|| in each norm for N = 1..L, for
+    T = a I_d + b E (E the 2x2 superdiagonal unit), in 300-bit arithmetic."""
+    ctx = mpmath.mp.clone()
+    ctx.prec = 300
+    a, b = ctx.mpf(a), ctx.mpf(b)
+    u = v = apm = ctx.mpf(0)  # apm = a^(p-1)
+    ap, means = ctx.mpf(1), []
+    for N in range(1, L + 1):
+        u, v = u + ap, v + (N - 1) * apm
+        means.append({Norm.OPINF: (abs(u) + abs(b * v)) / N,
+                      Norm.MAX: max(abs(u), abs(b * v)) / N,
+                      Norm.FROBENIUS: ctx.sqrt(d * u * u + b * b * v * v) / N})
+        apm, ap = ap, ap * a
+    return means
+
+
+def reference_mean_sups(a: float, b: float, d: int, L: int) -> dict[Norm, mpmath.mpf]:
+    means = reference_means(a, b, d, L)
+    return {norm: max(m[norm] for m in means) for norm in Norm}
+
+
+def assert_tight_bound(M: float, sup) -> None:
+    """M is the least float at or above max(1, sup)."""
+    assert M >= max(1, sup) > math.nextafter(M, 0.0), (M, sup)
+
+
+class TestCertifiedMeans:
+    """M of the mean check on closed-form inputs, from exact sums."""
+
+    @pytest.mark.parametrize("a, b", [(0.3, 1.0), (-0.7, 2.0), (0.999999, 1.0)])
+    def test_never_below_window_sup(self, a, b):
+        """The float walk reported 1.15, 1.15 and 999.1686636375928, each
+        below the sup of the means over N <= 2000."""
+        T = DenseMatrix.from_rows([[a, b], [0.0, a]])
+        M = check_mean_bound_theorem(T, n_max=1).rectangle["M"]
+        assert M >= reference_mean_sups(a, b, 2, 2000)[Norm.OPINF]
+
+    @pytest.mark.parametrize("a, b, d", [
+        (0.3, 1.0, 2), (-0.7, 2.0, 2), (0.999999, 1.0, 2), (0.999, 1.0, 2),
+        (-0.999, 1.0, 2), (0.99, -3.0, 2), (0.5, 1.0, 2), (2.0 ** -60, 7.0, 2),
+        (-1.0, 2 * ROOT2, 2), (0.0, 3.0, 2), (1.0, 0.5, 2), (-0.6, 0.0, 3),
+        (1.0, 0.0, 3), (-1.0, 0.0, 1),
+    ])
+    def test_least_float_above_window_sup(self, a, b, d):
+        """In every norm M is the least float at or above the sup over the
+        window: the sums' error bounds stay below the float spacing here."""
+        sups = reference_mean_sups(a, b, d, 2000)
+        for norm in Norm:
+            assert_tight_bound(_mean_bound(a, b, d, norm, 2000), sups[norm])
+
+    def test_frobenius_on_scalar_rounds_up(self):
+        """On I_3 every FRO mean is sqrt(3), and fl(sqrt(3)) lies below it."""
+        assert math.sqrt(3.0) ** 2 < 3
+        assert _mean_bound(1.0, 0.0, 3, Norm.FROBENIUS, 2000) == math.nextafter(
+            math.sqrt(3.0), math.inf)
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (-1.0, 0.5), (-1.0, 3.0), (0.0, 3.0),
+                                      (0.3, 1.0), (0.99, 1.0)])
+    def test_bound_holds_past_the_window(self, a, b):
+        """At a = -1 (the parity argument), at a = 0 and, once B/N falls
+        below the largest mean, for |a| < 1, M bounds the means of every N:
+        a window of 2000 gives the same M as one of 10^9, and that M is at
+        least the sup over N <= 6000."""
+        sups = reference_mean_sups(a, b, 2, 6000)
+        for norm in Norm:
+            M = _mean_bound(a, b, 2, norm, 2000)
+            assert M == _mean_bound(a, b, 2, norm, 10 ** 9)
+            assert M >= sups[norm]
+
+    @pytest.mark.parametrize("probe_len", [1, 2])
+    def test_short_windows_on_worked_example(self, probe_len):
+        """The float walk's M on windows of one and two means."""
+        want = {Norm.OPINF: 1.0, Norm.FROBENIUS: ROOT2, Norm.MAX: 1.0}
+        for norm in Norm:
+            report = check_mean_bound_theorem(APPENDIX_T, n_max=2, norm=norm,
+                                              probe_len=probe_len)
+            assert report.rectangle["M"] == want[norm]
+
+    @pytest.mark.parametrize("b, name", [(1e4, "M_201"), (-1e4, "M_201")])
+    def test_unit_eigenvalue_raises_at_first_mean_past_cutoff(self, b, name):
+        """At a = 1 the means 1 + |b| (N-1)/2 grow with N; the first past
+        1e6 is found by bisection, and the probe error precedes the
+        closed form's divergence error."""
+        T = DenseMatrix.from_rows([[1.0, b], [0.0, 1.0]])
+        with pytest.raises(MeanBoundProbeError, match=rf"^\|\|{name}\|\| = 1e\+06 "):
+            check_mean_bound_theorem(T, n_max=2)
+
+    def test_worked_example_scaled_raises_at_second_mean(self):
+        T = DenseMatrix.from_rows([[-1.0, 4e6], [0.0, -1.0]])
+        with pytest.raises(MeanBoundProbeError, match=r"^\|\|M_2\|\| = 2e\+06 "):
+            check_mean_bound_theorem(T, n_max=2)
+
+    def test_unit_eigenvalue_window_end(self):
+        """M is the mean at N = probe_len, 1 + 0.5 * 1999 / 2; the closed
+        form then reports the divergence of (psi^n)' at a = 1."""
+        assert _mean_bound(1.0, 0.5, 2, Norm.OPINF, 2000) == 500.75
+        T = DenseMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(NonConvergenceError, match="diverges at a = 1"):
+            check_mean_bound_theorem(T, n_max=2)
+
+    @pytest.mark.parametrize("a, b", [(-0.5, 3e6), (0.999, 2e4), (0.9, 4e5)])
+    def test_error_names_first_mean_past_cutoff(self, a, b):
+        """For |a| < 1 the sums run in order, and the error names the first
+        N whose exact OPINF mean passes 1e6 (a float walk with the power
+        norms would stop first at a power, except at M_2)."""
+        N = next(N for N, means in enumerate(reference_means(a, b, 2, 2000), start=1)
+                 if means[Norm.OPINF] > 1e6)
+        with pytest.raises(MeanBoundProbeError, match=rf"^\|\|M_{N}\|\| = "):
+            _mean_bound(a, b, 2, Norm.OPINF, 2000)
 
 
 class TestEigOracle:
