@@ -23,12 +23,11 @@ the exact ratio hops of `alpha_mantissa_walk`.  The `recurrences`, `sums` and
 sum closed forms by remainder-checked hops (from a(n, 0) = 1, and from one
 C(2p, p) per p), beta's by one binomial per cell, and the Catalan oracle.
 
-A transcendental bound is an `arith.Enclosure`, a pair of integers over 2^128
-built once per p from cached pieces of integer series; a mantissa is compared
-exactly against its unfavorable end by `arith.certified_le` / `certified_ge`.
-The check_* functions compare in every cell.  The suites compare once per row or column, and each cell is then
-one exact integer step that still proves that cell (see `_suite_bounds` and
-`_suite_technical`).
+A transcendental bound is an `arith.Enclosure`, built once per p from cached
+pieces, and a mantissa is compared exactly against its unfavorable end by
+`arith.certified_le` / `certified_ge`.  The check_* functions compare in
+every cell; the suites once per row or column, each cell then one exact
+integer step that still proves it (see `_suite_bounds`, `_suite_technical`).
 
 The module ends with a registry of named verification suites.  A suite is a
 generator of rows (params, key, values, verdicts), one verdict per cell
@@ -49,7 +48,6 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .arith import (
-    BITS,
     Enclosure,
     Rational,
     binomial,
@@ -299,12 +297,9 @@ def _technical_C() -> Enclosure:
 
 
 def technical_C_down() -> float:
-    """A float at or below 6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2)): the float
-    nearest lo / 2^BITS, stepped down once if it lies above."""
-    lo = _technical_C().lo
-    value = lo / (1 << BITS)  # int / int rounds correctly
-    num, den = value.as_integer_ratio()
-    return math.nextafter(value, 0.0) if num << BITS > lo * den else value
+    """A float at or below 6 e^(7/12) sqrt(2 pi) / (2 - sqrt(2)): the
+    greatest one at or below its enclosure's lower end."""
+    return _technical_C().down()
 
 
 def _uniform_claim(n: int, p: int, d: int, a1: int, bound: Enclosure,

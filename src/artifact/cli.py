@@ -23,7 +23,6 @@ deterministic apart from the elapsed_s of reports.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
@@ -33,6 +32,7 @@ from typing import Iterable, Iterator
 from .arith import rational_str
 from .analysis import run_all_suites, run_suite, thresholds
 from .coeffs import alpha, alpha_mantissa_row, beta, decimal_rows, psi_eval
+from .report import dumps as _json
 
 FIGURE_DEFAULT_N = {"fig1": [10, 20], "fig2": [1, 5, 10, 20, 40],
                     "fig3": [1, 5, 10, 20, 40]}
@@ -52,10 +52,6 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
             last = piece or last
         if not last.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def _given(args, *skip: str) -> dict:

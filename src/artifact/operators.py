@@ -13,39 +13,28 @@ reported, and they sum to 1 - 2^-(K+1), while Pi_j's sum to 2^-(j+1).  So with
 M = sup_p ||T^p||, ||A^n - G^n|| <= n M 2^-(K+1).  K = k + 1 for the smallest k
 with max(n) M 2^-(k+1) <= eps, and the reported tail is n M 2^-(k+1), rounded
 up: twice the truncation, the other half being headroom for float rounding,
-which is not bounded.  M is the largest ||T^p|| over a probe window, so the
-power-boundedness of T is a hypothesis probed empirically, not proved; a
+which is not bounded.  M is the largest ||T^p|| over a probe window
+(`powers._walk`), so the power-boundedness of T is probed, not proved; a
 guard stops the reduction when an iterate is non-finite or
-||Pi_j|| > 2 M 2^-(j+1), which the probed M forbids.  At most LR_STEP_CAP
-steps are taken.  A nilpotent T (a probed power of norm 0) is evaluated with
-enough steps to reach its last nonzero power exactly, with tail 0.
+||Pi_j|| > 2 M 2^-(j+1).  At most LR_STEP_CAP steps are taken.  A nilpotent
+T (a probed power of norm 0) takes the steps that reach its last nonzero
+power, with tail 0.
 
 Scalar matrices a*I and 2x2 Jordan blocks [[a, b], [0, a]] with |a| <= 1
-(a scalar matrix is the case b = 0) take no reduction at all: A^n has
-psi(a)^n = (1 + s)^(-n), s = sqrt(1-a), on the diagonal and b (psi^n)'(a) =
-(b n / 2) / ((1 + s)^(n+1) s) above it.  `_closed_form` evaluates both
-exactly in Z[s] over powers of two: each entry is the float nearest its
-value, with the least float at or above its distance to that value, and the
-reported tail combines those in `norm`, rounded up, so it is a proof (0 when
-the values are exact, as for a in {0, 1}; 5e-324 or more when an entry
-underflows to 0).  The derivative diverges at a = 1, and an entry past the
-float range has an infinite bound; both are signalled.
-
-Every loop over T^0, T^1, ... draws from the block source
-`powers._power_blocks`, and each evaluation walks it once, in the probe
-`powers._walk`, which stops at an exact repeat of the float chain; M is that
-of a walk over every power, bit for bit.
+take no reduction: A^n has psi(a)^n = (1 + s)^(-n), s = sqrt(1-a), on the
+diagonal and b (psi^n)'(a) = (b n / 2) / ((1 + s)^(n+1) s) above it.
+`_closed_form` encloses each in Z[s] as an `arith.Enclosure` and reads out
+the nearest float with the least float at or above its distance, so the
+reported tail, those combined in `norm` and rounded up, is a proof (0 when
+the values are exact; 5e-324 or more when an entry underflows to 0).  The
+derivative diverges at a = 1, and an entry past the float range has an
+infinite bound; both are signalled.
 
 The module also carries the theorem-scale checks (power-bounded and
-mean-bounded difference bounds, Cesaro square-root domination) and the worked
-2x2 example with its alternating series S(n), which is the Jordan closed form
-at a = -1 again: `S_value` and `brunel` both take it from `_closed_form`, in
-Z[sqrt(2)].  Each difference check walks
-T^p at most once.  On the general path the mean-bounded check probes the sup
-M of the Cesaro means ||(T^0 + ... + T^(N-1))/N|| in the same float walk that
-gives the path its power norms.  On closed-form inputs it walks no power:
-`_mean_bound` sums the means exactly and rounds M up, so M is certified over
-the window, and at a = -1, the worked example, it holds for every N.
+mean-bounded difference bounds, Cesaro square-root domination), each walking
+T^p at most once; on closed-form inputs the mean check walks no power, as
+`_mean_bound` sums the means exactly and rounds M up.  The worked 2x2
+example's alternating series S(n) is the Jordan closed form at a = -1 again.
 """
 
 from __future__ import annotations
@@ -61,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import binomial
+from .arith import BITS, Enclosure, float_up, sqrt_up
 from .analysis import BoundConstants, technical_C_down
 from .powers import (PROBE_CUTOFF, MeanBoundProbeError, SpectralExplosionError, _Walk,
                      _check_positive, _power_blocks, _prefix_sums, _probed, _walk)
@@ -171,45 +160,6 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _to_float(num: int, den: int) -> float:
-    """num / den correctly rounded; inf past the float range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf
-
-
-def float_up(num: int, den: int = 1) -> float:
-    """The least float at or above num / den >= 0 (inf past the float range)."""
-    f = _to_float(num, den)
-    if f < math.inf:
-        fn, fd = f.as_integer_ratio()
-        if fn * den < num * fd:
-            f = math.nextafter(f, math.inf)
-    return f
-
-
-def _sqrt_up(num: int, den: int) -> float:
-    """The least float whose square is at or above num / den >= 0 (inf past
-    the float range), stepped both ways from the float estimate, which is
-    taken at a scale 4^s where num / den fits the float range."""
-    def covers(g: float) -> bool:
-        gn, gd = g.as_integer_ratio()
-        return gn * gn * den >= num * gd * gd
-
-    s = (num.bit_length() - den.bit_length()) // 2
-    x = _to_float(num, den << 2 * s) if s >= 0 else _to_float(num << -2 * s, den)
-    try:
-        f = math.ldexp(math.sqrt(x), s)
-    except OverflowError:
-        f = math.inf  # the downward steps below decide whether a float covers it
-    while f < math.inf and not covers(f):
-        f = math.nextafter(f, math.inf)
-    while f > 0 and covers(g := math.nextafter(f, 0.0)):
-        f = g
-    return f
-
-
 def _mul(f: tuple[int, int, int], g: tuple[int, int, int], an: int, e: int, K: int,
          up: bool) -> tuple[int, int, int]:
     """f g in Z[s] over powers of two, s^2 = 1 - an / 2^e, rounded up or down.
@@ -261,70 +211,37 @@ def _power(an: int, e: int, k: int, j: int, K: int, up: bool) -> tuple[int, int,
     return (Q - _times_a(Q, an, e, up), P, E) if j else (P, Q, E)
 
 
-# A positive end below 2^-1076 stands as 2^-1076 itself: it rounds to 0.0 like
-# every positive value there, 5e-324 is the least float above it, and no
-# float lies between them, so no decision of `_closed_form` changes.
-_UNDERFLOW_BITS = 1076
-
-
-def _end(c: Fraction, power: tuple[int, int, int], K: int, t: int) -> tuple[int, int]:
-    """c 2^E / (P + Q t/2^K) = c 2^(E+K) / (P 2^K + Q t) as (num, den), for
-    power = (P, Q, E).
-
-    Underflow is decided from bit lengths before 2^(E+K) is formed: a power
-    of (1+sqrt(2)) of exponent 10^9 has |E| near 1.3 10^9.
-    """
-    P, Q, E = power
-    D = (P << K) + Q * t
-    num, den, shift = c.numerator, c.denominator, E + K
-    if num.bit_length() - den.bit_length() + shift - D.bit_length() + 2 <= -_UNDERFLOW_BITS:
-        return 1, 1 << _UNDERFLOW_BITS
-    if shift >= 0:
-        return num << shift, den * D
-    return num, den * D << -shift
+def _enclosure(c: Fraction, an: int, e: int, k: int, j: int, K: int) -> Enclosure:
+    """c / ((1+s)^k s^j), s = sqrt(1 - an / 2^e), enclosed at K bits: with
+    1 - a = m / 2^e and r = isqrt(floor(m 4^K / 2^e)), s 2^K lies in [r, t],
+    t = r + 1 unless r^2 = m 4^K / 2^e, and the value decreases in s and in
+    `_power`'s (P + Q s) / 2^E, so it lies between c 2^(E+K) / (P 2^K + Q t)
+    and c 2^(E+K) / (P 2^K + Q r) for its bounds from above and below.  E + K
+    stays an exponent: |E| is near 1.3e9 for (1+sqrt(2))^(10^9)."""
+    m = (1 << e) - an
+    r = math.isqrt(m << 2 * K >> e)
+    t = r + (r * r << e != m << 2 * K)
+    (P1, Q1, E1), (P2, Q2, E2) = _power(an, e, k, j, K, True), _power(an, e, k, j, K, False)
+    s, num, den = min(E1, E2), c.numerator, c.denominator
+    return Enclosure.between(num << E1 - s, den * ((P1 << K) + Q1 * t),
+                             num << E2 - s, den * ((P2 << K) + Q2 * r), s + K, K)
 
 
 def _closed_form(c: Fraction, a: float, k: int, j: int) -> tuple[float, float]:
     """c / ((1+s)^k s^j), s = sqrt(1-a), correctly rounded, and the least
-    float at or above its distance to the exact value: a proof of its
-    rounding, 0 when the value is a float.  Needs c > 0, a <= 1, k >= 1,
-    j in {0, 1}, and a < 1 when j = 1.
-
-    With 1 - a = m / 2^e and r = isqrt(floor(m 4^K / 2^e)), s 2^K lies in
-    [r, r + 1], and is r when r^2 = m 4^K / 2^e.  `_power` bounds
-    (1+s)^k s^j = (P + Q s) / 2^E from both sides; the value decreases in P, Q
-    and s, so it lies between the two `_end`s, which int / int division
-    rounds correctly.  When both round to one float v, v is the value
-    correctly rounded; when, besides, v lies outside the open enclosure and
-    its distances to both ends round up to one float, that float is the
-    least one at or above v's distance to the value.  Otherwise K doubles,
-    deepening s and every cut; an irrational value leaves any float, and a
-    float value becomes exact, so this ends (integer enclosures as in Brent
-    and Zimmermann, Modern Computer Arithmetic, CUP 2010).  K starts at
-    CLOSED_FORM_BITS + e: a small |a| has many fraction bits e, and the value
-    c 2^-k (1 + O(k a)) (times 1 + O(a) when j = 1) then lies within about
-    2^(52-e) of c 2^-k, a distance the tail has to resolve.
-    A value past the float range gives inf twice.
-    """
+    float at or above its distance to the exact value (0 when it is a float),
+    for c > 0, a <= 1, k >= 1, j in {0, 1} and a < 1 when j = 1: `_enclosure`
+    read out by `Enclosure.nearest`, K doubling until it decides, as it does
+    once an irrational value leaves every float or a float value is exact.
+    K starts at CLOSED_FORM_BITS + e: for a small |a| of e fraction bits, the
+    value c 2^-k (1 + O(k a)) lies within about 2^(52-e) of c 2^-k, a distance
+    the tail has to resolve."""
     an, den = a.as_integer_ratio()
     e = den.bit_length() - 1
-    m = den - an
     K = CLOSED_FORM_BITS + e
-    while True:
-        r = math.isqrt(m << 2 * K >> e)
-        t = r + (r * r << e != m << 2 * K)
-        (ln, ld), (hn, hd) = (_end(c, _power(an, e, k, j, K, True), K, t),
-                              _end(c, _power(an, e, k, j, K, False), K, r))
-        value = _to_float(ln, ld)
-        if value == _to_float(hn, hd):
-            if value == math.inf:
-                return value, value
-            vn, vd = value.as_integer_ratio()
-            below, above = vn * ld - ln * vd, vn * hd - hn * vd  # signs of v - lo, v - hi
-            tail = float_up(abs(below), vd * ld)
-            if (below <= 0 or above >= 0) and tail == float_up(abs(above), vd * hd):
-                return value, tail
+    while not (found := _enclosure(c, an, e, k, j, K).nearest()):
         K *= 2
+    return found
 
 
 def _as_jordan(T: DenseMatrix) -> Optional[tuple[float, float]]:
@@ -427,10 +344,8 @@ def _evaluate(
                 tail = max(e1, e2)
             else:
                 (p1, q1), (p2, q2) = e1.as_integer_ratio(), e2.as_integer_ratio()
-                if norm is Norm.FROBENIUS:
-                    tail = _sqrt_up(d * (p1 * q2) ** 2 + (p2 * q1) ** 2, (q1 * q2) ** 2)
-                else:
-                    tail = float_up(p1 * q2 + p2 * q1, q1 * q2)
+                tail = (sqrt_up(d * (p1 * q2) ** 2 + (p2 * q1) ** 2, (q1 * q2) ** 2)
+                        if norm is Norm.FROBENIUS else float_up(p1 * q2 + p2 * q1, q1 * q2))
             if tail > eps:
                 raise NonConvergenceError(
                     f"rounding bound {tail:g} of the closed form exceeds {eps:g}"
@@ -549,7 +464,7 @@ def _mean_bound(a: float, b: float, d: int, norm: Norm, probe_len: int) -> float
             return d * (U * bd) ** 2 + (bn * V) ** 2
 
     def up(x: int, N: int) -> float:
-        return float_up(x, (N * S) ** k) if k == 1 else _sqrt_up(x, (N * S) ** k)
+        return float_up(x, (N * S) ** k) if k == 1 else sqrt_up(x, (N * S) ** k)
 
     def passes(x: int, N: int) -> bool:  # the mean of key x at N is past the cutoff
         return x * cd ** k > (cn * N * S) ** k
@@ -758,7 +673,8 @@ def S_remainder_at_J(n: int) -> float:
     + 1/(12m+1) - 1/(12k) - 1/(12j).  The negative terms are divided by
     0.693 < ln 2, and log2(m/(k j)) is bounded by bit lengths and log2(2 pi)
     by 2.66, all in exact rationals; a bound of 1024 or more means the term
-    is at least 2^1024.
+    is at least 2^1024.  Below that, `_binomial_over` encloses the term
+    without forming C(m, k), and K doubles until it reads out.
     """
     _check_positive(n=n)
     p = (n * n + n) // 2 + 1
@@ -771,7 +687,24 @@ def S_remainder_at_J(n: int) -> float:
                                      - Fraction(266, 100), 2) - loss / Fraction(693, 1000))
         if log2_low >= 1024:
             return math.inf
-    return _to_float(binomial(m, k), 1 << (2 * p))
+    K = BITS
+    while not (found := _binomial_over(m, k, 2 * p, K).nearest()):
+        K *= 2
+    return found[0]
+
+
+def _binomial_over(m: int, k: int, e: int, K: int) -> Enclosure:
+    """C(m, k) / 2^e = (m/k) ((m-1)/(k-1)) ... ((m-k+1)/1) / 2^e at K bits:
+    each step multiplies both ends by the ratio of 64 factors (`math.perm`),
+    the lower end rounded down and the upper up, and cuts them to K bits."""
+    lo = hi = 1 << K
+    x = -K  # the ends are lo 2^x and hi 2^x
+    for i in range(0, k, 64):
+        f, g = math.perm(m - i, min(64, k - i)), math.perm(k - i, min(64, k - i))
+        lo, hi = lo * f // g, -(-hi * f // g)
+        cut = max(hi.bit_length() - K, 0)
+        lo, hi, x = lo >> cut, -(-hi >> cut), x + cut
+    return Enclosure.between(lo, 1, hi, 1, x - e, K)
 
 
 @dataclass

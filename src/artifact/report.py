@@ -3,11 +3,26 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
 from .arith import rational_str
+
+
+def dumps(data: Any) -> str:
+    """Strict JSON (RFC 8259) with sorted keys; a non-finite float, which it
+    has no token for, is written as the string "inf", "-inf" or "nan"."""
+    return json.dumps(_finite(data), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite(value: Any) -> Any:
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _plain(value: Any) -> Any:
@@ -87,4 +102,4 @@ class VerifyReport:
         data = self.to_dict()
         if not include_elapsed:
             del data["elapsed_s"]
-        return json.dumps(data, indent=2, sort_keys=True)
+        return dumps(data)

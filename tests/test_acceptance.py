@@ -12,6 +12,8 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
+
 from artifact.analysis import (
     check_I_equivalence,
     check_In_bound,
@@ -39,14 +41,18 @@ from artifact.coeffs import (
 from artifact.operators import (
     APPENDIX_T,
     DenseMatrix,
+    Norm,
     S_value,
     appendix_example,
+    brunel,
     check_cesaro_domination,
     check_mean_bound_theorem,
     check_power_bound_theorem,
     random_stochastic,
     rotation_matrix,
 )
+
+from test_operators import reference_jordan, reference_norm
 
 VERIFY_ALL_SHA256 = "202675e3993a58588b6f93584d55ee5a7a0da1f67a6ab90511d8c38b5324c267"
 
@@ -193,9 +199,21 @@ class TestAcceptance:
         )
 
     def test_09_worked_2x2_example(self):
+        """Both sides of `appendix_example` come from one closed-form routine,
+        so the series matrix is also held against an independent 200-bit
+        mpmath evaluation of psi(-1)^n and 2 (psi^n)'(-1): it must lie
+        within the tail that `brunel` proves for it."""
         agreement_ok = all(
             appendix_example(n).max_abs_difference < 1e-8 for n in range(1, 13)
         )
+        for n in range(1, 13):
+            series = appendix_example(n).series_matrix.array
+            r = brunel(APPENDIX_T, n, eps=1e-10)
+            with mpmath.workprec(200):
+                E = [[mpmath.mpf(float(x)) - y for x, y in zip(row, ref)]
+                     for row, ref in zip(series, reference_jordan(-1.0, 2.0, 2, n))]
+                agreement_ok = (agreement_ok and (series == r.matrix.array).all()
+                                and reference_norm(E, Norm.OPINF) <= r.tail_bound)
         observed = max(
             n * 2.0 ** (1 - n) * abs(S_value(n)) for n in range(1, 61)
         )

@@ -47,7 +47,7 @@ from artifact.coeffs import (
     psi_partial_sum,
     sum_alpha_mantissa,
 )
-from artifact.arith import BITS, certified_ge
+from artifact.arith import certified_ge
 from artifact.report import VerifyReport
 
 # a suite's cell verdicts: pass, fail, skipped, or a failure with its values
@@ -808,12 +808,12 @@ class TestSuites:
 class TestBoundEnclosures:
     """Each suite bound's integer enclosure contains the value computed in
     300-bit mpmath, and is at most 2^-120 wide relative to it, or 4 units of
-    2^-BITS where the value is so small that the fixed scale dominates."""
+    2^-E where the value is so small that the scale dominates."""
 
     @staticmethod
     def encloses(bound, value) -> bool:
-        lo, hi = mpmath.ldexp(bound.lo, -BITS), mpmath.ldexp(bound.hi, -BITS)
-        return lo <= value <= hi and bound.hi - bound.lo <= max(4, value * 2 ** (BITS - 120))
+        lo, hi = mpmath.ldexp(bound.lo, -bound.E), mpmath.ldexp(bound.hi, -bound.E)
+        return lo <= value <= hi and bound.hi - bound.lo <= max(4, value * 2 ** (bound.E - 120))
 
     def test_uniform_and_stirling_bounds(self):
         with mpmath.workprec(300):
@@ -836,6 +836,7 @@ class TestBoundEnclosures:
         """The float at or below the lower end, pinned."""
         C = technical_C_down()
         assert C.hex() == "0x1.7011e52b47e34p+5"
-        assert Fraction(C) <= Fraction(analysis._technical_C().lo, 2 ** BITS)
-        assert Fraction(math.nextafter(C, math.inf)) > Fraction(
-            analysis._technical_C().lo, 2 ** BITS)
+        bound = analysis._technical_C()
+        lo = Fraction(bound.lo) / Fraction(2) ** bound.E
+        assert Fraction(C) <= lo
+        assert Fraction(math.nextafter(C, math.inf)) > lo

@@ -1,12 +1,13 @@
 """Tests for exact rational arithmetic, binomials, and certified comparisons."""
 
 import math
+import struct
 import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact.arith import (
@@ -19,8 +20,11 @@ from artifact.arith import (
     certified_ge_threshold,
     certified_le,
     dyadic_str,
+    float_down,
+    float_up,
     parse_rational,
     rational_str,
+    sqrt_up,
 )
 from artifact.arith import _atan_inv, _exp_series
 
@@ -191,17 +195,22 @@ positives = st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6)
                          max_denominator=10**6)
 
 
+def scale(bound: Enclosure) -> Fraction:
+    """2^E, the denominator of the enclosure's ends."""
+    return Fraction(2) ** bound.E
+
+
 def contains(bound: Enclosure, value: Fraction) -> bool:
-    return bound.lo <= value * 2 ** BITS <= bound.hi
+    return bound.lo <= value * scale(bound) <= bound.hi
 
 
 def mp_contains(bound: Enclosure, value) -> bool:
-    """lo / 2^BITS <= value <= hi / 2^BITS for a 300-bit mpf value (the ends
+    """lo / 2^E <= value <= hi / 2^E for a 300-bit mpf value (the ends
     convert exactly), with a width of at most 2^-120 relative, or 4 units of
-    2^-BITS where the value is so small that the fixed scale dominates."""
+    2^-E where the value is so small that the scale dominates."""
     with mpmath.workprec(300):
-        lo, hi = mpmath.ldexp(bound.lo, -BITS), mpmath.ldexp(bound.hi, -BITS)
-        return lo <= value <= hi and bound.hi - bound.lo <= max(4, value * 2 ** (BITS - 120))
+        lo, hi = mpmath.ldexp(bound.lo, -bound.E), mpmath.ldexp(bound.hi, -bound.E)
+        return lo <= value <= hi and bound.hi - bound.lo <= max(4, value * 2 ** (bound.E - 120))
 
 
 class TestEnclosure:
@@ -259,7 +268,7 @@ class TestEnclosure:
             top = math.ceil(x) + 1
             assert contains(top - A, top - x)
             root = A.sqrt()
-            assert root.lo ** 2 <= x * 2 ** (2 * BITS) <= root.hi ** 2
+            assert root.lo ** 2 <= x * scale(root) ** 2 <= root.hi ** 2
 
     @given(positives, st.floats(min_value=1e-6, max_value=1e6))
     def test_float_operands_are_exact(self, a, f):
@@ -306,13 +315,13 @@ class TestCertifiedComparisons:
     def test_tightness_at_128_bits(self):
         """The enclosure of pi is narrower than 2^-120."""
         pi = Enclosure.pi()
-        assert 0 <= pi.hi - pi.lo < 2 ** (BITS - 120)
+        assert 0 <= pi.hi - pi.lo < 2 ** (pi.E - 120)
 
     def test_exact_rationals_round_trip_through_intervals(self):
-        """A dyadic with at most BITS fraction bits is enclosed exactly."""
+        """A dyadic with at most BITS bits is enclosed exactly."""
         for x in (Fraction(3, 8), 0.375, 3):
             bound = Enclosure(x)
-            assert bound.lo == bound.hi == int(Fraction(x) * 2 ** BITS)
+            assert bound.lo == bound.hi == Fraction(x) * scale(bound)
 
     @given(rationals)
     @settings(max_examples=100)
@@ -341,9 +350,9 @@ class TestCertifiedComparisons:
         """A dyadic equal to an end compares as equal, exactly."""
         root2 = Enclosure(2).sqrt()
         man = (root2.lo, root2.hi)[end]
-        # man / 2^BITS written as (man << extra) / 2^(extra + BITS)
-        m, shift = man << max(extra, 0), max(extra, 0) + BITS
-        assert Fraction(m, 2 ** shift) == Fraction(man, 2 ** BITS)
+        # man / 2^E written as (man << extra) / 2^(extra + E)
+        m, shift = man << max(extra, 0), max(extra, 0) + root2.E
+        assert Fraction(m, 2 ** shift) == Fraction(man) / scale(root2)
         if end == 0:  # the lower end: le holds with equality, ge fails
             assert certified_le(m, root2, shift)
             assert not certified_le(m + 1, root2, shift)
@@ -390,7 +399,7 @@ class TestCertifiedComparisons:
         """Against sqrt(2), an int m over 2^shift, and its Fraction, order as
         the Fraction does against the exact ends."""
         bound = Enclosure(2).sqrt()
-        lo, hi = Fraction(bound.lo, 2 ** BITS), Fraction(bound.hi, 2 ** BITS)
+        lo, hi = Fraction(bound.lo) / scale(bound), Fraction(bound.hi) / scale(bound)
         assert 0 < lo < hi
         x = Fraction(m) / Fraction(2) ** shift
         assert certified_le(m, bound, shift) == (x <= lo)
@@ -408,7 +417,7 @@ class TestCertifiedComparisons:
         does not, and t is the exact ceiling."""
         hi = Fraction(man) * Fraction(2) ** exp
         bound = Enclosure(hi)
-        assert Fraction(bound.hi, 2 ** BITS) == hi
+        assert Fraction(bound.hi) / scale(bound) == hi
         t = certified_ge_threshold(x, bound, shift)
         assert certified_ge(t * x, bound, shift)
         assert not certified_ge((t - 1) * x, bound, shift)
@@ -436,3 +445,137 @@ class TestCertifiedComparisons:
 
     def test_rational_alias(self):
         assert Rational is Fraction
+
+
+# ---------------------------------------------------------------------------
+# the float read-out, against its Fraction definitions
+# ---------------------------------------------------------------------------
+
+INF_BITS = 0x7FF0000000000000  # the bit pattern of inf; below it, the finite floats >= 0
+
+
+def from_bits(i: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", i))[0]
+
+
+def exact(f: float) -> Fraction:
+    """The value of a float >= 0, with inf standing as 2^1024, where IEEE
+    rounding places it."""
+    return Fraction(2) ** 1024 if f == math.inf else Fraction(f)
+
+
+def least_float(holds) -> float:
+    """The least float >= 0 (inf included) at which the monotone test holds,
+    by bisection on bit patterns, which order the floats >= 0."""
+    lo, hi = 0, INF_BITS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(exact(from_bits(mid))) else (mid + 1, hi)
+    return from_bits(lo)
+
+
+def ref_up(q: Fraction) -> float:
+    return least_float(lambda f: f >= q)
+
+
+def ref_down(q: Fraction) -> float:
+    f = ref_up(q)
+    return f if f < math.inf and exact(f) == q else math.nextafter(f, 0.0)
+
+
+def ref_sqrt_up(q: Fraction) -> float:
+    return least_float(lambda f: f * f >= q)
+
+
+def ref_nearest(q: Fraction) -> float:
+    """Round to nearest, ties to the even bit pattern, inf past the range."""
+    down, up = ref_down(q), ref_up(q)
+    gap = (q - exact(down)) - (exact(up) - q)
+    if gap == 0:
+        return up if struct.unpack("<q", struct.pack("<d", up))[0] % 2 == 0 else down
+    return up if gap > 0 else down
+
+
+# rationals m 2^e / d >= 0 over the whole float range, past it at both ends,
+# and through the subnormals
+scaled = st.builds(lambda m, e, d: Fraction(m) * Fraction(2) ** e / d,
+                   st.integers(min_value=0, max_value=2 ** 80),
+                   st.integers(min_value=-1250, max_value=1100),
+                   st.integers(min_value=1, max_value=2 ** 40))
+
+
+def check_rational_read_outs(q: Fraction) -> None:
+    num, den = q.numerator, q.denominator
+    assert float_down(num, den) == ref_down(q)
+    assert float_up(num, den) == ref_up(q)
+    assert sqrt_up(num, den) == ref_sqrt_up(q)
+
+
+class TestFloatReadOut:
+    @given(scaled)
+    @settings(max_examples=300)
+    def test_rational_read_outs(self, q):
+        check_rational_read_outs(q)
+
+    @pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 2 ** 1075), Fraction(1, 2 ** 1074),
+                                   Fraction(3, 2 ** 1076), Fraction(2 ** 1024),
+                                   Fraction(2 ** 1024 - 2 ** 970), Fraction(2 ** 1024 - 2 ** 971),
+                                   Fraction(2) ** -2000, Fraction(2) ** 2000, Fraction(9, 4),
+                                   Fraction(2) ** -2148, Fraction(2) ** -2149])
+    def test_rational_read_outs_at_the_edges(self, q):
+        check_rational_read_outs(q)
+
+    @given(st.integers(min_value=0, max_value=2 ** 140), st.integers(min_value=0, max_value=2 ** 20),
+           st.integers(min_value=-1200, max_value=2400), st.integers(min_value=1, max_value=300))
+    @settings(max_examples=300)
+    @example(0, 0, -1029, 1)  # a zero end over a negative exponent is 0, not huge
+    @example(1, 0, 1075, 53)  # 2^-1075, the tie between 0.0 and 5e-324
+    @example(3, 0, 1076, 53)  # 1.5 2^-1075, which rounds to 5e-324
+    @example(3, 0, -1022, 53)  # 1.5 2^1023, finite
+    @example(1, 0, -1024, 53)  # 2^1024, past the range
+    def test_enclosure_read_outs(self, m, width, shift, K):
+        """down, up and nearest read the ends exactly; nearest decides
+        exactly when both ends round to one float v outside the open
+        enclosure whose distances to the ends round up alike, and always
+        decides an exact enclosure."""
+        bound = Enclosure.between(m, 1, m + width, 1, -shift, K)
+        lo, hi = (Fraction(end) / Fraction(2) ** bound.E for end in (bound.lo, bound.hi))
+        assert bound.down() == ref_down(lo) and bound.up() == ref_up(hi)
+        v = ref_nearest(lo)
+        if v == math.inf:
+            decided = ref_nearest(hi) == v
+            want = (v, v)
+        else:
+            below, above = exact(v) - lo, exact(v) - hi
+            tail = ref_up(abs(below))
+            decided = (ref_nearest(hi) == v and (below <= 0 or above >= 0)
+                       and ref_up(abs(above)) == tail)
+            want = (v, tail)
+        assert bound.nearest() == (want if decided else None)
+        if lo == hi:
+            assert decided
+
+    def test_read_outs_far_outside_the_range(self):
+        """Ends of exponent 10^9 either way are read from bit lengths."""
+        tiny = Enclosure.between(3, 1, 5, 1, -10 ** 9)
+        assert tiny.nearest() == (0.0, 5e-324)
+        assert (tiny.down(), tiny.up()) == (0.0, 5e-324)
+        huge = Enclosure.between(3, 1, 5, 1, 10 ** 9)
+        assert huge.nearest() == (math.inf, math.inf)
+        assert (huge.down(), huge.up()) == (sys.float_info.max, math.inf)
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 10 ** 300), Fraction(10 ** 300)])
+    def test_enclosures_far_from_one_against_300_bits(self, scale):
+        """Near 1e-300 and 1e300 every operation keeps BITS bits, which a
+        fixed 2^-128 scale could not: each result holds the 300-bit value."""
+        with mpmath.workprec(300):
+            s = mpmath.mpf(scale.numerator) / scale.denominator
+            cases = [(Enclosure.pi() * scale, mpmath.pi * s),
+                     (scale / Enclosure.pi(), s / mpmath.pi),
+                     (Enclosure.exp(Fraction(1, 12)) / (2 * (1 + scale) * Enclosure(scale).sqrt()),
+                      mpmath.exp(mpmath.mpf(1) / 12) / (2 * (1 + s) * mpmath.sqrt(s))),
+                     (Enclosure(scale).sqrt(), mpmath.sqrt(s)),
+                     (Enclosure(2 * scale) / 3, 2 * s / 3)]
+            for bound, value in cases:
+                assert mp_contains(bound, value), (bound, value)
+                assert bound.hi.bit_length() >= BITS - 1

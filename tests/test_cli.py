@@ -41,7 +41,8 @@ REPORT_PINS = [
 
 # sha256 of the closed-form outputs, tails included, which REPORT_PINS do not
 # print: `brunel-power` on the worked example's T and on [[0.5]], and
-# `appendix-demo`.
+# `appendix-demo` (at n = 600 its remainder term has a binomial of 361 191
+# bits, which is enclosed rather than formed).
 CLOSED_FORM_PINS = [
     ("brunel-power", [[-1.0, 2.0], [0.0, -1.0]], ["--n", "5", "--norm", "opinf"],
      "2b4d39cbe83bedfcf96d8c958d6cf334e84eff596b3dfd809e7661b7c18c372c"),
@@ -65,6 +66,8 @@ CLOSED_FORM_PINS = [
      "4b3eca4172809a9aba765844907bf9f456c23a505c2fbd38713f774222bb4a0f"),
     ("appendix-demo", None, ["--n", "40"],
      "3e7239dcf141a590674140317655e6f449b18645e1a083f4071e6c35128dd8a4"),
+    ("appendix-demo", None, ["--n", "600"],
+     "d210899bdb5df92d328f08f63c4bd5216b4350337dd43b84507412d16fad7d27"),
 ]
 
 
@@ -413,13 +416,30 @@ class TestOperatorCommand:
         assert doc["max_abs_difference"] < 1e-8
 
     def test_appendix_demo_past_float_range(self, capsys):
-        """Past n = 1030 the remainder term leaves the float range; it is
-        reported as Infinity, where an OverflowError once ended the run."""
+        """Past n = 1030 the remainder term leaves the float range, where an
+        OverflowError once ended the run.  The output is strict JSON (RFC
+        8259 has no Infinity token): the value is written as "inf"."""
         code, out, _ = run(capsys, "operator", "appendix-demo", "--n", "1100")
         assert code == 0
-        doc = json.loads(out)
-        assert doc["remainder_at_J"] == math.inf
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["remainder_at_J"] == "inf"
         assert doc["max_abs_difference"] < 1e-8
+
+    def test_report_json_is_strict(self, capsys):
+        """A non-finite float in a report (here the rectangle's eps) is
+        written as a string, and every other value as before."""
+        code, out, _ = run(capsys, "operator", "check-mean-bound", "--n-max", "3",
+                           "--eps", "inf")
+        assert code == 0
+        doc = json.loads(out, parse_constant=lambda token: pytest.fail(token))
+        assert doc["rectangle"]["eps"] == "inf" and doc["rectangle"]["M"] == 1.0
+        text = artifact.report.dumps({"a": [1.5, -math.inf, (math.nan, 2)], "b": math.inf})
+        assert json.loads(text, parse_constant=lambda token: pytest.fail(token)) == {
+            "a": [1.5, "-inf", ["nan", 2]], "b": "inf"}
 
     def test_random_stochastic_deterministic(self, capsys):
         code, out1, _ = run(

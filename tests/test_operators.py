@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from artifact import coeffs, operators, powers
+from artifact import arith, coeffs, operators, powers
 from artifact.analysis import technical_C_down
 from artifact.coeffs import alpha, psi_eval
 from artifact.powers import _power_blocks
@@ -516,15 +516,15 @@ class TestClosedFormEnclosure:
     def test_float_rounding_directions(self):
         """float_up gives the least float at or above num / den."""
         for x in (0.375, 0.1, 1.0, 5e-324, 1.7976931348623157e308):
-            assert operators.float_up(*x.as_integer_ratio()) == x
-        up = operators.float_up(1, 3)
+            assert arith.float_up(*x.as_integer_ratio()) == x
+        up = arith.float_up(1, 3)
         assert up > 1 / 3 and Fraction(up) > Fraction(1, 3)
         assert Fraction(math.nextafter(up, 0.0)) < Fraction(1, 3)
-        assert operators.float_up(1, 1 << 1074) == 5e-324
-        assert operators.float_up(1, 1 << 1075) == 5e-324
-        assert operators.float_up(1, 3 << 1074) == 5e-324
-        assert operators.float_up(0) == 0.0
-        assert operators.float_up(1 << 1024) == math.inf
+        assert arith.float_up(1, 1 << 1074) == 5e-324
+        assert arith.float_up(1, 1 << 1075) == 5e-324
+        assert arith.float_up(1, 3 << 1074) == 5e-324
+        assert arith.float_up(0) == 0.0
+        assert arith.float_up(1 << 1024) == math.inf
 
     @pytest.mark.parametrize("a, b", [(a, b) for a in (-1.0, 0.0, 0.5) for b in (0.0, 2.0)])
     def test_tail_below_the_float_range(self, a, b):
@@ -977,10 +977,19 @@ class TestWorkedExample:
 
     def test_remainder_is_the_rounded_quotient(self):
         """Below the float range the term is C(m, k) / 4^p correctly rounded."""
-        for n in [*range(1, 300, 13), 300]:
+        for n in [*range(1, 300, 13), 300, 500]:
             p = (n * n + n) // 2 + 1
             assert S_remainder_at_J(n) == float(Fraction(math.comb(n + 2 * p - 1, p - 1),
                                                           4 ** p)), n
+
+    def test_remainder_forms_no_binomial(self):
+        """C(m, k) of about n^2 bits is enclosed, not formed: at n = 600 it
+        has 361 191 bits, and n = 1024 is the largest n below the overflow
+        shortcut."""
+        for n in (600, 1024):
+            start = time.perf_counter()
+            assert 0 < S_remainder_at_J(n) < math.inf
+            assert time.perf_counter() - start < 1.0, n
 
     @pytest.mark.parametrize("n", [1100, 10 ** 6])
     def test_remainder_past_float_range_is_inf(self, n):
