@@ -26,7 +26,6 @@ import argparse
 import os
 import sys
 from functools import partial
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .arith import rational_str
@@ -74,24 +73,38 @@ def cmd_coeff(args) -> int:
     return 0
 
 
-def _table_cells(kind: str, n_max: int, p_max: int) -> Iterator[tuple[int, int, str]]:
-    """(n, p, exact value) for the table, printed from the exact Decimal rows
-    of `decimal_rows`: alpha(n, p) = row[p], beta(n, p) = alpha(n, p-n) =
-    row[p-n], or 0 for p < n.  The entries are normalized, so the fixed-point
-    format has no trailing zeros and matches `rational_str`."""
+def _table_rows(kind: str, n_max: int, p_max: int) -> Iterator[tuple[int, list[str]]]:
+    """(n, [exact value of cell (n, p) for p = 0..p_max]) for each row of the
+    table, printed from the exact Decimal rows of `decimal_rows`:
+    alpha(n, p) = row[p], beta(n, p) = alpha(n, p-n) = row[p-n], or 0 for
+    p < n.  The entries are normalized, so the fixed-point format has no
+    trailing zeros and matches `rational_str`."""
     for n, row in decimal_rows(n_max, p_max):
-        for p in range(p_max + 1):
-            k = p if kind == "alpha" else p - n
-            yield n, p, format(row[k], "f") if k >= 0 else "0"
+        if kind == "alpha":
+            yield n, [f"{v:f}" for v in row[:p_max + 1]]
+        else:
+            z = min(n, p_max + 1)
+            yield n, ["0"] * z + [f"{v:f}" for v in row[:p_max + 1 - z]]
 
 
-def _json_table(kind: str, cells: Iterable[tuple[int, int, str]]) -> Iterator[str]:
+def _csv_table(rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
+    """The CSV table, one piece per row: its header, then each row's lines."""
+    yield "n,p,value\n"
+    for n, values in rows:
+        head = f"{n},"
+        yield "".join([f"{head}{p},{v}\n" for p, v in enumerate(values)])
+
+
+def _json_table(kind: str, rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
     """The layout of _json({"kind": ..., "entries": [{"n", "p", "value"}]}),
-    piece by piece: values are digits and a '.', so nothing needs escaping."""
+    one piece per row between the fixed header and footer: values are digits
+    and a '.', so nothing needs escaping."""
     yield '{\n  "entries": [\n'
     sep = ""
-    for n, p, v in cells:
-        yield f'{sep}    {{\n      "n": {n},\n      "p": {p},\n      "value": "{v}"\n    }}'
+    for n, values in rows:
+        head = f'    {{\n      "n": {n},\n      "p": '
+        yield sep + ",\n".join([f'{head}{p},\n      "value": "{v}"\n    }}'
+                                for p, v in enumerate(values)])
         sep = ",\n"
     yield f'\n  ],\n  "kind": "{kind}"\n}}'
 
@@ -100,12 +113,9 @@ def cmd_table(args) -> int:
     if args.n_max < 1 or args.p_max < 0:
         raise ValueError(f"table needs n_max >= 1 and p_max >= 0, got "
                          f"{args.n_max} and {args.p_max}")
-    cells = _table_cells(args.kind, args.n_max, args.p_max)
-    if args.format == "json":
-        pieces = _json_table(args.kind, cells)
-    else:
-        pieces = chain(["n,p,value\n"], (f"{n},{p},{v}\n" for n, p, v in cells))
-    _emit(pieces, args.out)
+    rows = _table_rows(args.kind, args.n_max, args.p_max)
+    _emit(_json_table(args.kind, rows) if args.format == "json" else _csv_table(rows),
+          args.out)
     return 0
 
 

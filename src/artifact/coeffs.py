@@ -20,15 +20,17 @@ a power of two:
 `alpha` and `beta` are exact accessors on those mantissas, each from its own
 closed form, so the shift b(n, p+n) = a(n, p) is a real check.  Sweeps over a
 rectangle use `mantissa_rows`, the integer kernel: row 0 is psi^0 = 1, row 1
-comes from the exact ratio recurrence, and every further row from the paper's
-three-term recurrence in mantissa form, a(n+1, p) = a(n, p+1) - a(n-1, p+1),
-which is pure big-integer subtraction.  The `table` export prints from
-`decimal_rows`, the same recurrence in value form on exact Decimals: row 1
-is the integer row 1 over 2^(1+2p), the context is wide enough for every
-entry and traps rounding, and the tests check each entry against the integer
-kernel.  Single cells off a row use
-`alpha_mantissa_walk`: one binomial seeds a path whose n and p never
-decrease, and each further cell is one exact ratio hop.
+comes from the exact ratio recurrence, and every further row is built whole
+from the two before it by the paper's three-term recurrence in mantissa
+form, a(n+1, p) = a(n, p+1) - a(n-1, p+1), which is pure big-integer
+subtraction.  The `table` export prints from `decimal_rows`, the same
+recurrence in value form on exact Decimals: row 1 is the integer row 1 over
+2^(1+2p), the context is wide enough for every entry and traps rounding, and
+the tests check each entry against the integer kernel.  The export builds and
+writes its output one row at a time, so no string of the whole table is
+built.  Single cells off a row use `alpha_mantissa_walk`: one binomial seeds a
+path whose n and p never decrease, and each further cell is one exact ratio
+hop.
 
 An independent oracle builds the same mantissas in integers from the
 binomial series of xi(x) alone: its coefficient ratio (2k-3)/(2k), scaled by
@@ -49,6 +51,7 @@ import math
 from decimal import Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from itertools import count, islice
+from operator import sub
 from typing import Iterable, Iterator, Optional
 
 from .arith import Rational, binomial
@@ -131,10 +134,9 @@ def mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
     """(n, row) for n = 1..n_max, with row[p] = a(n, p) for p = 0..p_max.
 
     Row 0 is psi^0 = 1, i.e. [1, 0, 0, ...], and row 1 comes from the ratio
-    recurrence; row n+1 then overwrites row n-1 in place by a(n+1, p) =
-    a(n, p+1) - a(n-1, p+1), so only two lists are ever alive.  A yielded list
-    is reused two rows later: hold at most the previous row.  Entries past
-    p_max are working space for the later rows.
+    recurrence; each further row is a new list, built in one pass from the
+    two before it by a(n+1, p) = a(n, p+1) - a(n-1, p+1).  Entries past p_max
+    are working space for the later rows: each row is one entry shorter.
     """
     if n_max < 1:
         return
@@ -142,11 +144,7 @@ def mantissa_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[int]]]:
     prev = [1] + [0] * (len(cur) - 1)
     yield 1, cur
     for n in range(2, n_max + 1):
-        width = len(cur) - 1
-        for p in range(width):
-            prev[p] = cur[p + 1] - prev[p + 1]
-        del prev[width:]
-        prev, cur = cur, prev
+        prev, cur = cur, list(map(sub, cur[1:], prev[1:len(cur)]))
         yield n, cur
 
 
@@ -154,14 +152,15 @@ def decimal_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[Decimal]]]:
     """(n, row) for n = 1..n_max, with row[p] = alpha(n, p) as an exact Decimal.
 
     The value form of `mantissa_rows`, for printing: row 0 is psi^0 = 1, row 1
-    is `alpha_mantissa_row` divided by 2^(1+2p), and row n+1 overwrites row
-    n-1 by alpha(n+1, p) = 2 alpha(n, p+1) - alpha(n-1, p+1).  The arithmetic
-    runs in a context of 2(n_max + p_max) digits, more than any entry (or
-    twice one) needs: alpha(n, p) < 1 has n+2p fractional digits.  Inexact and
-    Rounded are trapped, so a result that would need rounding raises.  Every
-    entry is normalized, so format(row[p], "f") prints it exactly under any
-    context.  The caller's context is never changed.  Same reuse contract as
-    `mantissa_rows`.
+    is `alpha_mantissa_row` divided by 2^(1+2p), and each further row is built
+    whole, as a new list, by alpha(n+1, p) = 2 alpha(n, p+1) - alpha(n-1, p+1),
+    with 2x taken as x + x.  The arithmetic runs in a context of
+    2(n_max + p_max) digits, more than any entry (or twice one) needs:
+    alpha(n, p) < 1 has n+2p fractional digits.  Inexact and Rounded are
+    trapped, so a result that would need rounding raises.  Every entry is
+    normalized, so format(row[p], "f") prints it exactly under any context.
+    The caller's context is never changed: each row is built inside the exact
+    context, which is left before the row is yielded.
     """
     if n_max < 1:
         return
@@ -173,12 +172,9 @@ def decimal_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[Decimal]]]:
     prev = [Decimal(1)] + [Decimal(0)] * (len(cur) - 1)
     yield 1, cur
     for n in range(2, n_max + 1):
-        width = len(cur) - 1
         with localcontext(exact):
-            for p in range(width):
-                prev[p] = (2 * cur[p + 1] - prev[p + 1]).normalize()
-        del prev[width:]
-        prev, cur = cur, prev
+            row = [(c + c - q).normalize() for c, q in zip(cur[1:], prev[1:len(cur)])]
+        prev, cur = cur, row
         yield n, cur
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ import pytest
 
 import artifact
 from artifact.arith import parse_rational, rational_str
-from artifact import cli
+from artifact import cli, report
 from artifact.cli import build_parser, main
 from artifact.coeffs import alpha, beta
 from artifact.operators import Norm, random_stochastic, rotation_matrix
@@ -198,6 +199,55 @@ class TestTableCommand:
         code, written, _ = run(capsys, *argv, "--out", str(path))
         assert code == 0 and written == ""
         assert out.encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", ["alpha", "beta"])
+    @pytest.mark.parametrize("n_max, p_max", [(1, 0), (3, 0), (5, 2), (12, 4)])
+    def test_table_is_an_independent_serialization(self, capsys, tmp_path,
+                                                   kind, fmt, n_max, p_max):
+        """Differential check against the per-cell accessors and report.dumps,
+        on stdout and in --out.  In the last three rectangles beta has rows
+        with n > p_max, which are all zeros."""
+        value = alpha if kind == "alpha" else beta
+        cells = [(n, p, rational_str(value(n, p)))
+                 for n in range(1, n_max + 1) for p in range(p_max + 1)]
+        if fmt == "json":
+            want = report.dumps({"kind": kind, "entries": [
+                {"n": n, "p": p, "value": v} for n, p, v in cells]})
+            shown = want + "\n"
+        else:
+            want = shown = "n,p,value\n" + "".join(f"{n},{p},{v}\n" for n, p, v in cells)
+        argv = ["table", "--kind", kind, "--n-max", str(n_max),
+                "--p-max", str(p_max), "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == shown
+        path = tmp_path / f"table.{fmt}"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_piece_holds_at_most_one_row(self, capsys, monkeypatch, fmt):
+        """cmd_table hands _emit the header, one piece per row and the footer,
+        so no string of more than one row of the table is ever built."""
+        handed = []
+        emit = cli._emit
+
+        def spy(text, out):
+            pieces = [text] if isinstance(text, str) else list(text)
+            handed.append(pieces)
+            emit(pieces, out)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        code, out, _ = run(capsys, "table", "--kind", "beta", "--n-max", "8",
+                           "--p-max", "20", "--format", fmt)
+        assert code == 0
+        [pieces] = handed
+        assert "".join(pieces) == (out[:-1] if fmt == "json" else out)
+        row = re.compile(r'"n": (\d+),' if fmt == "json" else r"^(\d+),", re.M)
+        rows = [set(row.findall(piece)) for piece in pieces]
+        assert all(len(r) <= 1 for r in rows), rows
+        assert [n for r in rows for n in r] == [str(n) for n in range(1, 9)]
 
     def test_bad_size_opens_no_file(self, capsys, tmp_path):
         """The size is checked before the output file is opened."""
