@@ -3,15 +3,15 @@
 Every identity check in this package is decided in exact arithmetic.  The value
 type is `Rational` (stdlib `fractions.Fraction`: always reduced, denominator
 positive, exact field operations).  Any other value (pi, e, a square root, a
-closed form in Z[sqrt(1-a)]) is an `Enclosure`: ints lo <= hi over 2^E, E per
-instance, each result cut outward to K significant bits.  pi and exp come
-from integer series that count their truncation error (Brent and Zimmermann,
-Modern Computer Arithmetic, CUP 2010, ch. 4).  `certified_le` /
-`certified_ge` pass only if a rational clears the unfavorable end, an
-integer inequality, so a pass is a proof; `certified_ge_threshold` solves
-the ge comparison of N x for N.  Floats are read out here and nowhere else:
-`Enclosure.down`, `up` and `nearest`, and `float_down`, `float_up` and
-`sqrt_up` of an exact num / den.
+closed form (1 + sqrt(1-a))^-k) is an `Enclosure`: ints lo <= hi over 2^E,
+E and the precision K per instance, each result cut outward to K significant
+bits.  pi and exp come from integer series that count their truncation error
+(Brent and Zimmermann, Modern Computer Arithmetic, CUP 2010, ch. 4).
+`certified_le` / `certified_ge` pass only if a rational clears the
+unfavorable end, an integer inequality, so a pass is a proof;
+`certified_ge_threshold` solves the ge comparison of N x for N.  Floats are
+read out here and nowhere else: `Enclosure.down`, `up` and `nearest`, and
+`float_down`, `float_up` and `sqrt_up` of an exact num / den.
 
 Exact values print as decimal digits through `decimal`, whose int conversion
 is exact and, unlike str(int), has no limit on the number of digits.
@@ -171,21 +171,18 @@ def _end_ratio(m: int, E: int) -> tuple[int, int]:
 
 class Enclosure:
     """A real x >= 0 with lo / 2^E <= x <= hi / 2^E: ints 0 <= lo <= hi cut
-    outward to K significant bits (hi <= 2^K), E of either sign.  Enclosure(q)
-    encloses an int, Fraction or float q >= 0, exactly when q is a dyadic of
-    at most BITS bits; `*`, `/` and q minus an Enclosure hold the exact result
-    for all values the operands hold, cut to BITS bits; `between` encloses
-    exact ends at a K that its caller deepens."""
+    outward to K significant bits (hi <= 2^K), E of either sign, K carried
+    with the value.  Enclosure(q) encloses an int, Fraction or float q >= 0
+    at BITS bits, exactly when q is a dyadic of at most BITS bits; `*`, `/`,
+    `+` and q minus an Enclosure hold the exact result for all values the
+    operands hold, cut to the operands' K (the larger of two; an exact
+    operand is enclosed at the other's K); `between` encloses exact ends at
+    a K that its caller deepens."""
 
-    __slots__ = ("lo", "hi", "E")
+    __slots__ = ("lo", "hi", "E", "K")
 
     def __new__(cls, q: Rational | float):
-        if not isinstance(q, (int, Fraction, float)):
-            raise TypeError(f"an Enclosure operand must be exact, got {q!r}")
-        num, den = q.as_integer_ratio()
-        if num < 0:
-            raise ValueError(f"an Enclosure operand must be >= 0, got {q!r}")
-        return cls.between(num, den, num, den, 0)
+        return _operand(q, BITS)
 
     @classmethod
     def between(cls, l: int, ld: int, h: int, hd: int, s: int, K: int = BITS) -> "Enclosure":
@@ -195,7 +192,7 @@ class Enclosure:
         lo, hi = _floor_shift(l, ld, s + E), -_floor_shift(-h, hd, s + E)
         x = max(hi.bit_length() - K, 0)
         new = object.__new__(cls)
-        new.lo, new.hi, new.E = lo >> x, -(-hi >> x), E - x
+        new.lo, new.hi, new.E, new.K = lo >> x, -(-hi >> x), E - x, K
         return new
 
     @staticmethod
@@ -214,38 +211,51 @@ class Enclosure:
 
     def sqrt(self) -> "Enclosure":
         """isqrt of the floor and of the ceiling of x 2^(2t-E), over 2^t."""
-        t = (2 * BITS + 2 - self.hi.bit_length() + self.E) // 2
+        t = (2 * self.K + 2 - self.hi.bit_length() + self.E) // 2
         s = 2 * t - self.E
         top = -_floor_shift(-self.hi, 1, s)
         hi = math.isqrt(top)
         return Enclosure.between(math.isqrt(_floor_shift(self.lo, 1, s)), 1,
-                                 hi + (hi * hi < top), 1, -t)
+                                 hi + (hi * hi < top), 1, -t, self.K)
 
     def __mul__(self, other):
-        other = _operand(other)
+        other = _operand(other, self.K)
         s = -self.E - other.E
-        return Enclosure.between(self.lo * other.lo, 1, self.hi * other.hi, 1, s)
+        return Enclosure.between(self.lo * other.lo, 1, self.hi * other.hi, 1, s,
+                                 max(self.K, other.K))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _operand(other)
+        other = _operand(other, self.K)
         if not other.lo:
             raise ZeroDivisionError("the divisor's enclosure contains 0")
         s = other.E - self.E
-        return Enclosure.between(self.lo, other.hi, self.hi, other.lo, s)
+        return Enclosure.between(self.lo, other.hi, self.hi, other.lo, s,
+                                 max(self.K, other.K))
 
     def __rtruediv__(self, other):
-        return _operand(other) / self
+        return _operand(other, self.K) / self
+
+    def __add__(self, other):
+        other = _operand(other, self.K)
+        E = max(other.E, self.E)
+        a, b = E - other.E, E - self.E
+        return Enclosure.between((other.lo << a) + (self.lo << b), 1,
+                                 (other.hi << a) + (self.hi << b), 1, -E,
+                                 max(self.K, other.K))
+
+    __radd__ = __add__
 
     def __rsub__(self, other):
-        left = _operand(other)
+        left = _operand(other, self.K)
         E = max(left.E, self.E)
         a, b = E - left.E, E - self.E
         low = (left.lo << a) - (self.hi << b)
         if low < 0:
             raise ValueError(f"{other!r} minus the enclosure is not certainly >= 0")
-        return Enclosure.between(low, 1, (left.hi << a) - (self.lo << b), 1, -E)
+        return Enclosure.between(low, 1, (left.hi << a) - (self.lo << b), 1, -E,
+                                 max(self.K, left.K))
 
     def down(self) -> float:
         """The greatest float at or below the lower end."""
@@ -278,8 +288,17 @@ class Enclosure:
         return f"Enclosure[{self.lo} / 2^{self.E}, {self.hi} / 2^{self.E}]"
 
 
-def _operand(x) -> Enclosure:
-    return x if isinstance(x, Enclosure) else Enclosure(x)
+def _operand(x, K: int) -> Enclosure:
+    """x if it is an Enclosure, else the exact int, Fraction or float x >= 0
+    enclosed at K bits."""
+    if isinstance(x, Enclosure):
+        return x
+    if not isinstance(x, (int, Fraction, float)):
+        raise TypeError(f"an Enclosure operand must be exact, got {x!r}")
+    num, den = x.as_integer_ratio()
+    if num < 0:
+        raise ValueError(f"an Enclosure operand must be >= 0, got {x!r}")
+    return Enclosure.between(num, den, num, den, 0, K)
 
 
 def _atan_inv(k: int) -> tuple[int, int]:

@@ -42,7 +42,7 @@ helpers evaluate psi(x)^n and its truncated series.
 The worked example's boundary sum S(n) = sum_p (-1/4)^p C(n+2p-1, p-1) at
 x = -1 is not summed here: it is -(2^n/n) (psi^n)'(-1).  `operators` rounds
 that closed form, and psi(a)^n and (psi^n)'(a) on scalar and Jordan matrices,
-a = -1 included, by one exact routine in Z[sqrt(1-a)].
+a = -1 included, by one routine of `arith.Enclosure` operations.
 """
 
 from __future__ import annotations

@@ -23,12 +23,13 @@ power, with tail 0.
 Scalar matrices a*I and 2x2 Jordan blocks [[a, b], [0, a]] with |a| <= 1
 take no reduction: A^n has psi(a)^n = (1 + s)^(-n), s = sqrt(1-a), on the
 diagonal and b (psi^n)'(a) = (b n / 2) / ((1 + s)^(n+1) s) above it.
-`_closed_form` encloses each in Z[s] as an `arith.Enclosure` and reads out
-the nearest float with the least float at or above its distance, so the
-reported tail, those combined in `norm` and rounded up, is a proof (0 when
-the values are exact; 5e-324 or more when an entry underflows to 0).  The
-derivative diverges at a = 1, and an entry past the float range has an
-infinite bound; both are signalled.
+`_closed_form` builds each from `arith.Enclosure` operations at K bits (s
+from a cached square root, the powers of 1 + s from cached squarings) and
+reads out the nearest float with the least float at or above its distance,
+so the reported tail, those combined in `norm` and rounded up, is a proof
+(0 when the values are exact; 5e-324 or more when an entry underflows to
+0).  The derivative diverges at a = 1, and an entry past the float range
+has an infinite bound; both are signalled.
 
 The module also carries the theorem-scale checks (power-bounded and
 mean-bounded difference bounds, Cesaro square-root domination), each walking
@@ -153,6 +154,8 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
     total = np.zeros((T.dim, T.dim))
     for block in _power_blocks(T.array, N):
         total = _prefix_sums(total, block)[-1]
+        if not np.isfinite(total).all():
+            raise ValueError("matrix power overflowed to non-finite entries")
     return DenseMatrix(dim=T.dim, array=total / N)
 
 
@@ -160,71 +163,29 @@ def cesaro(T: DenseMatrix, N: int) -> DenseMatrix:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _mul(f: tuple[int, int, int], g: tuple[int, int, int], an: int, e: int, K: int,
-         up: bool) -> tuple[int, int, int]:
-    """f g in Z[s] over powers of two, s^2 = 1 - an / 2^e, rounded up or down.
-
-    An element (P, Q, E) is (P + Q s) / 2^E.  (P1 + Q1 s)(P2 + Q2 s) =
-    P1 P2 + Q1 Q2 (1 - a) + (P1 Q2 + P2 Q1) s, with Q1 Q2 a rounded to an
-    integer, so a product has the bits of its factors whatever e is; then
-    P is cut to K bits, and Q shifted alike.  Every coefficient is >= 0 and
-    1 - a >= 0, so rounding both up (down) bounds the product from above
-    (below) when the factors are so bounded.
-    """
-    (P1, Q1, E1), (P2, Q2, E2) = f, g
-    PP, QQ = P1 * P2, Q1 * Q2
-    P, Q = PP + QQ - _times_a(QQ, an, e, up), (P1 + Q1) * (P2 + Q2) - PP - QQ
-    x = max(P.bit_length() - K, 0)
-    if up:
-        return -(-P >> x), -(-Q >> x), E1 + E2 - x
-    return P >> x, Q >> x, E1 + E2 - x
-
-
-def _times_a(Q: int, an: int, e: int, up: bool) -> int:
-    """Q a, a = an / 2^e, rounded so that Q minus it is Q (1 - a) rounded up
-    when `up`, else down."""
-    return Q * an >> e if up else -(-Q * an >> e)
+@functools.lru_cache(maxsize=256)
+def _root(m: int, e: int, K: int) -> Enclosure:
+    """s = sqrt(m / 2^e) at K bits."""
+    return Enclosure.between(m, 1, m, 1, -e, K).sqrt()
 
 
 @functools.lru_cache(maxsize=256)
-def _square(an: int, e: int, K: int, up: bool, i: int) -> tuple[int, int, int]:
-    """(1+s)^(2^i), s = sqrt(1 - an / 2^e), by i squarings of (2^K, 2^K, K),
-    each a `_mul`; cached, so the entries and the powers n of one matrix,
-    and the S(n) of one run, share them."""
+def _square(m: int, e: int, K: int, i: int) -> Enclosure:
+    """(1+s)^(2^i), s = sqrt(m / 2^e), by i squarings of 1 + s at K bits;
+    cached, so the entries and the powers n of one matrix, and the S(n) of
+    one run, share them."""
     if not i:
-        return 1 << K, 1 << K, K
-    f = _square(an, e, K, up, i - 1)
-    return _mul(f, f, an, e, K, up)
+        return 1 + _root(m, e, K)
+    f = _square(m, e, K, i - 1)
+    return f * f
 
 
-def _power(an: int, e: int, k: int, j: int, K: int, up: bool) -> tuple[int, int, int]:
-    """(P, Q, E) with (P + Q s) / 2^E at or above (`up`) or at or below
-    (1+s)^k s^j, where s = sqrt(1 - an / 2^e): the product of the
-    `_square`s of k's binary digits, times s, which maps P + Q s to
-    Q (1 - a) + P s."""
-    acc = None
-    for i in range(k.bit_length()):
-        if k >> i & 1:
-            f = _square(an, e, K, up, i)
-            acc = f if acc is None else _mul(acc, f, an, e, K, up)
-    P, Q, E = acc
-    return (Q - _times_a(Q, an, e, up), P, E) if j else (P, Q, E)
-
-
-def _enclosure(c: Fraction, an: int, e: int, k: int, j: int, K: int) -> Enclosure:
-    """c / ((1+s)^k s^j), s = sqrt(1 - an / 2^e), enclosed at K bits: with
-    1 - a = m / 2^e and r = isqrt(floor(m 4^K / 2^e)), s 2^K lies in [r, t],
-    t = r + 1 unless r^2 = m 4^K / 2^e, and the value decreases in s and in
-    `_power`'s (P + Q s) / 2^E, so it lies between c 2^(E+K) / (P 2^K + Q t)
-    and c 2^(E+K) / (P 2^K + Q r) for its bounds from above and below.  E + K
-    stays an exponent: |E| is near 1.3e9 for (1+sqrt(2))^(10^9)."""
-    m = (1 << e) - an
-    r = math.isqrt(m << 2 * K >> e)
-    t = r + (r * r << e != m << 2 * K)
-    (P1, Q1, E1), (P2, Q2, E2) = _power(an, e, k, j, K, True), _power(an, e, k, j, K, False)
-    s, num, den = min(E1, E2), c.numerator, c.denominator
-    return Enclosure.between(num << E1 - s, den * ((P1 << K) + Q1 * t),
-                             num << E2 - s, den * ((P2 << K) + Q2 * r), s + K, K)
+def _enclosure(c: Fraction, m: int, e: int, k: int, j: int, K: int) -> Enclosure:
+    """c / ((1+s)^k s^j), s = sqrt(m / 2^e), at K bits: the divisor is the
+    product of the `_square`s of k's binary digits, times s when j = 1.  Its
+    exponent E is an int: |E| is near 1.3e9 for (1+sqrt(2))^(10^9)."""
+    factors = [_square(m, e, K, i) for i in range(k.bit_length()) if k >> i & 1]
+    return c / functools.reduce(Enclosure.__mul__, factors + [_root(m, e, K)] * j)
 
 
 def _closed_form(c: Fraction, a: float, k: int, j: int) -> tuple[float, float]:
@@ -232,16 +193,23 @@ def _closed_form(c: Fraction, a: float, k: int, j: int) -> tuple[float, float]:
     float at or above its distance to the exact value (0 when it is a float),
     for c > 0, a <= 1, k >= 1, j in {0, 1} and a < 1 when j = 1: `_enclosure`
     read out by `Enclosure.nearest`, K doubling until it decides, as it does
-    once an irrational value leaves every float or a float value is exact.
-    K starts at CLOSED_FORM_BITS + e: for a small |a| of e fraction bits, the
-    value c 2^-k (1 + O(k a)) lies within about 2^(52-e) of c 2^-k, a distance
-    the tail has to resolve."""
+    once an irrational value leaves every float or a float value is exact;
+    at a small K the divisor's enclosure can reach 0, which decides nothing.
+    K starts at CLOSED_FORM_BITS + e, 1 - a = m / 2^e: for a small |a| of e
+    fraction bits, the value c 2^-k (1 + O(k a)) lies within about 2^(52-e)
+    of c 2^-k, a distance the tail has to resolve."""
+    if j and a == 1.0:  # no K would decide
+        raise ZeroDivisionError("s = sqrt(1 - a) is 0 at a = 1")
     an, den = a.as_integer_ratio()
     e = den.bit_length() - 1
     K = CLOSED_FORM_BITS + e
-    while not (found := _enclosure(c, an, e, k, j, K).nearest()):
+    while True:
+        try:
+            if found := _enclosure(c, den - an, e, k, j, K).nearest():
+                return found
+        except ZeroDivisionError:
+            pass
         K *= 2
-    return found
 
 
 def _as_jordan(T: DenseMatrix) -> Optional[tuple[float, float]]:
@@ -362,8 +330,10 @@ def _evaluate(
         steps = (P + 1).bit_length() - 1
         tails = {n: 0.0 for n in n_list}
     else:
+        num, den = M.as_integer_ratio()
+
         def tail(n: int, k: int) -> float:
-            return math.nextafter(n * M, math.inf) * 2.0 ** -(k + 1)
+            return float_up(n * num, den << (k + 1))
 
         top = max(n_list)
         k = next((k for k in range(LR_STEP_CAP) if tail(top, k) <= eps), None)
@@ -651,7 +621,7 @@ def S_value(n: int) -> float:
     so S(n) = -(2^n/n) (psi^n)'(-1) with psi(-1) = 1/(1+sqrt(2)) = sqrt(2)-1.
 
     The rounding is `_closed_form`'s at c = 2^(n-1), a = -1, k = n+1, j = 1,
-    the Jordan closed form of `brunel` in Z[sqrt(2)].
+    the Jordan closed form of `brunel`.
     """
     _check_positive(n=n)
     return -_closed_form(Fraction(1 << (n - 1)), -1.0, n + 1, 1)[0]
@@ -695,16 +665,13 @@ def S_remainder_at_J(n: int) -> float:
 
 def _binomial_over(m: int, k: int, e: int, K: int) -> Enclosure:
     """C(m, k) / 2^e = (m/k) ((m-1)/(k-1)) ... ((m-k+1)/1) / 2^e at K bits:
-    each step multiplies both ends by the ratio of 64 factors (`math.perm`),
-    the lower end rounded down and the upper up, and cuts them to K bits."""
-    lo = hi = 1 << K
-    x = -K  # the ends are lo 2^x and hi 2^x
+    each step multiplies both ends by the exact ratio of 64 factors
+    (`math.perm`) and cuts them outward to K bits."""
+    bound = Enclosure.between(1, 1, 1, 1, -e, K)
     for i in range(0, k, 64):
         f, g = math.perm(m - i, min(64, k - i)), math.perm(k - i, min(64, k - i))
-        lo, hi = lo * f // g, -(-hi * f // g)
-        cut = max(hi.bit_length() - K, 0)
-        lo, hi, x = lo >> cut, -(-hi >> cut), x + cut
-    return Enclosure.between(lo, 1, hi, 1, x - e, K)
+        bound = Enclosure.between(bound.lo * f, g, bound.hi * f, g, -bound.E, K)
+    return bound
 
 
 @dataclass

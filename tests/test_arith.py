@@ -257,18 +257,31 @@ class TestEnclosure:
     @settings(max_examples=300)
     def test_operations_round_outward(self, a, b):
         """Each operation contains the exact result, from exact operands and
-        from inexact ones (a / 7 and b / 3 enclose non-dyadic values)."""
+        from inexact ones (a / 7 and b / 3 enclose non-dyadic values), at
+        BITS, at 256 bits and at mixed K.  A result carries the larger K of
+        its operands, with hi <= 2^K, and an exact operand is enclosed at the
+        other operand's K: cut to BITS beside a 256-bit A, b would leave A * b
+        about 2^127 units wide."""
+        def at(q: Fraction, K: int) -> Enclosure:
+            return Enclosure.between(q.numerator, q.denominator, q.numerator, q.denominator, 0, K)
+
         for A, B, x, y in ((Enclosure(a), Enclosure(b), a, b),
-                           (Enclosure(a) / 7, Enclosure(b) / 3, a / 7, b / 3)):
+                           (Enclosure(a) / 7, Enclosure(b) / 3, a / 7, b / 3),
+                           (at(a, 256) / 7, at(b, 256) / 3, a / 7, b / 3),
+                           (at(a, 256) / 7, Enclosure(b) / 3, a / 7, b / 3),
+                           (Enclosure(a) / 7, at(b, 256) / 3, a / 7, b / 3)):
             assert contains(A, x) and contains(B, y)
-            assert contains(A * B, x * y)
-            assert contains(A * b, x * b) and contains(b * A, x * b)
-            assert contains(A / B, x / y)
-            assert contains(A / b, x / b) and contains(b / A, b / x)
-            top = math.ceil(x) + 1
-            assert contains(top - A, top - x)
+            K, top = max(A.K, B.K), math.ceil(x) + 1
+            with_b = [(A * b, x * b), (b * A, x * b), (A / b, x / b), (b / A, b / x),
+                      (A + b, x + b), (b + A, x + b)]
+            for bound, value, want_K in [(A * B, x * y, K), (A / B, x / y, K),
+                                         (A + B, x + y, K), (top - A, top - x, A.K),
+                                         *((bound, value, A.K) for bound, value in with_b)]:
+                assert contains(bound, value) and bound.K == want_K and bound.hi <= 2 ** want_K
+            for bound, _ in with_b:
+                assert bound.hi - bound.lo < 256
             root = A.sqrt()
-            assert root.lo ** 2 <= x * scale(root) ** 2 <= root.hi ** 2
+            assert root.K == A.K and root.lo ** 2 <= x * scale(root) ** 2 <= root.hi ** 2
 
     @given(positives, st.floats(min_value=1e-6, max_value=1e6))
     def test_float_operands_are_exact(self, a, f):

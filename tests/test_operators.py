@@ -1,5 +1,6 @@
 """Tests for matrix-scale series evaluation and the operator theorems."""
 
+import hashlib
 import json
 import math
 import time
@@ -235,6 +236,12 @@ class TestCesaro:
     def test_domain(self):
         with pytest.raises(ValueError):
             cesaro(APPENDIX_T, 0)
+
+    def test_overflow_names_the_powers(self):
+        """A finite input whose powers overflow is not blamed: the sums stop
+        at the first non-finite one."""
+        with pytest.raises(ValueError, match="matrix power overflowed"):
+            cesaro(DenseMatrix.from_rows([[1e200]]), 3)
 
     @pytest.mark.parametrize("T", [random_stochastic(3, 5), random_stochastic(32, 5),
                                    APPENDIX_T], ids=["row3", "row32", "appendix"])
@@ -512,6 +519,22 @@ class TestClosedFormEnclosure:
                 assert tail <= eps
                 if b == 0.0 and a in (0.0, 1.0):
                     assert tail == 0.0
+
+    def test_closed_form_edge_grid_pinned(self):
+        """_closed_form(1, a, k, j), value and tail, on the edges of a: the
+        subnormals, the floats next to 1 and -1, and the ends 0, -1 and 1.
+        The digest was taken from the Z[sqrt(1-a)] arithmetic that the
+        Enclosure expressions replaced; a change in any output bit moves it."""
+        rows = [f"{a.hex()} {k} {j} " + " ".join(x.hex() for x in
+                                                operators._closed_form(Fraction(1), a, k, j))
+                for a in (5e-324, -5e-324, 1 - 2 ** -52, -(1 - 2 ** -52), -1.0, 0.0, 0.75, 1.0)
+                for k in (*range(1, 9), 61, 3000, 10 ** 5) for j in (0, 1)
+                if not (a == 1.0 and j)]
+        assert len(rows) == 165
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+            "1144459848cfc8450201f765b579243cd941db79d255be49cad924bf5234bc3c")
+        with pytest.raises(ZeroDivisionError):  # s = 0 divides at a = 1, j = 1
+            operators._closed_form(Fraction(1), 1.0, 3, 1)
 
     def test_float_rounding_directions(self):
         """float_up gives the least float at or above num / den."""
@@ -944,7 +967,8 @@ class TestWorkedExample:
         returns the floats it returns from CLOSED_FORM_BITS + e: S(n), and on
         a Jordan block every entry and tail.  The small n are the ones that
         retry: the ends differ by about one unit of 2^-K in a value near
-        2^-(1.27 n)."""
+        2^-(1.27 n).  A round is one `_enclosure` call, counted also when
+        its divisor's enclosure reaches 0."""
         T = DenseMatrix.from_rows([[0.5, 0.7], [0.0, 0.5]])
         ns = range(1, 61)
 
@@ -953,14 +977,14 @@ class TestWorkedExample:
                     for mat, tail in evaluate_powers(T, ns, 1.0, norm)[0].values()]
 
         want_S, want_T = [S_value(n) for n in ns], jordan()
-        isqrt, rounds = math.isqrt, []
+        enclosure, rounds = operators._enclosure, []
 
-        def counting_isqrt(x):
+        def counting_enclosure(*args):
             rounds[-1] += 1
-            return isqrt(x)
+            return enclosure(*args)
 
         monkeypatch.setattr(operators, "CLOSED_FORM_BITS", 1)
-        monkeypatch.setattr(operators.math, "isqrt", counting_isqrt)
+        monkeypatch.setattr(operators, "_enclosure", counting_enclosure)
         got = []
         for n in ns:
             rounds.append(0)
