@@ -16,9 +16,9 @@ up: twice the truncation, the other half being headroom for float rounding,
 which is not bounded.  M is the largest ||T^p|| over a probe window
 (`powers._walk`), so the power-boundedness of T is probed, not proved; a
 guard stops the reduction when an iterate is non-finite or
-||Pi_j|| > 2 M 2^-(j+1).  At most LR_STEP_CAP steps are taken.  A nilpotent
-T (a probed power of norm 0) takes the steps that reach its last nonzero
-power, with tail 0.
+||Pi_j|| > 2 M 2^-(j+1).  At most LR_STEP_CAP steps are taken.  The bound
+holds for a nilpotent T too, so a T with a zero float power takes the same
+steps, and its tail is positive: M = 0 only at T = 0, a closed form.
 
 Scalar matrices a*I and 2x2 Jordan blocks [[a, b], [0, a]] with |a| <= 1
 take no reduction: A^n has psi(a)^n = (1 + s)^(-n), s = sqrt(1-a), on the
@@ -74,7 +74,11 @@ class Norm(enum.Enum):
         if self is Norm.OPINF:
             value = np.abs(arr).sum(axis=-1).max(axis=-1)
         elif self is Norm.FROBENIUS:
-            value = np.sqrt((arr * arr).sum(axis=(-2, -1)))
+            # squares at a power-of-two scale: entries near 1e-200 do not
+            # underflow, and the exact scaling keeps every other norm's bits
+            _, e = np.frexp(np.abs(arr).max(axis=(-2, -1), keepdims=True))
+            scaled = np.ldexp(arr, -e)
+            value = np.ldexp(np.sqrt((scaled * scaled).sum(axis=(-2, -1))), e[..., 0, 0])
         else:
             value = np.abs(arr).max(axis=(-2, -1))
         return float(value) if arr.ndim == 2 else value
@@ -128,7 +132,11 @@ def matrix_from_dict(data: dict) -> DenseMatrix:
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                for r in rows for x in r):
         raise ValueError("matrix entries must be numbers")
-    return DenseMatrix(dim=dim, array=np.asarray(rows, dtype=np.float64))
+    try:
+        array = np.asarray(rows, dtype=np.float64)
+    except OverflowError:  # an int past the float range
+        raise ValueError("matrix entries must be finite") from None
+    return DenseMatrix(dim=dim, array=array)
 
 
 def load_matrix(path) -> DenseMatrix:
@@ -234,10 +242,10 @@ def evaluate_powers(
     """A^n(T) for every n in n_list, from one probe and one reduction.
 
     Returns ({n: (matrix, tail_bound)}, P).  tail_bound is measured in `norm`.
-    P is the agreement degree: on the general path every A^n is exact through
-    T^P, P = 2^(K+1) - 2 after K reduction steps, or on a nilpotent T the last
-    nonzero power; it is 0 on scalar and Jordan inputs, whose closed forms read
-    no term.
+    P is the agreement degree: on the general path the series of every G^n
+    agrees with that of A^n through T^P, P = 2^(K+1) - 2 after K reduction
+    steps; it is 0 on scalar and Jordan inputs, whose closed forms read no
+    term.
     """
     return _evaluate(T, n_list, eps, norm, probe_len)
 
@@ -291,7 +299,7 @@ def _evaluate(
     T: DenseMatrix, n_list: Sequence[int], eps: float, norm: Norm,
     probe_len: int, walk: Optional[_Walk] = None,
 ) -> tuple[dict[int, tuple[np.ndarray, float]], int]:
-    """`evaluate_powers`; the general path reads the norms of `walk` when given."""
+    """`evaluate_powers`; the general path reads M from `walk` when given."""
     _check_request(n_list, eps, probe_len)
     d = T.dim
 
@@ -321,38 +329,29 @@ def _evaluate(
             out[n] = (mat, tail)
         return out, 0
 
-    norms = (walk or _walk(T, probe_len, norm)).norms
-    M = max(norms)
-    if norms[-1] == 0.0:
-        # nilpotent: A^n is a polynomial of degree P < the zero index, and
-        # K steps agree with it through degree 2^(K+1) - 2 >= P
-        P = len(norms) - 1
-        steps = (P + 1).bit_length() - 1
-        tails = {n: 0.0 for n in n_list}
-    else:
-        num, den = M.as_integer_ratio()
+    M = (walk or _walk(T, probe_len, norm)).M
+    num, den = M.as_integer_ratio()
 
-        def tail(n: int, k: int) -> float:
-            return float_up(n * num, den << (k + 1))
+    def tail(n: int, k: int) -> float:
+        return float_up(n * num, den << (k + 1))
 
-        top = max(n_list)
-        k = next((k for k in range(LR_STEP_CAP) if tail(top, k) <= eps), None)
-        if k is None:
-            raise NonConvergenceError(
-                f"tail <= {eps:g} needs more than {LR_STEP_CAP} reduction steps")
-        steps = k + 1
-        P = 2 ** (steps + 1) - 2
-        tails = {n: tail(n, k) for n in n_list}
-
+    top = max(n_list)
+    k = next((k for k in range(LR_STEP_CAP) if tail(top, k) <= eps), None)
+    if k is None:
+        raise NonConvergenceError(
+            f"tail <= {eps:g} needs more than {LR_STEP_CAP} reduction steps")
+    steps = k + 1
     G = _reduce(T, steps, M, norm)
-    return {n: (np.linalg.matrix_power(G, n), tails[n]) for n in n_list}, P
+    powers = {n: (np.linalg.matrix_power(G, n), tail(n, k)) for n in n_list}
+    return powers, 2 ** (steps + 1) - 2
 
 
 @dataclass
 class BrunelResult:
     """A^n_power(T), its tail bound in `norm_used`, and `truncation_P`, the
-    agreement degree: the result is exact through T^truncation_P (0 on the
-    closed forms, which read no term)."""
+    agreement degree: on the general path the series of the result agrees
+    with that of A^n through T^truncation_P (0 on the closed forms, which
+    read no term)."""
 
     matrix: DenseMatrix
     truncation_P: int
@@ -508,7 +507,7 @@ def _difference_theorem(
         M, walk = _mean_bound(*jordan, T.dim, norm, probe_len), None
     else:
         walk = _walk(T, probe_len, norm, means)
-        M = max([1.0] + (walk.means if means else walk.norms))
+        M = max(1.0, walk.M_mean if means else walk.M)
     norm_bound, diff_bound = norm_factor * M, diff_factor * M
     powers, P = _evaluate(T, n_list, eps, norm, probe_len, walk)
     report = VerifyReport(

@@ -7,12 +7,12 @@ buffer by `np.matmul(..., out=...)`: the bits of a fresh `power @ T`, so
 the blocks leave the chain as a loop over single powers forms it.
 
 The probe `_walk` reads ||T^p|| and, for the mean check on the general path,
-the Cesaro means a block at a time, and stops once the float chain repeats a
-power exactly, past which the norms are known: M = sup_p ||T^p|| and the
-probed norms are those of a walk over every power, bit for bit.  Its errors
-are the probe's: a power or a mean past PROBE_CUTOFF.  The closed-form
-inputs of `operators` take the sup of their means from exact sums, not from
-this walk.
+the Cesaro means a block at a time, and returns only their sups M and M_mean.
+It stops once the float chain repeats a power exactly, as the norms past the
+repeat are ones already read, so M is that of a walk over every power, bit
+for bit.  Its errors are the probe's: a power or a mean past PROBE_CUTOFF.
+The closed-form inputs of `operators` take the sup of their means from exact
+sums, not from this walk.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def _prefix_sums(total: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 class _Walk(NamedTuple):
-    norms: list[float]
-    means: list[float]
+    M: float  # sup of the probed ||T^p||, p >= 1
+    M_mean: float  # sup of the probed Cesaro means; 0.0 in a walk without means
 
 
 def _probed(value: float, name: str, error: type[RuntimeError]) -> float:
@@ -91,28 +91,28 @@ def _probed(value: float, name: str, error: type[RuntimeError]) -> float:
 def _walk(T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False) -> _Walk:
     """The probe: one walk over T^0..T^probe_len.
 
-    Returns ||T^p|| for p = 1..probe_len (cut after the first zero norm) and,
-    with `means`, ||(T^0 + ... + T^(N-1))/N|| for N = 1..probe_len, cut with
-    the norms, as past a zero power the means only shrink.  The means are
-    those of the general path's mean check, whose series truncation reads
-    the power norms too; they are probed, not proved, as float sums may land
-    on either side of the exact means.
+    Returns M, the sup of ||T^p|| for p = 1..probe_len (cut after the first
+    zero norm) and, with `means`, M_mean, the sup of
+    ||(T^0 + ... + T^(N-1))/N|| for N = 1..probe_len, cut with the norms, as
+    past a zero power the means only shrink.  The means are those of the
+    general path's mean check; they are probed, not proved, as float sums
+    may land on either side of the exact means.
 
     Norms and prefix sums are taken a block at a time, and each power is
     still judged in order: its mean, then its norm, then the zero cut.  A
     walk without means also runs Brent's cycle test (R. P. Brent, BIT 20,
-    1980): the last power T^q of blocks 1, 2, 4, ... becomes the reference,
+    1980): the last power of blocks 1, 2, 4, ... becomes the reference,
     and each later power is compared with it as floats, so a NaN never
     matches.  From a match T^p == T^q the two chains agree up to the signs
     of zero entries, as (+-0) * t is a zero for finite t and x + (+-0) = x
-    for x != 0, and such signs reach no norm.  So the walk stops and
-    repeats ||T^(q+1)||..||T^p|| up to probe_len: the lists, M and any
-    error are those of a walk over every power.
+    for x != 0, and such signs reach no norm.  So the norms past p repeat
+    those already read, and the walk stops: M and any error are those of a
+    walk over every power.
     """
     _check_positive(probe_len=probe_len)
-    power_norms, mean_norms = [], []
+    M = M_mean = 0.0
     total = np.zeros((T.dim, T.dim))
-    start, q, ref = 0, 0, None  # ref: T^q, a power that passed its checks
+    start, ref = 0, None  # ref: a power that passed its checks
     with np.errstate(over="ignore", invalid="ignore"):
         for b, block in enumerate(_power_blocks(T.array, probe_len + 1), start=1):
             size, first = len(block), int(start == 0)  # T^0 has no norm
@@ -125,23 +125,18 @@ def _walk(T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False) -> _W
                 ends[:len(mvals)] = ~(mvals <= PROBE_CUTOFF)
             pvals = norm.compute(block)
             ends |= ~((pvals > 0.0) & (pvals <= PROBE_CUTOFF))
+            if ref is not None:
+                ends |= (block == ref).all(axis=(1, 2))
             stop = _first(ends)
-            hit = size if ref is None else _first((block == ref).all(axis=(1, 2)))
-            if hit < stop:
-                p = start + hit
-                power_norms += pvals[:hit + 1].tolist()
-                cycle, rest = power_norms[q:p], probe_len - p
-                power_norms += (cycle * (rest // len(cycle) + 1))[:rest]
-                break
-            mean_norms += mvals[:stop + 1].tolist()
-            power_norms += pvals[first:stop + 1].tolist()
+            M_mean = float(np.max(mvals[:stop + 1], initial=M_mean))
+            M = float(np.max(pvals[first:stop + 1], initial=M))
             if stop < size:
                 if stop < len(mvals):
                     _probed(float(mvals[stop]), f"M_{start + stop + 1}",
                             MeanBoundProbeError)
                 _probed(float(pvals[stop]), f"T^{start + stop}", SpectralExplosionError)
-                break  # a zero norm
+                break  # a zero norm or a repeat
             start += size
             if not means and b & (b - 1) == 0:
-                q, ref = start - 1, block[-1].copy()
-    return _Walk(power_norms, mean_norms)
+                ref = block[-1].copy()
+    return _Walk(M, M_mean)

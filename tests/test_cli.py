@@ -676,6 +676,18 @@ class TestOperatorCommand:
         assert json.loads(out) == {"error": "ValueError",
                                    "message": "matrix entries must be numbers"}
 
+    def test_huge_integer_matrix_entry(self, capsys, tmp_path):
+        """An integer past the float range passes the number check, and its
+        float conversion once leaked an OverflowError traceback."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 1, "rows": [[10 ** 400]]}))
+        code, out, _ = run(
+            capsys, "operator", "brunel-power", "--matrix", str(path), "--n", "1"
+        )
+        assert code == 1
+        assert json.loads(out) == {"error": "ValueError",
+                                   "message": "matrix entries must be finite"}
+
     def test_missing_matrix_file(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "operator", "brunel-power",

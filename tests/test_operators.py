@@ -51,6 +51,8 @@ ROOT2 = math.sqrt(2.0)
 CYCLE2 = DenseMatrix.from_rows([[0.0, 2.0], [0.5, 0.0]])  # T^2 = I: norms 2, 1
 CYCLE3 = DenseMatrix.from_rows(  # T^3 = I: norms 2, 4, 1
     [[0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [0.25, 0.0, 0.0]])
+SHIFT3 = DenseMatrix(dim=3, array=np.eye(3, k=1))  # T^3 = 0
+TINY_DIAG = DenseMatrix(dim=3, array=np.diag([1e-200, 2e-200, 3e-200]))  # fl(T^2) = 0
 
 
 def sym3() -> DenseMatrix:
@@ -69,8 +71,9 @@ def plain_powers(T: DenseMatrix):
 
 
 def reference_walk(T: DenseMatrix, probe_len: int, norm: Norm, means: bool = False) -> _Walk:
-    """The probe as one loop over single powers, kept as the reference the
-    block walk must equal, list for list and error for error."""
+    """The probe as one loop over single powers and no cycle test, kept as
+    the reference the block walk must equal, sup for sup and error for
+    error."""
     _check_positive(probe_len=probe_len)
     power_norms, mean_norms = [], []
     total = np.zeros((T.dim, T.dim))
@@ -84,7 +87,7 @@ def reference_walk(T: DenseMatrix, probe_len: int, norm: Norm, means: bool = Fal
         power_norms.append(_probed(norm.compute(power), f"T^{p}", SpectralExplosionError))
         if power_norms[-1] == 0.0:
             break
-    return _Walk(power_norms, mean_norms)
+    return _Walk(max(power_norms), max(mean_norms, default=0.0))
 
 
 @pytest.fixture
@@ -189,6 +192,30 @@ class TestNorms:
             assert got.shape == (5,)
             assert [x.hex() for x in got.tolist()] == [norm.compute(m).hex() for m in stack]
 
+    def test_frobenius_keeps_the_unscaled_bits(self):
+        """The squares are taken at a power-of-two scale, which is exact: in
+        the float range the norm has the bits of the plain sum of squares."""
+        rng = np.random.default_rng(1)
+        for d in (1, 3, 16):
+            for exp in range(-140, 141, 20):
+                stack = rng.standard_normal((4, d, d)) * 10.0 ** exp
+                want = np.sqrt((stack * stack).sum(axis=(-2, -1)))
+                assert [x.hex() for x in Norm.FROBENIUS.compute(stack).tolist()] == \
+                    [x.hex() for x in want.tolist()], (d, exp)
+
+    def test_frobenius_scales_before_squaring(self):
+        """The squares of entries near 1e-200 once underflowed to a norm of
+        0.0; those near 1e200 give a finite norm past the probe cutoff, and
+        a non-finite entry still gives a non-finite norm."""
+        tiny = np.diag([1e-200, 1e-200])
+        assert Norm.FROBENIUS.compute(tiny) == pytest.approx(ROOT2 * 1e-200, rel=1e-15)
+        huge = np.full((2, 2), 1e200)
+        assert Norm.FROBENIUS.compute(huge) == pytest.approx(2e200, rel=1e-15)
+        with pytest.raises(SpectralExplosionError, match=r"^\|\|T\^1\|\| = 2e\+200 "):
+            _walk(DenseMatrix.from_rows(huge), 10, Norm.FROBENIUS)
+        for bad in (math.inf, math.nan):
+            assert not math.isfinite(Norm.FROBENIUS.compute(np.array([[bad, 1.0], [0.0, 1.0]])))
+
 
 class TestMatrixPower:
     def test_zero_power_is_identity(self):
@@ -267,18 +294,18 @@ class TestProbes:
             _walk(DenseMatrix.from_rows([[2.0]]), 2000, Norm.OPINF)
 
     def test_power_probe_rotation_is_unit(self):
-        norms = _walk(rotation_matrix(1.0), 100, Norm.OPINF).norms
-        assert max(norms) <= ROOT2 + 1e-12
+        assert _walk(rotation_matrix(1.0), 100, Norm.OPINF).M <= ROOT2 + 1e-12
 
-    def test_power_probe_stops_at_zero(self):
+    def test_power_probe_stops_at_zero(self, power_draws):
+        """T^2 = 0: the walk stops in its first block of 64 powers, and the
+        zero norm does not lower M = ||T||."""
         shift = DenseMatrix.from_rows([[0.0, 1.0], [0.0, 0.0]])
-        norms = _walk(shift, 100, Norm.OPINF).norms
-        assert norms == [1.0, 0.0]
+        assert _walk(shift, 100, Norm.OPINF) == (1.0, 0.0)
+        assert power_draws[0] <= 64
 
     def test_mean_probe_appendix_is_one(self):
         """The float walk's means and the exact sums agree on M = 1."""
-        means = _walk(APPENDIX_T, 500, Norm.OPINF, means=True).means
-        assert max(means) == pytest.approx(1.0)
+        assert _walk(APPENDIX_T, 500, Norm.OPINF, means=True).M_mean == pytest.approx(1.0)
         assert _mean_bound(-1.0, 2.0, 2, Norm.OPINF, 500) == 1.0
 
     @pytest.mark.parametrize("probe_len", [0, -1])
@@ -311,7 +338,7 @@ class TestProbes:
         if T is APPENDIX_T:
             assert _mean_bound(-1.0, 2.0, 2, norm, 2000) == max(1.0, best)
         else:
-            assert max(_walk(T, 2000, norm, means=True).means) == best
+            assert _walk(T, 2000, norm, means=True).M_mean == best
         report = check_mean_bound_theorem(T, n_max=1, norm=norm)
         assert report.rectangle["M"] == max(1.0, best)
 
@@ -354,12 +381,12 @@ WALK_INPUTS = {
 
 
 def walk_outcome(walk, *args):
-    """The hex bits of a walk's norms and means, or its error's type and text."""
+    """The hex bits of a walk's sups M and M_mean, or its error's type and text."""
     try:
         result = walk(*args)
     except (SpectralExplosionError, MeanBoundProbeError) as err:
         return type(err), str(err)
-    return [x.hex() for x in result.norms], [x.hex() for x in result.means]
+    return result.M.hex(), result.M_mean.hex()
 
 
 class TestBlockWalk:
@@ -379,10 +406,9 @@ class TestBlockWalk:
                              ids=["period2", "period3"])
     def test_exact_cycle_norms_in_phase(self, power_draws, T, cycle):
         """The chain repeats exactly, so the walk stops in its second block,
-        against the reference T^63, and fills the norms in phase:
-        ||T^p|| = cycle[(p - 1) mod period]."""
-        norms = _walk(T, 2000, Norm.OPINF).norms
-        assert norms == [cycle[i % len(cycle)] for i in range(2000)]
+        against the reference T^63: the norms past the repeat are ones
+        already read, and M is the largest of one period."""
+        assert _walk(T, 2000, Norm.OPINF).M == max(cycle)
         assert power_draws[0] <= 128
 
 
@@ -455,18 +481,6 @@ class TestBrunelFastPaths:
         T = DenseMatrix.from_rows([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(NonConvergenceError):
             brunel(T, 1, eps=0.1)
-
-    def test_nilpotent_is_exact_polynomial(self):
-        shift = DenseMatrix.from_rows(
-            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
-        )
-        r = brunel(shift, 1, eps=1e-15)
-        expected = (
-            0.5 * np.eye(3) + 0.125 * shift.array + 0.0625 * (shift.array @ shift.array)
-        )
-        assert np.allclose(r.matrix.array, expected, atol=1e-16)
-        assert r.tail_bound == 0.0
-        assert r.truncation_P == 2
 
 
 def reference_jordan(a: float, b: float, d: int, n: int) -> list[list]:
@@ -669,6 +683,62 @@ class TestBrunelGeneralPath:
             assert 0 < tail <= eps
             assert Norm.OPINF.compute(mat - eig_oracle(T, n)) <= tail, n
 
+    @pytest.mark.parametrize("norm", list(Norm), ids=[n.value for n in Norm])
+    @pytest.mark.parametrize("T, n_list", [
+        (SHIFT3, [1, 5]),
+        (DenseMatrix(dim=80, array=np.eye(80, k=1)), [5]),
+        (TINY_DIAG, [1, 5]),
+    ], ids=["shift3", "shift80", "tiny-diag"])
+    def test_zero_float_power_within_tail(self, T, n_list, norm):
+        """A T with a zero float power takes the reduction and its tail
+        n M 2^-(K+1) like any other.  The shifts once reported tail 0.0,
+        although 52 of S_80's 80 row-0 entries at n = 5 are inexact, and
+        diag(1e-200, 2e-200, 3e-200), whose square underflows, returned
+        entries of 0.5 for psi(1e-200) with tail 0.0.  The shifts' entries
+        are compared with alpha(n, j - i) as Fractions, the diagonal's with
+        200 bits of psi(t)^n.  eps = 1e-4 lets S_80 in FRO, M = sqrt(79),
+        stay within LR_STEP_CAP steps."""
+        powers, P = evaluate_powers(T, n_list, 1e-4, norm)
+        assert (P + 2) & (P + 1) == 0  # P = 2^(K+1) - 2
+        for n, (mat, tail) in powers.items():
+            assert 0 < tail <= 1e-4
+            if T is TINY_DIAG:
+                R = [[reference_jordan(t, 0.0, 1, n)[0][0] if i == j else 0 for j, t in
+                      enumerate(np.diag(T.array))] for i in range(T.dim)]
+                with mpmath.workprec(200):
+                    E = [[mpmath.mpf(float(x)) - y for x, y in zip(row, ref)]
+                         for row, ref in zip(mat, R)]
+                    assert reference_norm(E, norm) <= tail, n
+                continue
+            E = [[Fraction(x) - (alpha(n, j - i) if j >= i else 0) for j, x in enumerate(row)]
+                 for i, row in enumerate(mat.tolist())]
+            if norm is Norm.FROBENIUS:
+                assert sum(x * x for row in E for x in row) <= Fraction(tail) ** 2, n
+            else:
+                assert reference_norm(E, norm) <= tail, n
+
+    def test_tiny_entries_in_frobenius(self):
+        """The Frobenius probe once read ||T|| = 0.0 here and returned an
+        off-diagonal entry of 0.0 with tail 0.0.  The reference is
+        psi(T) = [[psi(a), b (psi(a) - psi(c)) / (a - c)], [0, psi(c)]],
+        at 1 500 bits, as the divided difference cancels about 660."""
+        a, b, c = 1e-200, 1e-200, 3e-200
+        r = brunel(DenseMatrix.from_rows([[a, b], [0.0, c]]), 1, norm=Norm.FROBENIUS)
+        assert r.matrix.array[0, 1] == pytest.approx(b / 8, rel=1e-12)
+        assert r.tail_bound > 0
+        with mpmath.workprec(1500):
+            psi = [1 / (1 + mpmath.sqrt(1 - mpmath.mpf(x))) for x in (a, c)]
+            R = [[psi[0], b * (psi[0] - psi[1]) / (mpmath.mpf(a) - c)], [0, psi[1]]]
+            E = [[mpmath.mpf(float(x)) - y for x, y in zip(row, ref)]
+                 for row, ref in zip(r.matrix.array, R)]
+            assert reference_norm(E, Norm.FROBENIUS) <= r.tail_bound
+
+    def test_zero_float_power_needs_the_step_cap(self):
+        """The 3 x 3 shift once claimed exactness at any eps; M = 1 now
+        needs 2^-(K+1) <= 1e-15, past LR_STEP_CAP steps."""
+        with pytest.raises(NonConvergenceError, match="21 reduction steps"):
+            brunel(SHIFT3, 1, eps=1e-15)
+
     @pytest.mark.parametrize("a, b, eps", [
         (0.9999, 0.01, 0.2), (0.9999, 0.003, 0.1),
         (0.99999, 0.01, 0.2), (0.99999, 0.003, 0.1),
@@ -822,7 +892,7 @@ class TestStridedPowerPass:
         reduction a smaller M than the 2000 the series tail is taken with."""
         powers, _ = evaluate_powers(T, n_list, 0.1, probe_len=probe_len)
         ref = sequential_pass(T, n_list, P)
-        M = max(_walk(T, 2000, Norm.OPINF).norms)
+        M = _walk(T, 2000, Norm.OPINF).M
         for i, n in enumerate(n_list):
             mat, tail = powers[n]
             gap = Norm.OPINF.compute(mat - ref[i])
