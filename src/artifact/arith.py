@@ -13,8 +13,11 @@ unfavorable end, an integer inequality, so a pass is a proof;
 read out here and nowhere else: `Enclosure.down`, `up` and `nearest`, and
 `float_down`, `float_up` and `sqrt_up` of an exact num / den.
 
-Exact values print as decimal digits through `decimal`, whose int conversion
-is exact and, unlike str(int), has no limit on the number of digits.
+Exact values become text one way, through `decimal`, whose int conversion is
+exact and, unlike str(int), has no limit on the number of digits.
+`exact_context` is the context that traps rounding, so exact decimal work
+either fits or raises: `rational_str` divides in one, and `coeffs.decimal_rows`
+builds the table export's rows in one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 
 Rational = Fraction
@@ -41,69 +44,47 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _digits(n: int) -> str:
-    """str(n) for an int of any size: str(int) refuses more than 4300 digits."""
-    return str(Decimal(n))
-
-
-def dyadic_str(man: int, exp: int) -> str:
-    """Serialize man / 2^exp exactly, in the form rational_str gives that value.
-
-    A reduced fraction terminates in base 10 iff its denominator is 2^a * 5^b,
-    and a dyadic is the case b = 0: once the trailing zero bits of man are
-    shifted out, m / 2^e with e > 0 is reduced, and m / 2^e = m 5^e / 10^e, so
-    its digits are the integer |m| 5^e with the point e places from the right.
-    No gcd is taken.
-    """
-    if not man:
-        return "0"
-    shift = (man & -man).bit_length() - 1
-    man >>= shift
-    exp -= shift
-    if exp <= 0:
-        return _digits(man << -exp)
-    sign = "-" if man < 0 else ""
-    text = _digits(abs(man) * 5 ** exp).rjust(exp + 1, "0")
-    return f"{sign}{text[:-exp]}.{text[-exp:]}"
+def exact_context(digits: int) -> Context:
+    """A decimal context of `digits` significant digits that traps Inexact and
+    Rounded, so a result that would need rounding raises instead.  Its
+    exponent range is the widest decimal allows, so an integer of more than
+    the default 999 999 digits does not overflow."""
+    ctx = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    ctx.traps[Inexact] = ctx.traps[Rounded] = True
+    return ctx
 
 
 def rational_str(q: Rational) -> str:
     """Serialize exactly: terminating decimal when one exists, else 'p/q'.
 
-    A reduced fraction terminates in base 10 iff its denominator is 2^a * 5^b;
-    with k = max(a, b) its digits are the integer |num| 2^(k-a) 5^(k-b).  A
-    power-of-two denominator (b = 0, integers included) goes to dyadic_str.
+    A reduced num / den terminates in base 10 iff den divides a power of 10,
+    and then den divides 10^k for k = den.bit_length().  Its quotient has at
+    most num.bit_length() + den.bit_length() + 1 digits, so one division in an
+    exact context of that size gives it, and normalize drops the trailing
+    zeros.
     """
     q = Fraction(q)
     num, den = q.numerator, q.denominator
-    if not den & (den - 1):
-        return dyadic_str(num, den.bit_length() - 1)
-    a = (den & -den).bit_length() - 1
-    rest = den >> a
-    b = 0
-    while rest % 5 == 0:
-        rest //= 5
-        b += 1
-    if rest != 1:
-        return f"{_digits(num)}/{_digits(den)}"
-    digits = max(a, b)
-    scaled = (abs(num) << (digits - a)) * 5 ** (digits - b)
-    sign = "-" if num < 0 else ""
-    text = _digits(scaled).rjust(digits + 1, "0")
-    whole, frac = text[:-digits], text[-digits:]
-    return f"{sign}{whole}.{frac}"
+    if pow(10, den.bit_length(), den):
+        return f"{Decimal(num)}/{Decimal(den)}"
+    ctx = exact_context(num.bit_length() + den.bit_length() + 1)
+    return f"{ctx.divide(num, den).normalize(ctx):f}"
 
 
 def parse_rational(text: str) -> Rational:
     """Inverse of rational_str (also accepts plain ints and p/q).
 
-    The text must be one of those forms, else ValueError.  Its digits are read
-    by Decimal, which is exact and, unlike int(str), takes any number of them.
+    The text must be one of those forms, with q > 0, else ValueError.  Its
+    digits are read by Decimal, which is exact and, unlike int(str), takes any
+    number of them.
     """
     if not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+", text):
         raise ValueError(f"not a decimal, an integer or p/q: {text!r}")
     num, _, den = text.partition("/")
-    return Fraction(Decimal(num)) / int(Decimal(den or 1))
+    q = int(Decimal(den or 1))
+    if not q:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(Decimal(num)) / q
 
 
 # ---------------------------------------------------------------------------

@@ -180,23 +180,11 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-# Operator actions call one library function and render its result as
-# (text, exit code).  `operators` (and numpy) loads only when an action
-# runs: the action's function is looked up on this module by name, which
-# `__getattr__` answers from `operators`, so a test can replace it here.
+# Operator actions call one library function, named by the action, and
+# render its result as (text, exit code).  `operators` (and numpy) loads only
+# when an action runs: `cmd_operator` imports it and looks the function up there.
 
-OPERATOR_CALLS = frozenset({
-    "appendix_example", "brunel", "cesaro", "check_cesaro_domination",
-    "check_mean_bound_theorem", "check_power_bound_theorem", "random_stochastic"})
 NORMS = ("opinf", "fro", "max")  # the values of operators.Norm, in its order
-
-
-def __getattr__(name: str):
-    if name in OPERATOR_CALLS:
-        from . import operators
-
-        return getattr(operators, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _matrix_text(mat):
@@ -233,12 +221,12 @@ def cmd_operator(name, render, args) -> int:
             path = given.pop("matrix")
             given["T"] = (operators.APPENDIX_T if path is None
                           else operators.load_matrix(path))
-        text, code = render(getattr(sys.modules[__name__], name)(**given))
+        text, code = render(getattr(operators, name)(**given))
         _emit(text, args.out)
     except BrokenPipeError:
         raise  # stdout is gone: no JSON error can reach it
     except (operators.SpectralExplosionError, operators.MeanBoundProbeError,
-            operators.NonConvergenceError, ValueError, OSError) as exc:
+            operators.NonConvergenceError, ValueError, OSError, MemoryError) as exc:
         _emit(_json({"error": type(exc).__name__, "message": str(exc)}), None)
         return 1
     return code

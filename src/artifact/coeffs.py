@@ -48,13 +48,13 @@ a = -1 included, by one routine of `arith.Enclosure` operations.
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, Inexact, Rounded, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice
 from operator import sub
 from typing import Iterable, Iterator, Optional
 
-from .arith import Rational, binomial
+from .arith import Rational, binomial, exact_context
 
 
 def alpha_mantissa(n: int, p: int) -> int:
@@ -156,16 +156,15 @@ def decimal_rows(n_max: int, p_max: int) -> Iterator[tuple[int, list[Decimal]]]:
     whole, as a new list, by alpha(n+1, p) = 2 alpha(n, p+1) - alpha(n-1, p+1),
     with 2x taken as x + x.  The arithmetic runs in a context of
     2(n_max + p_max) digits, more than any entry (or twice one) needs:
-    alpha(n, p) < 1 has n+2p fractional digits.  Inexact and Rounded are
-    trapped, so a result that would need rounding raises.  Every entry is
+    alpha(n, p) < 1 has n+2p fractional digits.  It is `arith.exact_context`,
+    so a result that would need rounding raises.  Every entry is
     normalized, so format(row[p], "f") prints it exactly under any context.
     The caller's context is never changed: each row is built inside the exact
     context, which is left before the row is yielded.
     """
     if n_max < 1:
         return
-    exact = Context(prec=2 * (n_max + p_max))
-    exact.traps[Inexact] = exact.traps[Rounded] = True
+    exact = exact_context(2 * (n_max + p_max))
     with localcontext(exact):
         cur = [(Decimal(a) / (1 << (1 + 2 * p))).normalize()
                for p, a in enumerate(alpha_mantissa_row(1, p_max + n_max - 1))]

@@ -19,7 +19,6 @@ from artifact.arith import (
     certified_ge,
     certified_ge_threshold,
     certified_le,
-    dyadic_str,
     float_down,
     float_up,
     parse_rational,
@@ -36,8 +35,10 @@ exponents = st.integers(min_value=0, max_value=300)
 
 
 def fraction_str(q: Fraction) -> str:
-    """Test oracle: the serializer on a reduced Fraction alone, the form that
-    dyadic_str and rational_str must reproduce byte for byte."""
+    """Test oracle, an independent serializer that places integer digits by
+    hand: a reduced fraction terminates in base 10 iff its denominator is
+    2^a 5^b, and with k = max(a, b) its digits are |num| 2^(k-a) 5^(k-b), the
+    point k places from the right.  rational_str must match it byte for byte."""
     num, den = q.numerator, q.denominator
     if den == 1:
         return str(num)
@@ -128,7 +129,8 @@ class TestRationalStr:
         assert parse_rational("-2") == Fraction(-2)
 
     @pytest.mark.parametrize("text", ["", "abc", "1.5/2", "1/-2", "0x10", "1e5", ".5",
-                                      "1.", "- 1", "NaN", "Infinity"])
+                                      "1.", "- 1", "NaN", "Infinity",
+                                      "1/0", "0/0"])
     def test_parse_rejects_other_forms(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
@@ -151,44 +153,59 @@ class TestRationalStr:
     def test_matches_fraction_oracle(self, a):
         assert rational_str(a) == fraction_str(a)
 
-
-class TestDyadicStr:
-    """dyadic_str(m, e) prints m / 2^e exactly as the Fraction oracle does."""
-
-    def check(self, m: int, e: int) -> None:
-        q = Fraction(m, 2**e)
-        text = dyadic_str(m, e)
-        assert text == fraction_str(q), (m, e)
-        assert parse_rational(text) == q, (m, e)
+    def check(self, q: Fraction) -> None:
+        text = rational_str(q)
+        assert text == fraction_str(q), q
+        assert parse_rational(text) == q, q
 
     @given(mantissas, exponents)
     @settings(max_examples=400)
-    def test_matches_fraction_oracle(self, m, e):
-        self.check(m, e)
+    def test_dyadics_match_fraction_oracle(self, m, e):
+        self.check(Fraction(m, 2**e))
 
     @given(mantissas, exponents, st.integers(min_value=0, max_value=8))
     @settings(max_examples=200)
-    def test_integer_results(self, m, e, extra):
+    def test_dyadic_integer_results(self, m, e, extra):
         """m with at least e trailing zero bits: the value is an integer."""
         m <<= e + extra
-        self.check(m, e)
-        assert "." not in dyadic_str(m, e)
+        self.check(Fraction(m, 2**e))
+        assert "." not in rational_str(Fraction(m, 2**e))
 
     @given(st.integers(min_value=-(2**64), max_value=2**64))
-    def test_exponent_zero(self, m):
-        assert dyadic_str(m, 0) == str(m)
+    def test_integers_print_as_str(self, m):
+        assert rational_str(Fraction(m)) == str(m)
 
     @given(exponents)
-    def test_zero(self, e):
-        assert dyadic_str(0, e) == "0"
+    def test_zero_over_a_power_of_two(self, e):
+        assert rational_str(Fraction(0, 2**e)) == "0"
 
-    def test_examples(self):
-        assert dyadic_str(1, 3) == "0.125"
-        assert dyadic_str(-3, 2) == "-0.75"
-        assert dyadic_str(-1, 5) == "-0.03125"
-        assert dyadic_str(12, 2) == "3"
-        assert dyadic_str(-12, 3) == "-1.5"
-        assert dyadic_str(5, 1) == "2.5"
+    def test_dyadic_examples(self):
+        assert rational_str(Fraction(1, 2**3)) == "0.125"
+        assert rational_str(Fraction(-3, 2**2)) == "-0.75"
+        assert rational_str(Fraction(-1, 2**5)) == "-0.03125"
+        assert rational_str(Fraction(12, 2**2)) == "3"
+        assert rational_str(Fraction(-12, 2**3)) == "-1.5"
+        assert rational_str(Fraction(5, 2**1)) == "2.5"
+
+    def test_denominators_either_side_of_termination(self):
+        """2^a 5^b r: a decimal for r = 1, p/q once a factor 3 or 7 stays.
+        The numerators are prime to 21, so r is never cancelled."""
+        for a in range(0, 70, 3):
+            for b in range(0, 50, 3):
+                for r in (1, 3, 7):
+                    for num in (1, -1, 11, 2**70 + 1, -(10**25 + 1)):
+                        q = Fraction(num, 2**a * 5**b * r)
+                        self.check(q)
+                        assert ("/" in rational_str(q)) == (r > 1), q
+
+    @pytest.mark.parametrize("lead, zeros", [(1, 5000), (-12, 40)])
+    def test_trailing_zeros_print_as_digits(self, lead, zeros):
+        """10**5000 and -12 * 10**40, normalized 1E+5000 and -1.2E+41, print
+        as plain digits."""
+        n = lead * 10**zeros
+        text = str(lead) + "0" * zeros
+        assert rational_str(Fraction(n)) == text
+        assert parse_rational(text) == n
 
 
 positives = st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6),

@@ -1,7 +1,7 @@
 """Tests for the exact coefficient engine: closed forms, oracle, recurrences."""
 
 import math
-from decimal import Context, Inexact, Rounded, getcontext, localcontext
+from decimal import Inexact, Rounded, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import coeffs
+from artifact.arith import exact_context
 from artifact.coeffs import (
     alpha,
     alpha_mantissa,
@@ -208,7 +209,7 @@ class TestDecimalRows:
 
     def test_a_narrow_context_raises_instead_of_rounding(self, monkeypatch):
         """Half the digits the entries need: the trapped rounding raises."""
-        monkeypatch.setattr(coeffs, "Context", lambda prec: Context(prec=prec // 2))
+        monkeypatch.setattr(coeffs, "exact_context", lambda digits: exact_context(digits // 2))
         with pytest.raises((Inexact, Rounded)):
             list(decimal_rows(3, 40))
 
